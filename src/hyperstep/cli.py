@@ -1,22 +1,22 @@
 """Command-line interface: training runs, closed-form queries, oracle checks,
 and the convergence comparison report.
 
-Exit codes: 0 success, 1 usage or input error (including divergence),
-2 a run hit its epoch budget without converging, 3 an internal check failed.
+Exit codes: 0 success, 1 usage or input error (including divergence) or a
+closed stdout pipe (quietly, nothing on stderr), 2 a run hit its epoch budget
+without converging, 3 an internal check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .objectives import ObjectiveId, ParamPoint, RegressionSample, evaluate, gradient
+from .objectives import ObjectiveId, ParamPoint, RegressionSample
 from .optimizers import HyperParams, Method, OptimizerState, PerCoord
-from . import analyzer, hyperopt
+from . import hyperopt, verify
 from .harness import (
     DEFAULT_HYPERS,
     DEFAULT_INIT_COORD,
@@ -42,10 +42,6 @@ TABLE2_HEADER = (
     "method,objective,optimal_epoch,optimal_loss,fixed_epoch,fixed_loss,"
     "published_optimal_epoch,published_optimal_loss,published_fixed_epoch,published_fixed_loss"
 )
-
-_ARGMIN_TOL = 1e-6
-_ONE_STEP_TOL = 1e-20
-_GRADIENT_TOL = 1e-6
 
 
 class _UsageError(Exception):
@@ -384,52 +380,37 @@ def _build_state(args: argparse.Namespace, obj: ObjectiveId) -> OptimizerState:
     )
 
 
+# Per method: the state flags its rules read (any objective, then two-parameter
+# ones only) and one (solved, given flag) row per rule; rows lacking the flag skip.
+_OPTIMAL_ROWS = {
+    Method.GD: ([], [], [("eta", None)]),
+    Method.MOMENTUM: (["w"], ["b"], [("eta", "alpha"), ("alpha", "eta")]),
+    Method.ADAGRAD: (["phi_w"], ["phi_b"], [("eta", None)]),
+    Method.RMSPROP: (["w", "u_w"], ["b", "u_b"], [("eta", "beta"), ("beta", "eta")]),
+}
+
+
 def _cmd_optimal(args: argparse.Namespace) -> int:
     method: Method = args.method
     obj: ObjectiveId = args.objective
-    two = obj.arity == 2
     sample = None
     if obj is ObjectiveId.F3:
         _require(args, ["x", "y"])
         sample = RegressionSample(x=args.x, y=args.y)
 
+    needs, needs_two, rows = _OPTIMAL_ROWS[method]
+    _require(args, needs + (needs_two if obj.arity == 2 else []))
+    state = _build_state(args, obj)
+    wanted = [target for target, given in rows if given is None or getattr(args, given) is not None]
+    if not wanted:
+        choices = ", ".join(f"--{given} to solve {target}" for target, given in rows)
+        raise _UsageError(f"provide {choices}, or both")
+
     epsilon = _pick(args.epsilon, DEFAULT_HYPERS.epsilon)
     half = _pick(args.f3_half_gradient, False)
-    rows: list[tuple[str, hyperopt.FeasibleValue]] = []
-
-    if method is Method.GD:
-        state = _build_state(args, obj)
-        rows.append(("eta", hyperopt.optimal_lr_gd(obj, state, sample)))
-    elif method is Method.MOMENTUM:
-        _require(args, ["w"] + (["b"] if two else []))
-        state = _build_state(args, obj)
-        if args.alpha is None and args.eta is None:
-            raise _UsageError("provide --alpha to solve eta, --eta to solve alpha, or both")
-        if args.alpha is not None:
-            rows.append(("eta", hyperopt.optimal_lr_momentum(obj, state, sample, alpha=args.alpha)))
-        if args.eta is not None:
-            rows.append(("alpha", hyperopt.optimal_momentum_coef(obj, state, sample, eta=args.eta)))
-    elif method is Method.ADAGRAD:
-        _require(args, ["phi_w"] + (["phi_b"] if two else []))
-        state = _build_state(args, obj)
-        rows.append(("eta", hyperopt.optimal_lr_adagrad(obj, state, sample, epsilon=epsilon)))
-    else:
-        _require(args, ["w", "u_w"] + (["b", "u_b"] if two else []))
-        state = _build_state(args, obj)
-        if args.beta is None and args.eta is None:
-            raise _UsageError("provide --beta to solve eta, --eta to solve beta, or both")
-        if args.beta is not None:
-            rows.append(
-                ("eta", hyperopt.optimal_lr_rmsprop(
-                    obj, state, sample, beta=args.beta, epsilon=epsilon, f3_half_gradient=half))
-            )
-        if args.eta is not None:
-            rows.append(
-                ("beta", hyperopt.optimal_beta_rmsprop(
-                    obj, state, sample, eta=args.eta, epsilon=epsilon, f3_half_gradient=half))
-            )
-
-    for name, fv in rows:
+    given = dict(eta=args.eta, alpha=args.alpha, beta=args.beta, epsilon=epsilon, f3_half_gradient=half)
+    solved = [(target, hyperopt.solve(method, target, obj, state, sample, **given)) for target in wanted]
+    for name, fv in solved:
         print(
             f"{name}: value={_fmt(fv.value)} raw={_fmt(fv.raw)} "
             f"feasible={_fmt_bool(fv.feasible)} defined={_fmt_bool(fv.defined)}"
@@ -440,286 +421,15 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _unit_open(rng: np.random.Generator) -> float:
-    # uniform draw from (0, 1]
-    return 1.0 - float(rng.random())
-
-
-def _rand_params(rng: np.random.Generator, obj: ObjectiveId) -> ParamPoint:
-    w = float(rng.uniform(0.0, 1.0))
-    return ParamPoint(w=w, b=float(rng.uniform(0.0, 1.0)) if obj.arity == 2 else None)
-
-
-def _rand_percoord(rng: np.random.Generator, obj: ObjectiveId, lo: float, hi: float) -> PerCoord:
-    w = float(rng.uniform(lo, hi))
-    return PerCoord(w=w, b=float(rng.uniform(lo, hi)) if obj.arity == 2 else None)
-
-
-def _open_percoord(rng: np.random.Generator, obj: ObjectiveId) -> PerCoord:
-    return PerCoord(w=_unit_open(rng), b=_unit_open(rng) if obj.arity == 2 else None)
-
-
-def _obj_sample(obj: ObjectiveId) -> RegressionSample | None:
-    return DEFAULT_SAMPLE if obj is ObjectiveId.F3 else None
-
-
-_ALL_OBJECTIVES = (ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3)
-_BETA_SAMPLE = RegressionSample(x=1.0, y=0.3)  # common-gradient point for the beta rule
-
-
-def _check_gradients(samples: int, seed: int) -> list[dict]:
-    checks = []
-    for obj in _ALL_OBJECTIVES:
-        rng = np.random.default_rng(seed)
-        s = _obj_sample(obj)
-        worst = 0.0
-        for _ in range(samples):
-            p = _rand_params(rng, obj)
-            a = analyzer.finite_diff_gradient(obj, p, s)
-            g = gradient(obj, p, s)
-            dev = abs(a.d_w - g.d_w) / max(1.0, abs(g.d_w))
-            if g.d_b is not None:
-                dev = max(dev, abs(a.d_b - g.d_b) / max(1.0, abs(g.d_b)))
-            worst = max(worst, dev)
-        checks.append(
-            {
-                "name": f"gradients/{obj.value}",
-                "tolerance": _GRADIENT_TOL,
-                "max_deviation": worst,
-                "samples": samples,
-                "passed": worst <= _GRADIENT_TOL,
-            }
-        )
-    return checks
-
-
-def _gd_argmin_cases() -> list[tuple[ObjectiveId, RegressionSample | None]]:
-    return [
-        (ObjectiveId.F1, None),
-        (ObjectiveId.F2, None),
-        (ObjectiveId.F3, RegressionSample(x=0.3, y=0.23)),
-        (ObjectiveId.F3, RegressionSample(x=1.0, y=0.3)),
-        (ObjectiveId.F3, RegressionSample(x=2.0, y=0.4)),
-    ]
-
-
-def _check_argmin_gd(seed: int) -> dict:
-    worst = 0.0
-    for obj, s in _gd_argmin_cases():
-        template = OptimizerState.initial(
-            ParamPoint(w=0.0, b=0.0 if obj.arity == 2 else None)
-        )
-        res = analyzer.argmin_hyper(
-            Method.GD, obj, "eta", DEFAULT_HYPERS, s,
-            analyzer.default_sampling(obj, seed), template, f3_half_gradient=True,
-        )
-        fv = hyperopt.optimal_lr_gd(obj, template, s)
-        worst = max(worst, abs(res.argmin - fv.value))
-    return {
-        "name": "argmin/gd",
-        "tolerance": _ARGMIN_TOL,
-        "max_deviation": worst,
-        "passed": worst <= _ARGMIN_TOL,
-    }
-
-
-def _pointwise_cases(method: Method) -> list[tuple[ObjectiveId, str]]:
-    targets = sorted(OPTIMIZED_HYPERS[method])
-    return [(obj, t) for obj in _ALL_OBJECTIVES for t in targets]
-
-
-def _pointwise_deviation(
-    method: Method, obj: ObjectiveId, target: str, rng: np.random.Generator
-) -> tuple[float | None, bool]:
-    """One sampled state; returns (deviation or None if skipped, defined)."""
-    sample = _BETA_SAMPLE if (method is Method.RMSPROP and target == "beta" and obj is ObjectiveId.F3) else _obj_sample(obj)
-    half = obj is ObjectiveId.F3
-    params = _rand_params(rng, obj)
-    velocity = _rand_percoord(rng, obj, -0.5, 0.5)
-    phi = _open_percoord(rng, obj)
-    if method is Method.RMSPROP and target == "beta":
-        shared = _unit_open(rng)
-        u = PerCoord(w=shared, b=shared if obj.arity == 2 else None)
-    else:
-        u = _open_percoord(rng, obj)
-    state = OptimizerState(params=params, velocity=velocity, grad_sq_sum=phi, weighted_grad_sq=u)
-    ctx_eta = float(rng.uniform(0.0, 1.0))
-    ctx_alpha = float(rng.uniform(0.0, 1.0))
-    ctx_beta = float(rng.uniform(0.0, 1.0))
-    fixed = HyperParams(eta=ctx_eta, alpha=ctx_alpha, beta=ctx_beta, epsilon=1e-8)
-
-    if method is Method.MOMENTUM:
-        if target == "eta":
-            fv = hyperopt.optimal_lr_momentum(obj, state, sample, alpha=ctx_alpha)
-        else:
-            fv = hyperopt.optimal_momentum_coef(obj, state, sample, eta=ctx_eta)
-    elif method is Method.ADAGRAD:
-        fv = hyperopt.optimal_lr_adagrad(obj, state, sample, epsilon=fixed.epsilon)
-    else:
-        if target == "eta":
-            fv = hyperopt.optimal_lr_rmsprop(
-                obj, state, sample, beta=ctx_beta, epsilon=fixed.epsilon, f3_half_gradient=half
-            )
-        else:
-            fv = hyperopt.optimal_beta_rmsprop(
-                obj, state, sample, eta=ctx_eta, epsilon=fixed.epsilon, f3_half_gradient=half
-            )
-    if not fv.defined:
-        return None, False
-    if not fv.feasible:
-        return None, True
-    res = analyzer.pointwise_argmin_hyper(
-        method, obj, target, fixed, sample, state, f3_half_gradient=half
-    )
-    return abs(res.argmin - fv.value), True
-
-
-def _check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict:
-    worst = 0.0
-    min_defined = 1.0
-    compared = 0
-    for obj, target in _pointwise_cases(method):
-        rng = np.random.default_rng(seed)
-        defined = 0
-        for _ in range(states):
-            dev, is_defined = _pointwise_deviation(method, obj, target, rng)
-            defined += int(is_defined)
-            if dev is not None:
-                worst = max(worst, dev)
-                compared += 1
-        min_defined = min(min_defined, defined / states)
-    return {
-        "name": f"argmin/{method.value}",
-        "tolerance": _ARGMIN_TOL,
-        "max_deviation": worst,
-        "compared": compared,
-        "min_defined_fraction": min_defined,
-        "passed": worst <= _ARGMIN_TOL and min_defined >= 0.95,
-    }
-
-
-def _one_step_state(rng: np.random.Generator, obj: ObjectiveId) -> OptimizerState:
-    return OptimizerState(
-        params=_rand_params(rng, obj),
-        velocity=_rand_percoord(rng, obj, -0.5, 0.5),
-        grad_sq_sum=_open_percoord(rng, obj),
-        weighted_grad_sq=_open_percoord(rng, obj),
-    )
-
-
-def _one_step_loss_max(method: Method, samples: int, seed: int) -> tuple[float, int]:
-    """Worst post-step loss using closed-form values, over defined+feasible draws."""
-    from .optimizers import step as take_step
-
-    worst = 0.0
-    tested = 0
-    for obj in _ALL_OBJECTIVES:
-        half = obj is ObjectiveId.F3
-        sample = _obj_sample(obj)
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            state = _one_step_state(rng, obj)
-            trials: list[HyperParams] = []
-            if method is Method.GD:
-                fv = hyperopt.optimal_lr_gd(obj, state, sample)
-                if fv.defined and fv.feasible:
-                    trials.append(HyperParams(eta=fv.value))
-            elif method is Method.MOMENTUM:
-                alpha = float(rng.uniform(0.0, 1.0))
-                eta = float(rng.uniform(0.0, 1.0))
-                fv = hyperopt.optimal_lr_momentum(obj, state, sample, alpha=alpha)
-                if fv.defined and fv.feasible:
-                    trials.append(HyperParams(eta=fv.value, alpha=alpha))
-                fv = hyperopt.optimal_momentum_coef(obj, state, sample, eta=eta)
-                if fv.defined and fv.feasible:
-                    trials.append(HyperParams(eta=eta, alpha=fv.value))
-            elif method is Method.ADAGRAD:
-                g = gradient(obj, state.params, sample, f3_half_gradient=half)
-                post_b = None if g.d_b is None else state.grad_sq_sum.b + g.d_b * g.d_b
-                view = OptimizerState(
-                    params=state.params,
-                    velocity=state.velocity,
-                    grad_sq_sum=PerCoord(w=state.grad_sq_sum.w + g.d_w * g.d_w, b=post_b),
-                    weighted_grad_sq=state.weighted_grad_sq,
-                )
-                fv = hyperopt.optimal_lr_adagrad(obj, view, sample, epsilon=1e-8)
-                if fv.defined and fv.feasible:
-                    trials.append(HyperParams(eta=fv.value, epsilon=1e-8))
-            else:
-                beta = float(rng.uniform(0.0, 1.0))
-                eta = float(rng.uniform(0.0, 1.0))
-                fv = hyperopt.optimal_lr_rmsprop(
-                    obj, state, sample, beta=beta, epsilon=1e-8, f3_half_gradient=half
-                )
-                if fv.defined and fv.feasible:
-                    trials.append(HyperParams(eta=fv.value, beta=beta, epsilon=1e-8))
-                beta_sample = _BETA_SAMPLE if obj is ObjectiveId.F3 else sample
-                shared = _unit_open(rng)
-                beta_state = OptimizerState(
-                    params=state.params,
-                    velocity=state.velocity,
-                    grad_sq_sum=state.grad_sq_sum,
-                    weighted_grad_sq=PerCoord(w=shared, b=shared if obj.arity == 2 else None),
-                )
-                fv = hyperopt.optimal_beta_rmsprop(
-                    obj, beta_state, beta_sample, eta=eta, epsilon=1e-8, f3_half_gradient=half
-                )
-                if fv.defined and fv.feasible:
-                    loss = evaluate(
-                        obj,
-                        take_step(
-                            method, beta_state, HyperParams(eta=eta, beta=fv.value, epsilon=1e-8),
-                            obj, beta_sample, f3_half_gradient=half,
-                        ).params,
-                        beta_sample,
-                    )
-                    worst = max(worst, float(loss))
-                    tested += 1
-            for hyper in trials:
-                loss = evaluate(
-                    obj,
-                    take_step(method, state, hyper, obj, sample, f3_half_gradient=half).params,
-                    sample,
-                )
-                worst = max(worst, float(loss))
-                tested += 1
-    return worst, tested
-
-
-def _check_one_step(method: Method, samples: int, seed: int) -> dict:
-    worst, tested = _one_step_loss_max(method, samples, seed)
-    return {
-        "name": f"one-step/{method.value}",
-        "tolerance": _ONE_STEP_TOL,
-        "max_deviation": worst,
-        "tested": tested,
-        "passed": worst <= _ONE_STEP_TOL and tested > 0,
-    }
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scope = args.scope or "all"
-    samples = args.samples if args.samples is not None else 1000
-    seed = args.seed if args.seed is not None else 0
-    methods = [args.method] if args.method is not None else list(OPTIMIZED_HYPERS)
-
-    checks: list[dict] = []
-    if scope in ("gradients", "all"):
-        checks.extend(_check_gradients(samples, seed))
-    if scope in ("argmin", "all"):
-        if Method.GD in methods:
-            checks.append(_check_argmin_gd(seed))
-        for m in methods:
-            if m is not Method.GD:
-                checks.append(_check_argmin_pointwise(m, seed))
-    if scope in ("one-step", "all"):
-        for m in methods:
-            checks.append(_check_one_step(m, samples, seed))
-
-    passed = all(c["passed"] for c in checks)
-    report = {"scope": scope, "seed": seed, "samples": samples, "passed": passed, "checks": checks}
+    report = verify.report(
+        args.scope or "all",
+        args.samples if args.samples is not None else 1000,
+        args.seed if args.seed is not None else 0,
+        args.method,
+    )
     print(json.dumps(report, sort_keys=True, indent=2))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -877,12 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     optimal.add_argument("--f3-half-gradient", action=argparse.BooleanOptionalAction)
     optimal.set_defaults(handler=_cmd_optimal)
 
-    verify = sub.add_parser("verify", help="run the numeric oracles against the closed forms")
-    verify.add_argument("--scope", choices=["gradients", "argmin", "one-step", "all"])
-    verify.add_argument("--samples", type=int)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--method", type=_method_arg, help="restrict to one method")
-    verify.set_defaults(handler=_cmd_verify)
+    oracles = sub.add_parser("verify", help="run the numeric oracles against the closed forms")
+    oracles.add_argument("--scope", choices=verify.SCOPES)
+    oracles.add_argument("--samples", type=int)
+    oracles.add_argument("--seed", type=int)
+    oracles.add_argument("--method", type=_method_arg, help="restrict to one method")
+    oracles.set_defaults(handler=_cmd_verify)
 
     table2 = sub.add_parser("table2", help="4x3 convergence comparison against published values")
     table2.add_argument("--eta", type=float)
@@ -904,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _dispatch(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -912,12 +622,20 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a reader that closed the pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # stdout goes to devnull so the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

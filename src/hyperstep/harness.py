@@ -19,16 +19,17 @@ from enum import Enum
 
 import numpy as np
 
-from .objectives import ObjectiveId, ParamPoint, RegressionSample, evaluate, gradient
+from .objectives import ObjectiveId, ParamPoint, RegressionSample, evaluate
 from .optimizers import (
     HyperParams,
     Method,
     NonFiniteGradientError,
     OptimizerState,
-    PerCoord,
+    adagrad_post_view,
     step,
 )
 from . import hyperopt
+from .hyperopt import OPTIMIZED_HYPERS
 
 DEFAULT_HYPERS = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=1e-8)
 DEFAULT_SAMPLE = RegressionSample(x=0.3, y=0.23)
@@ -40,14 +41,6 @@ FLAG_FIXED = "fixed"
 FLAG_CLOSED_FORM = "closed_form"
 FLAG_CLAMPED = "clamped"
 FLAG_FALLBACK = "fallback"
-
-OPTIMIZED_HYPERS = {
-    Method.GD: frozenset({"eta"}),
-    Method.MOMENTUM: frozenset({"eta", "alpha"}),
-    Method.ADAGRAD: frozenset({"eta"}),
-    Method.RMSPROP: frozenset({"eta", "beta"}),
-}
-
 
 class PolicyKind(Enum):
     FIXED = "fixed"
@@ -184,13 +177,6 @@ def _apply_feasible(fv: hyperopt.FeasibleValue, incumbent: float) -> tuple[float
     return fv.value, FLAG_CLAMPED
 
 
-def _adagrad_post_view(cfg: RunConfig, state: OptimizerState) -> OptimizerState:
-    # The closed form wants the sums the pending step will divide by.
-    g = gradient(cfg.objective, state.params, cfg.sample, f3_half_gradient=cfg.f3_half_gradient)
-    post_b = None if g.d_b is None else state.grad_sq_sum.b + g.d_b * g.d_b
-    return replace(state, grad_sq_sum=PerCoord(w=state.grad_sq_sum.w + g.d_w * g.d_w, b=post_b))
-
-
 def _resolve_optimal(
     cfg: RunConfig, state: OptimizerState, incumbent: HyperParams
 ) -> tuple[HyperParams, HyperFlags]:
@@ -200,36 +186,20 @@ def _resolve_optimal(
     eta, then eta against the resolved coefficient, so the step built from
     the result zeroes the residual whenever the eta form is defined.
     """
-    obj, s = cfg.objective, cfg.sample
-    want = cfg.policy.optimize
+    if cfg.method is Method.ADAGRAD:
+        state = adagrad_post_view(state, cfg.objective, cfg.sample, f3_half_gradient=cfg.f3_half_gradient)
     h = incumbent
     flags = {"eta": FLAG_FIXED, "alpha": FLAG_FIXED, "beta": FLAG_FIXED}
-
-    if cfg.method is Method.MOMENTUM and "alpha" in want:
-        fv = hyperopt.optimal_momentum_coef(obj, state, s, eta=h.eta)
-        value, flags["alpha"] = _apply_feasible(fv, h.alpha)
-        h = replace(h, alpha=value)
-    if cfg.method is Method.RMSPROP and "beta" in want:
-        fv = hyperopt.optimal_beta_rmsprop(
-            obj, state, s, eta=h.eta, epsilon=h.epsilon, f3_half_gradient=cfg.f3_half_gradient
+    for target in ("alpha", "beta", "eta"):
+        if target not in cfg.policy.optimize:
+            continue
+        fv = hyperopt.solve(
+            cfg.method, target, cfg.objective, state, cfg.sample,
+            eta=h.eta, alpha=h.alpha, beta=h.beta, epsilon=h.epsilon,
+            f3_half_gradient=cfg.f3_half_gradient,
         )
-        value, flags["beta"] = _apply_feasible(fv, h.beta)
-        h = replace(h, beta=value)
-
-    if "eta" in want:
-        if cfg.method is Method.GD:
-            fv = hyperopt.optimal_lr_gd(obj, state, s)
-        elif cfg.method is Method.MOMENTUM:
-            fv = hyperopt.optimal_lr_momentum(obj, state, s, alpha=h.alpha)
-        elif cfg.method is Method.ADAGRAD:
-            fv = hyperopt.optimal_lr_adagrad(obj, _adagrad_post_view(cfg, state), s, epsilon=h.epsilon)
-        else:
-            fv = hyperopt.optimal_lr_rmsprop(
-                obj, state, s, beta=h.beta, epsilon=h.epsilon, f3_half_gradient=cfg.f3_half_gradient
-            )
-        value, flags["eta"] = _apply_feasible(fv, h.eta)
-        h = replace(h, eta=value)
-
+        value, flags[target] = _apply_feasible(fv, getattr(h, target))
+        h = replace(h, **{target: value})
     return h, HyperFlags(**flags)
 
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import ObjectiveId, RegressionSample, gradient, residual
-from .optimizers import OptimizerState
+from .optimizers import Method, OptimizerState
 
 SINGULAR_TOL = 1e-12
 
@@ -284,3 +284,49 @@ def optimal_beta_rmsprop(
     d_sq = delta * delta
     x1 = s.x + 1.0
     return _from_raw((eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / (denom * d_sq))
+
+
+OPTIMIZED_HYPERS = {
+    Method.GD: frozenset({"eta"}),
+    Method.MOMENTUM: frozenset({"eta", "alpha"}),
+    Method.ADAGRAD: frozenset({"eta"}),
+    Method.RMSPROP: frozenset({"eta", "beta"}),
+}
+
+
+def solve(
+    method: Method,
+    target: str,
+    obj: ObjectiveId,
+    state: OptimizerState,
+    sample: RegressionSample | None = None,
+    *,
+    eta: float | None,
+    alpha: float | None,
+    beta: float | None,
+    epsilon: float,
+    f3_half_gradient: bool = False,
+) -> FeasibleValue:
+    """Closed-form value of ``target`` for ``method`` at ``state``.
+
+    The one place that decides which rule solves which hyperparameter. Each
+    rule reads only the given values it needs; the others may be None. For
+    adagrad ``state`` must be the post-accumulation view
+    (optimizers.adagrad_post_view).
+
+    Raises:
+        ValueError: if the pair is not in OPTIMIZED_HYPERS.
+    """
+    if method is Method.GD and target == "eta":
+        return optimal_lr_gd(obj, state, sample)
+    if method is Method.MOMENTUM and target == "eta":
+        return optimal_lr_momentum(obj, state, sample, alpha=alpha)
+    if method is Method.MOMENTUM and target == "alpha":
+        return optimal_momentum_coef(obj, state, sample, eta=eta)
+    if method is Method.ADAGRAD and target == "eta":
+        return optimal_lr_adagrad(obj, state, sample, epsilon=epsilon)
+    if method is Method.RMSPROP and target == "eta":
+        return optimal_lr_rmsprop(obj, state, sample, beta=beta, epsilon=epsilon, f3_half_gradient=f3_half_gradient)
+    if method is Method.RMSPROP and target == "beta":
+        return optimal_beta_rmsprop(obj, state, sample, eta=eta, epsilon=epsilon, f3_half_gradient=f3_half_gradient)
+    raise ValueError(f"no closed form for {target!r} under {method.value}")

@@ -180,6 +180,16 @@ def adagrad_step(
     )
 
 
+def adagrad_post_view(
+    state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, *, f3_half_gradient: bool
+) -> OptimizerState:
+    """``state`` with grad_sq_sum advanced by the current squared gradient: the
+    sums the pending adagrad step divides by, which its closed form reads."""
+    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    post_b = None if g.d_b is None else state.grad_sq_sum.b + g.d_b * g.d_b
+    return replace(state, grad_sq_sum=PerCoord(w=state.grad_sq_sum.w + g.d_w * g.d_w, b=post_b))
+
+
 def rmsprop_step(
     state: OptimizerState,
     hyper: HyperParams,

@@ -14,6 +14,7 @@ import numpy as np
 
 from hyperstep import (
     DEFAULT_HYPERS,
+    OPTIMIZED_HYPERS,
     HyperParams,
     HyperPolicy,
     Method,
@@ -23,27 +24,24 @@ from hyperstep import (
     PerCoord,
     RegressionSample,
     RunConfig,
-    argmin_hyper,
-    default_sampling,
     evaluate,
     finite_diff_gradient,
     gradient,
-    optimal_beta_rmsprop,
     optimal_lr_adagrad,
     optimal_lr_gd,
     optimal_lr_momentum,
     optimal_lr_rmsprop,
-    optimal_momentum_coef,
-    pointwise_argmin_hyper,
     reproduce_table2,
     run_training,
+    solve,
     step,
+    verify,
 )
+from hyperstep.optimizers import adagrad_post_view
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 OBJECTIVES = (F1, F2, F3)
 DEFAULT_SAMPLE = RegressionSample(x=0.3, y=0.23)
-BETA_SAMPLE = RegressionSample(x=1.0, y=0.3)  # the beta rule's common-gradient point
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -83,25 +81,8 @@ def _with_common_u(state: OptimizerState, rng) -> OptimizerState:
 
 
 def test_criterion_1_gd_argmin_matches_closed_form():
-    cases = [
-        (F1, None),
-        (F2, None),
-        (F3, RegressionSample(x=0.3, y=0.23)),
-        (F3, RegressionSample(x=1.0, y=0.3)),
-        (F3, RegressionSample(x=2.0, y=0.4)),
-    ]
     start = time.perf_counter()
-    worst = 0.0
-    for obj, sample in cases:
-        template = OptimizerState.initial(
-            ParamPoint(w=0.0, b=0.0 if obj.arity == 2 else None)
-        )
-        found = argmin_hyper(
-            Method.GD, obj, "eta", DEFAULT_HYPERS, sample,
-            default_sampling(obj), template, f3_half_gradient=True,
-        )
-        closed = optimal_lr_gd(obj, template, sample)
-        worst = max(worst, abs(found.argmin - closed.value))
+    worst = verify.check_argmin_gd()["max_deviation"]
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 1.0
     _verdict(1, ok, f"gd argmin vs closed form, max |dev| {worst:.2e} (<=1e-6), {elapsed:.2f}s (<1s)")
@@ -109,65 +90,16 @@ def test_criterion_1_gd_argmin_matches_closed_form():
     assert elapsed < 1.0
 
 
-def _closed_form(method, obj, target, state, sample, ctx):
-    if method is Method.MOMENTUM:
-        if target == "eta":
-            return optimal_lr_momentum(obj, state, sample, alpha=ctx.alpha)
-        return optimal_momentum_coef(obj, state, sample, eta=ctx.eta)
-    if method is Method.ADAGRAD:
-        return optimal_lr_adagrad(obj, state, sample, epsilon=ctx.epsilon)
-    if target == "eta":
-        return optimal_lr_rmsprop(
-            obj, state, sample, beta=ctx.beta, epsilon=ctx.epsilon,
-            f3_half_gradient=obj is F3,
-        )
-    return optimal_beta_rmsprop(
-        obj, state, sample, eta=ctx.eta, epsilon=ctx.epsilon,
-        f3_half_gradient=obj is F3,
-    )
-
-
 def test_criterion_2_pointwise_argmin_matches_every_rule():
-    combos = (
-        [(Method.MOMENTUM, obj, t) for obj in OBJECTIVES for t in ("eta", "alpha")]
-        + [(Method.ADAGRAD, obj, "eta") for obj in OBJECTIVES]
-        + [(Method.RMSPROP, obj, t) for obj in OBJECTIVES for t in ("eta", "beta")]
-    )
-    assert len(combos) == 15
     start = time.perf_counter()
-    worst = 0.0
-    min_defined = 1.0
-    compared = 0
-    for method, obj, target in combos:
-        rng = np.random.default_rng(100)
-        beta_rule = method is Method.RMSPROP and target == "beta"
-        sample = None
-        if obj is F3:
-            sample = BETA_SAMPLE if beta_rule else DEFAULT_SAMPLE
-        defined = 0
-        for _ in range(100):
-            state = _draw_state(rng, obj)
-            if beta_rule:
-                state = _with_common_u(state, rng)
-            ctx = HyperParams(
-                eta=float(rng.uniform(0, 1)),
-                alpha=float(rng.uniform(0, 1)),
-                beta=float(rng.uniform(0, 1)),
-                epsilon=1e-8,
-            )
-            fv = _closed_form(method, obj, target, state, sample, ctx)
-            if not fv.defined:
-                continue
-            defined += 1
-            if not fv.feasible:
-                continue
-            found = pointwise_argmin_hyper(
-                method, obj, target, ctx, sample, state, f3_half_gradient=obj is F3
-            )
-            worst = max(worst, abs(found.argmin - fv.value))
-            compared += 1
-        min_defined = min(min_defined, defined / 100.0)
+    checks = [
+        verify.check_argmin_pointwise(m, seed=100)
+        for m in (Method.MOMENTUM, Method.ADAGRAD, Method.RMSPROP)
+    ]
     elapsed = time.perf_counter() - start
+    worst = max(c["max_deviation"] for c in checks)
+    min_defined = min(c["min_defined_fraction"] for c in checks)
+    compared = sum(c["compared"] for c in checks)
     ok = worst <= 1e-6 and min_defined >= 0.95 and elapsed < 10.0
     _verdict(
         2,
@@ -180,51 +112,23 @@ def test_criterion_2_pointwise_argmin_matches_every_rule():
     assert elapsed < 10.0
 
 
-def _adagrad_post_view(state, obj, sample):
-    g = gradient(obj, state.params, sample, f3_half_gradient=obj is F3)
-    post_b = None if g.d_b is None else state.grad_sq_sum.b + g.d_b * g.d_b
-    return OptimizerState(
-        params=state.params,
-        velocity=state.velocity,
-        grad_sq_sum=PerCoord(w=state.grad_sq_sum.w + g.d_w * g.d_w, b=post_b),
-        weighted_grad_sq=state.weighted_grad_sq,
-    )
-
-
 def _one_step_trials(method, obj, state, sample, rng):
     """Hyperparameter settings built from the closed forms at this state."""
-    eps = 1e-8
+    coefficient = next(iter(OPTIMIZED_HYPERS[method] - {"eta"}), None)
+    given = {"eta": 0.0, "alpha": 0.0, "beta": 0.0}
+    if coefficient is not None:
+        given[coefficient] = float(rng.uniform(0, 1))
+        given["eta"] = float(rng.uniform(0, 1))
+    view = state
+    if method is Method.ADAGRAD:
+        view = adagrad_post_view(state, obj, sample, f3_half_gradient=obj is F3)
     trials = []
-    if method is Method.GD:
-        fv = optimal_lr_gd(obj, state, sample)
-        if fv.defined and fv.feasible:
-            trials.append(HyperParams(eta=fv.value))
-    elif method is Method.MOMENTUM:
-        alpha = float(rng.uniform(0, 1))
-        eta = float(rng.uniform(0, 1))
-        fv = optimal_lr_momentum(obj, state, sample, alpha=alpha)
-        if fv.defined and fv.feasible:
-            trials.append(HyperParams(eta=fv.value, alpha=alpha))
-        fv = optimal_momentum_coef(obj, state, sample, eta=eta)
-        if fv.defined and fv.feasible:
-            trials.append(HyperParams(eta=eta, alpha=fv.value))
-    elif method is Method.ADAGRAD:
-        fv = optimal_lr_adagrad(obj, _adagrad_post_view(state, obj, sample), sample, epsilon=eps)
-        if fv.defined and fv.feasible:
-            trials.append(HyperParams(eta=fv.value, epsilon=eps))
-    else:
-        beta = float(rng.uniform(0, 1))
-        eta = float(rng.uniform(0, 1))
-        fv = optimal_lr_rmsprop(
-            obj, state, sample, beta=beta, epsilon=eps, f3_half_gradient=obj is F3
+    for target in sorted(OPTIMIZED_HYPERS[method]):
+        fv = solve(
+            method, target, obj, view, sample, **given, epsilon=1e-8, f3_half_gradient=obj is F3
         )
         if fv.defined and fv.feasible:
-            trials.append(HyperParams(eta=fv.value, beta=beta, epsilon=eps))
-        fv = optimal_beta_rmsprop(
-            obj, state, sample, eta=eta, epsilon=eps, f3_half_gradient=obj is F3
-        )
-        if fv.defined and fv.feasible:
-            trials.append(HyperParams(eta=eta, beta=fv.value, epsilon=eps))
+            trials.append(HyperParams(**{**given, target: fv.value}, epsilon=1e-8))
     return trials
 
 

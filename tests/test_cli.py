@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, output schemas, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hyperstep import verify
 from hyperstep.cli import EXIT_CHECK_FAILED, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, TRACE_HEADER, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +155,16 @@ def test_optimal_subcommand_output_format(capsys):
     assert lines[1].startswith("alpha: value=0.5 ")
 
 
+def test_optimal_subcommand_takes_given_values_outside_unit_interval(capsys):
+    # the given alpha is the rule's input, not a step setting, so it is not range-checked
+    code, out, _ = run_cli(
+        capsys, "optimal", "--method", "momentum", "--objective", "f1",
+        "--w", "0.3", "--v-w", "0.1", "--alpha", "1.5",
+    )
+    assert code == EXIT_OK
+    assert out.startswith("eta: value=0.12499999999999997 ")
+
+
 def test_optimal_subcommand_reports_infeasible_values(capsys):
     code, out, _ = run_cli(
         capsys, "optimal", "--method", "rmsprop", "--objective", "f1",
@@ -201,6 +218,45 @@ def test_verify_argmin_scope_single_method(capsys):
     (check,) = report["checks"]
     assert check["name"] == "argmin/adagrad"
     assert check["min_defined_fraction"] >= 0.95
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_sample_counts_below_one(capsys, samples):
+    with pytest.raises(ValueError, match="samples"):
+        verify.report("gradients", int(samples), 0)
+    with pytest.raises(ValueError, match="scope"):
+        verify.report("gradient", 10, 0)
+    code, out, err = run_cli(capsys, "verify", "--scope", "gradients", "--samples", samples)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "samples must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--method", "gd", "--objective", "f1"],
+        ["table2"],
+        ["verify", "--scope", "gradients", "--samples", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the child starts, so its first flush fails;
+    # buffered output, as a user's shell gives it, fails only at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperstep.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_USAGE
 
 
 def test_table2_is_byte_identical_across_invocations(capsys):

@@ -1,22 +1,29 @@
-"""Closed-form hyperparameter rules: worked examples, duality, reductions."""
+"""Closed-form hyperparameter rules: worked examples, duality, reductions, dispatch."""
 
+import inspect
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from hyperstep import (
+    OPTIMIZED_HYPERS,
+    Method,
     ObjectiveId,
     OptimizerState,
     ParamPoint,
     PerCoord,
     RegressionSample,
+    harness,
+    hyperopt,
     optimal_beta_rmsprop,
     optimal_lr_adagrad,
     optimal_lr_gd,
     optimal_lr_momentum,
     optimal_lr_rmsprop,
     optimal_momentum_coef,
+    solve,
 )
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
@@ -225,3 +232,44 @@ def test_f3_learning_rate_depends_only_on_x():
     a = optimal_lr_gd(F3, make_state(0.9, 0.1), RegressionSample(x=0.5, y=0.1)).raw
     b = optimal_lr_gd(F3, make_state(0.2, 0.7), RegressionSample(x=0.5, y=0.9)).raw
     assert a == b == pytest.approx(0.8, rel=1e-12)
+
+
+
+# the rule each (method, target) pair names, called directly
+NAMED_RULES = {
+    (Method.GD, "eta"): optimal_lr_gd,
+    (Method.MOMENTUM, "eta"): optimal_lr_momentum,
+    (Method.MOMENTUM, "alpha"): optimal_momentum_coef,
+    (Method.ADAGRAD, "eta"): optimal_lr_adagrad,
+    (Method.RMSPROP, "eta"): optimal_lr_rmsprop,
+    (Method.RMSPROP, "beta"): optimal_beta_rmsprop,
+}
+
+
+def test_solve_matches_the_named_rule_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for (method, target), rule in NAMED_RULES.items():
+        reads = inspect.signature(rule).parameters
+        for obj, half in itertools.product((F1, F2, F3), (False, True)):
+            for i in range(50):
+                # every fifth state has zero velocity, where the momentum coefficient is undefined
+                st = _random_state(rng, obj, with_velocity=i % 5 != 0, accumulators=True)
+                given = {name: float(rng.uniform(0, 1)) for name in ("eta", "alpha", "beta")}
+                given.update(epsilon=1e-8, f3_half_gradient=half)
+                got = solve(method, target, obj, st, SAMPLES[obj], **given)
+                want = rule(obj, st, SAMPLES[obj], **{k: v for k, v in given.items() if k in reads})
+                assert repr(got) == repr(want)  # repr, because undefined values are NaN
+
+
+def test_solve_accepts_exactly_the_optimized_pairs():
+    st = make_state(0.3, v_w=0.1, phi_w=0.2, u_w=0.2)
+    accepted = set()
+    for method, target in itertools.product(Method, ("eta", "alpha", "beta")):
+        try:
+            solve(method, target, F1, st, eta=0.3, alpha=0.5, beta=0.5, epsilon=1e-8)
+            accepted.add((method, target))
+        except ValueError as exc:
+            assert "no closed form" in str(exc)
+    assert accepted == set(NAMED_RULES)
+    assert accepted == {(m, t) for m, targets in OPTIMIZED_HYPERS.items() for t in targets}
+    assert harness.OPTIMIZED_HYPERS is hyperopt.OPTIMIZED_HYPERS
