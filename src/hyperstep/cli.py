@@ -12,14 +12,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from .objectives import ObjectiveId, ParamPoint, RegressionSample
 from .optimizers import HyperParams, Method, OptimizerState, PerCoord
 from . import hyperopt, verify
 from .harness import (
     DEFAULT_HYPERS,
-    DEFAULT_INIT_COORD,
     DEFAULT_SAMPLE,
     DEFAULT_TOLERANCE,
     OPTIMIZED_HYPERS,
@@ -37,7 +38,8 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_CHECK_FAILED = 3
 
-TRACE_HEADER = "epoch,loss,w,b,eta,alpha,beta,eta_flag,alpha_flag,beta_flag"
+_TRACE_COLUMNS = ("epoch", "loss", "w", "b", "eta", "alpha", "beta", "eta_flag", "alpha_flag", "beta_flag")
+TRACE_HEADER = ",".join(_TRACE_COLUMNS)
 TABLE2_HEADER = (
     "method,objective,optimal_epoch,optimal_loss,fixed_epoch,fixed_loss,"
     "published_optimal_epoch,published_optimal_loss,published_fixed_epoch,published_fixed_loss"
@@ -95,6 +97,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _csv_cell(value) -> str:
+    """Empty for None, integers (epochs) and text as they are, floats by ``_fmt``."""
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return _fmt(value)
+
+
 def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -107,8 +118,8 @@ def _pick(*values):
 
 
 # ---------------------------------------------------------------------------
-# config files: flat "key = value" lines, '#' comments, keys matching the
-# long flag names with dashes or underscores. Explicit flags win.
+# options of run and table2 as (flag, converter, argparse extras); the parser
+# and the config-file loader both read these tables.
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
@@ -122,6 +133,47 @@ def _bool_word(text: str) -> bool:
         return False
     raise _UsageError(f"expected a boolean, got {text!r}")
 
+
+_TABLE2_OPTIONS = (
+    ("--eta", float, {}),
+    ("--alpha", float, {}),
+    ("--beta", float, {}),
+    ("--epsilon", float, {}),
+    ("--init", _init_arg, {"help": 'initial parameters, e.g. "w=0.3,b=0.4"'}),
+    ("--init-seed", int, {"help": "draw the initial parameters from this seed"}),
+    ("--x", float, {"help": "regression input (f3)"}),
+    ("--y", float, {"help": "regression target (f3)"}),
+    ("--max-epochs", int, {}),
+    ("--tolerance", float, {}),
+    ("--f3-half-gradient", _bool_word, {
+        "action": argparse.BooleanOptionalAction,
+        "help": "use the halved regression gradient (x*r, r) for f3",
+    }),
+    ("--format", str, {"choices": ["csv", "json"]}),
+    ("--output", str, {"help": "write the output here instead of stdout"}),
+)
+
+_RUN_OPTIONS = (
+    ("--method", _method_arg, {}),
+    ("--objective", _objective_arg, {}),
+    ("--policy", str, {"choices": ["fixed", "optimal"]}),
+    ("--optimize", str, {"help": "comma list of hyperparameters to re-derive each epoch"}),
+) + _TABLE2_OPTIONS
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_options(p: argparse.ArgumentParser, options) -> None:
+    for flag, convert, extras in options:
+        typed = {} if "action" in extras else {"type": convert}
+        p.add_argument(flag, **typed, **extras)
+    p.add_argument("--config", help="flat key=value file supplying any of the above")
+
+
+# config files: flat "key = value" lines, '#' comments, keys matching the
+# long flag names with dashes or underscores. Explicit flags win.
 
 def _load_config(path: str) -> dict[str, str]:
     try:
@@ -140,109 +192,73 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config(args: argparse.Namespace, converters: dict[str, object]) -> None:
+def _apply_config(args: argparse.Namespace, options) -> None:
     if args.config is None:
         return
+    converters = {flag[2:].replace("-", "_"): convert for flag, convert, _ in options}
     for key, raw in _load_config(args.config).items():
         if key not in converters:
             raise _UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
             try:
                 setattr(args, key, converters[key](raw))
-            except argparse.ArgumentTypeError as exc:
-                raise _UsageError(f"config key {key!r}: {exc}") from None
-            except ValueError as exc:
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise _UsageError(f"config key {key!r}: {exc}") from None
 
 
-_RUN_CONVERTERS = {
-    "method": _method_arg,
-    "objective": _objective_arg,
-    "policy": str,
-    "optimize": str,
-    "eta": float,
-    "alpha": float,
-    "beta": float,
-    "epsilon": float,
-    "init": _init_arg,
-    "init_seed": int,
-    "x": float,
-    "y": float,
-    "max_epochs": int,
-    "tolerance": float,
-    "f3_half_gradient": _bool_word,
-    "format": str,
-    "output": str,
-}
+# ---------------------------------------------------------------------------
+# resolution shared by run and table2
 
-_TABLE2_CONVERTERS = {
-    "eta": float,
-    "alpha": float,
-    "beta": float,
-    "epsilon": float,
-    "init": _init_arg,
-    "init_seed": int,
-    "x": float,
-    "y": float,
-    "max_epochs": int,
-    "tolerance": float,
-    "f3_half_gradient": _bool_word,
-    "format": str,
-    "output": str,
-}
+def _base_hypers(args: argparse.Namespace) -> HyperParams:
+    return HyperParams(**{k: _pick(getattr(args, k), v) for k, v in asdict(DEFAULT_HYPERS).items()})
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None:
+def _init_choice(args: argparse.Namespace) -> ParamPoint | RandomInit | None:
+    if args.init is not None and args.init_seed is not None:
+        raise _UsageError("--init and --init-seed are mutually exclusive")
+    return RandomInit(seed=args.init_seed) if args.init_seed is not None else args.init
+
+
+def _emit(args: argparse.Namespace, to_csv: Callable[[], str], to_json: Callable[[], str]) -> None:
+    fmt = _pick(args.format, "csv")
+    if fmt not in ("csv", "json"):
+        raise _UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
+    text = to_csv() if fmt == "csv" else to_json()
+    if args.output is None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        Path(args.output).write_text(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {path!r}: {exc}") from None
+        raise _UsageError(f"cannot write {args.output!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # run
 
-def _record_row(rec) -> list[str]:
-    return [
-        str(rec.epoch),
-        _fmt(rec.loss),
-        _fmt(rec.params.w),
-        "" if rec.params.b is None else _fmt(rec.params.b),
-        _fmt(rec.hyper_used.eta),
-        _fmt(rec.hyper_used.alpha),
-        _fmt(rec.hyper_used.beta),
-        rec.hyper_flags.eta,
-        rec.hyper_flags.alpha,
-        rec.hyper_flags.beta,
-    ]
+def _record_values(rec) -> tuple:
+    """One record's values in ``_TRACE_COLUMNS`` order."""
+    h, f = rec.hyper_used, rec.hyper_flags
+    return (rec.epoch, rec.loss, rec.params.w, rec.params.b, h.eta, h.alpha, h.beta, f.eta, f.alpha, f.beta)
 
 
 def _render_trace_csv(trace: Trace) -> str:
     lines = [TRACE_HEADER]
-    lines.extend(",".join(_record_row(rec)) for rec in trace.records)
+    lines.extend(",".join(map(_csv_cell, _record_values(rec))) for rec in trace.records)
     return "\n".join(lines) + "\n"
 
 
 def _config_echo(cfg: RunConfig, init_seed: int | None) -> dict:
-    resolved = resolve_init(cfg)
     return {
         "method": cfg.method.value,
         "objective": cfg.objective.value,
-        "sample": None if cfg.sample is None else {"x": cfg.sample.x, "y": cfg.sample.y},
-        "init": {"w": resolved.w, "b": resolved.b},
+        "sample": None if cfg.sample is None else asdict(cfg.sample),
+        "init": asdict(resolve_init(cfg)),
         "init_seed": init_seed,
         "policy": {
             "kind": cfg.policy.kind.value,
             "optimize": sorted(cfg.policy.optimize),
-            "base": {
-                "eta": cfg.policy.base.eta,
-                "alpha": cfg.policy.base.alpha,
-                "beta": cfg.policy.base.beta,
-                "epsilon": cfg.policy.base.epsilon,
-            },
+            "base": asdict(cfg.policy.base),
         },
         "max_epochs": cfg.max_epochs,
         "tolerance": cfg.tolerance,
@@ -250,49 +266,28 @@ def _config_echo(cfg: RunConfig, init_seed: int | None) -> dict:
     }
 
 
+def _trace_summary(trace: Trace) -> dict:
+    return {"converged_epoch": trace.converged_epoch, "final_loss": trace.final_loss, "diverged": trace.diverged}
+
+
 def _render_artifact_json(trace: Trace, cfg: RunConfig, init_seed: int | None) -> str:
-    records = []
-    for rec in trace.records:
-        records.append(
-            {
-                "epoch": rec.epoch,
-                "loss": rec.loss,
-                "w": rec.params.w,
-                "b": rec.params.b,
-                "eta": rec.hyper_used.eta,
-                "alpha": rec.hyper_used.alpha,
-                "beta": rec.hyper_used.beta,
-                "eta_flag": rec.hyper_flags.eta,
-                "alpha_flag": rec.hyper_flags.alpha,
-                "beta_flag": rec.hyper_flags.beta,
-            }
-        )
+    records = [dict(zip(_TRACE_COLUMNS, _record_values(rec))) for rec in trace.records]
     payload = {
         "format": "json",
         "config": _config_echo(cfg, init_seed),
-        "trace": {
-            "records": records,
-            "converged_epoch": trace.converged_epoch,
-            "final_loss": trace.final_loss,
-            "diverged": trace.diverged,
-        },
+        "trace": {"records": records, **_trace_summary(trace)},
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
-    _apply_config(args, _RUN_CONVERTERS)
+    _apply_config(args, _RUN_OPTIONS)
     if args.method is None or args.objective is None:
         raise _UsageError("both --method and --objective are required")
     method: Method = args.method
     objective: ObjectiveId = args.objective
 
-    base = HyperParams(
-        eta=_pick(args.eta, DEFAULT_HYPERS.eta),
-        alpha=_pick(args.alpha, DEFAULT_HYPERS.alpha),
-        beta=_pick(args.beta, DEFAULT_HYPERS.beta),
-        epsilon=_pick(args.epsilon, DEFAULT_HYPERS.epsilon),
-    )
+    base = _base_hypers(args)
 
     policy_name = _pick(args.policy, "fixed")
     if policy_name not in ("fixed", "optimal"):
@@ -310,17 +305,7 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
                 raise _UsageError("--optimize names no hyperparameters")
         policy = HyperPolicy.optimal(base, names)
 
-    if args.init is not None and args.init_seed is not None:
-        raise _UsageError("--init and --init-seed are mutually exclusive")
-    if args.init_seed is not None:
-        init: ParamPoint | RandomInit = RandomInit(seed=args.init_seed)
-    elif args.init is not None:
-        init = args.init
-    else:
-        init = ParamPoint(
-            w=DEFAULT_INIT_COORD,
-            b=DEFAULT_INIT_COORD if objective.arity == 2 else None,
-        )
+    init = _init_choice(args)
 
     sample = None
     if objective is ObjectiveId.F3:
@@ -344,14 +329,7 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg, init_seed = _build_run_config(args)
     trace = run_training(cfg)
-    fmt = _pick(args.format, "csv")
-    if fmt == "csv":
-        text = _render_trace_csv(trace)
-    elif fmt == "json":
-        text = _render_artifact_json(trace, cfg, init_seed)
-    else:
-        raise _UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-    _write_output(args.output, text)
+    _emit(args, lambda: _render_trace_csv(trace), lambda: _render_artifact_json(trace, cfg, init_seed))
     if trace.diverged:
         print("run diverged: loss or gradient became non-finite", file=sys.stderr)
         return EXIT_USAGE
@@ -362,21 +340,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # optimal
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+    missing = [_flag(n) for n in names if getattr(args, n) is None]
     if missing:
         raise _UsageError(f"the formula needs {', '.join(missing)}")
 
 
 def _build_state(args: argparse.Namespace, obj: ObjectiveId) -> OptimizerState:
-    two = obj.arity == 2
-    w = _pick(args.w, 0.0)
-    b = _pick(args.b, 0.0) if two else None
-    none_b = None if not two else 0.0
+    # the b flags are unset on one-parameter objectives (_cmd_optimal rejects them)
+    zero_b = 0.0 if obj.arity == 2 else None
     return OptimizerState(
-        params=ParamPoint(w=w, b=b),
-        velocity=PerCoord(w=_pick(args.v_w, 0.0), b=_pick(args.v_b, none_b)),
-        grad_sq_sum=PerCoord(w=_pick(args.phi_w, 0.0), b=_pick(args.phi_b, none_b)),
-        weighted_grad_sq=PerCoord(w=_pick(args.u_w, 0.0), b=_pick(args.u_b, none_b)),
+        params=ParamPoint(w=_pick(args.w, 0.0), b=_pick(args.b, zero_b)),
+        velocity=PerCoord(w=_pick(args.v_w, 0.0), b=_pick(args.v_b, zero_b)),
+        grad_sq_sum=PerCoord(w=_pick(args.phi_w, 0.0), b=_pick(args.phi_b, zero_b)),
+        weighted_grad_sq=PerCoord(w=_pick(args.u_w, 0.0), b=_pick(args.u_b, zero_b)),
     )
 
 
@@ -393,6 +369,12 @@ _OPTIMAL_ROWS = {
 def _cmd_optimal(args: argparse.Namespace) -> int:
     method: Method = args.method
     obj: ObjectiveId = args.objective
+    unused = [] if obj is ObjectiveId.F3 else ["x", "y"]
+    if obj.arity == 1:
+        unused += ["b", "v_b", "phi_b", "u_b"]
+    stray = [_flag(n) for n in unused if getattr(args, n) is not None]
+    if stray:
+        raise _UsageError(f"{obj.value} does not use {', '.join(stray)}")
     sample = None
     if obj is ObjectiveId.F3:
         _require(args, ["x", "y"])
@@ -435,103 +417,57 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # table2
 
-def _epoch_str(epoch: int | None) -> str:
-    return "" if epoch is None else str(epoch)
-
-
 def _render_table2_csv(matrix) -> str:
     lines = [TABLE2_HEADER]
     for c in matrix.cells:
-        lines.append(
-            ",".join(
-                [
-                    c.method.value,
-                    c.objective.value,
-                    _epoch_str(c.optimal.converged_epoch),
-                    _fmt(c.optimal.final_loss),
-                    _epoch_str(c.fixed.converged_epoch),
-                    _fmt(c.fixed.final_loss),
-                    str(c.published.optimal_epoch),
-                    _fmt(c.published.optimal_loss),
-                    str(c.published.fixed_epoch),
-                    _fmt(c.published.fixed_loss),
-                ]
-            )
+        values = (
+            c.method.value, c.objective.value,
+            c.optimal.converged_epoch, c.optimal.final_loss, c.fixed.converged_epoch, c.fixed.final_loss,
+            *asdict(c.published).values(),
         )
+        lines.append(",".join(map(_csv_cell, values)))
     return "\n".join(lines) + "\n"
 
 
 def _render_table2_json(matrix, settings: dict) -> str:
-    cells = []
-    for c in matrix.cells:
-        cells.append(
-            {
-                "method": c.method.value,
-                "objective": c.objective.value,
-                "optimal": {
-                    "converged_epoch": c.optimal.converged_epoch,
-                    "final_loss": c.optimal.final_loss,
-                    "diverged": c.optimal.diverged,
-                },
-                "fixed": {
-                    "converged_epoch": c.fixed.converged_epoch,
-                    "final_loss": c.fixed.final_loss,
-                    "diverged": c.fixed.diverged,
-                },
-                "published": {
-                    "optimal_epoch": c.published.optimal_epoch,
-                    "optimal_loss": c.published.optimal_loss,
-                    "fixed_epoch": c.published.fixed_epoch,
-                    "fixed_loss": c.published.fixed_loss,
-                },
-            }
-        )
+    cells = [
+        {
+            "method": c.method.value,
+            "objective": c.objective.value,
+            "optimal": _trace_summary(c.optimal),
+            "fixed": _trace_summary(c.fixed),
+            "published": asdict(c.published),
+        }
+        for c in matrix.cells
+    ]
     return json.dumps({"settings": settings, "cells": cells}, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    _apply_config(args, _TABLE2_CONVERTERS)
-    defaults = HyperParams(
-        eta=_pick(args.eta, DEFAULT_HYPERS.eta),
-        alpha=_pick(args.alpha, DEFAULT_HYPERS.alpha),
-        beta=_pick(args.beta, DEFAULT_HYPERS.beta),
-        epsilon=_pick(args.epsilon, DEFAULT_HYPERS.epsilon),
-    )
+    _apply_config(args, _TABLE2_OPTIONS)
+    defaults = _base_hypers(args)
     sample = RegressionSample(x=_pick(args.x, DEFAULT_SAMPLE.x), y=_pick(args.y, DEFAULT_SAMPLE.y))
-    if args.init is not None and args.init_seed is not None:
-        raise _UsageError("--init and --init-seed are mutually exclusive")
-    init = RandomInit(seed=args.init_seed) if args.init_seed is not None else args.init
+    init = _init_choice(args)
     half = _pick(args.f3_half_gradient, True)
+    tolerance = _pick(args.tolerance, DEFAULT_TOLERANCE)
+    max_epochs = _pick(args.max_epochs, 1000)
     matrix = reproduce_table2(
         defaults=defaults,
         sample=sample,
         init=init,
-        tolerance=_pick(args.tolerance, DEFAULT_TOLERANCE),
-        max_epochs=_pick(args.max_epochs, 1000),
+        tolerance=tolerance,
+        max_epochs=max_epochs,
         f3_half_gradient=half,
     )
-    fmt = _pick(args.format, "csv")
-    if fmt == "csv":
-        text = _render_table2_csv(matrix)
-    elif fmt == "json":
-        settings = {
-            "eta": defaults.eta,
-            "alpha": defaults.alpha,
-            "beta": defaults.beta,
-            "epsilon": defaults.epsilon,
-            "x": sample.x,
-            "y": sample.y,
-            "init": None if init is None else (
-                {"seed": init.seed} if isinstance(init, RandomInit) else {"w": init.w, "b": init.b}
-            ),
-            "tolerance": _pick(args.tolerance, DEFAULT_TOLERANCE),
-            "max_epochs": _pick(args.max_epochs, 1000),
-            "f3_half_gradient": half,
-        }
-        text = _render_table2_json(matrix, settings)
-    else:
-        raise _UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-    _write_output(args.output, text)
+    settings = {
+        **asdict(defaults),
+        **asdict(sample),
+        "init": None if init is None else asdict(init),
+        "tolerance": tolerance,
+        "max_epochs": max_epochs,
+        "f3_half_gradient": half,
+    }
+    _emit(args, lambda: _render_table2_csv(matrix), lambda: _render_table2_json(matrix, settings))
     return EXIT_OK
 
 
@@ -553,25 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = sub.add_parser("run", help="run one training configuration and emit its trace")
-    run.add_argument("--method", type=_method_arg)
-    run.add_argument("--objective", type=_objective_arg)
-    run.add_argument("--policy", choices=["fixed", "optimal"])
-    run.add_argument("--optimize", help="comma list of hyperparameters to re-derive each epoch")
-    run.add_argument("--eta", type=float)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--beta", type=float)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--init", type=_init_arg, help='initial parameters, e.g. "w=0.3,b=0.4"')
-    run.add_argument("--init-seed", type=int, help="draw the initial parameters from this seed")
-    run.add_argument("--x", type=float, help="regression input (f3)")
-    run.add_argument("--y", type=float, help="regression target (f3)")
-    run.add_argument("--max-epochs", type=int)
-    run.add_argument("--tolerance", type=float)
-    run.add_argument("--f3-half-gradient", action=argparse.BooleanOptionalAction,
-                     help="use the halved regression gradient (x*r, r) for f3")
-    run.add_argument("--format", choices=["csv", "json"])
-    run.add_argument("--output", help="write the trace here instead of stdout")
-    run.add_argument("--config", help="flat key=value file supplying any of the above")
+    _add_options(run, _RUN_OPTIONS)
     run.set_defaults(handler=_cmd_run)
 
     optimal = sub.add_parser("optimal", help="closed-form optimal hyperparameters at one state")
@@ -595,20 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracles.set_defaults(handler=_cmd_verify)
 
     table2 = sub.add_parser("table2", help="4x3 convergence comparison against published values")
-    table2.add_argument("--eta", type=float)
-    table2.add_argument("--alpha", type=float)
-    table2.add_argument("--beta", type=float)
-    table2.add_argument("--epsilon", type=float)
-    table2.add_argument("--x", type=float)
-    table2.add_argument("--y", type=float)
-    table2.add_argument("--init", type=_init_arg)
-    table2.add_argument("--init-seed", type=int)
-    table2.add_argument("--tolerance", type=float)
-    table2.add_argument("--max-epochs", type=int)
-    table2.add_argument("--f3-half-gradient", action=argparse.BooleanOptionalAction)
-    table2.add_argument("--format", choices=["csv", "json"])
-    table2.add_argument("--output")
-    table2.add_argument("--config", help="flat key=value file supplying any of the above")
+    _add_options(table2, _TABLE2_OPTIONS)
     table2.set_defaults(handler=_cmd_table2)
 
     return parser

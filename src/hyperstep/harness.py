@@ -14,7 +14,7 @@ reference numbers this harness is meant to be compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -118,11 +118,14 @@ class Trace:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One training run; ``init=None`` starts from the default point, every
+    coordinate at ``DEFAULT_INIT_COORD`` (w alone for one-parameter objectives)."""
+
     method: Method
     objective: ObjectiveId
     policy: HyperPolicy
     sample: RegressionSample | None = None
-    init: ParamPoint | RandomInit = field(default_factory=lambda: ParamPoint(w=DEFAULT_INIT_COORD))
+    init: ParamPoint | RandomInit | None = None
     max_epochs: int = 200
     tolerance: float = DEFAULT_TOLERANCE
     f3_half_gradient: bool = False
@@ -147,6 +150,8 @@ class RunConfig:
 def resolve_init(cfg: RunConfig) -> ParamPoint:
     """Concrete initial parameters for a config, drawing seeded ones if asked."""
     two = cfg.objective.arity == 2
+    if cfg.init is None:
+        return ParamPoint(w=DEFAULT_INIT_COORD, b=DEFAULT_INIT_COORD if two else None)
     if isinstance(cfg.init, RandomInit):
         rng = np.random.default_rng(cfg.init.seed)
         w = float(rng.uniform(0.0, 1.0))
@@ -298,11 +303,9 @@ class ComparisonMatrix:
         raise KeyError((method, objective))
 
 
-def _cell_init(init: ParamPoint | RandomInit | None, obj: ObjectiveId) -> ParamPoint | RandomInit:
-    if isinstance(init, RandomInit):
+def _cell_init(init: ParamPoint | RandomInit | None, obj: ObjectiveId) -> ParamPoint | RandomInit | None:
+    if init is None or isinstance(init, RandomInit):
         return init
-    if init is None:
-        init = ParamPoint(w=DEFAULT_INIT_COORD, b=DEFAULT_INIT_COORD)
     if obj.arity == 1:
         return ParamPoint(w=init.w)
     return ParamPoint(w=init.w, b=init.w if init.b is None else init.b)

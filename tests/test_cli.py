@@ -181,6 +181,27 @@ def test_optimal_subcommand_requires_state(capsys):
     assert "--phi-w" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--method", "gd", "--objective", "f1", "--x", "5", "--y", "1"], "--x, --y"),
+        (["--method", "gd", "--objective", "f2", "--y", "1"], "--y"),
+        (["--method", "gd", "--objective", "f1", "--b", "0.2"], "--b"),
+        (["--method", "momentum", "--objective", "f1", "--w", "0.3", "--v-w", "0.1", "--v-b", "0.1",
+          "--alpha", "0.5"], "--v-b"),
+        (["--method", "adagrad", "--objective", "f1", "--phi-w", "0.3", "--phi-b", "0.3"], "--phi-b"),
+        (["--method", "rmsprop", "--objective", "f1", "--w", "0.3", "--u-w", "0.2", "--u-b", "0.2",
+          "--eta", "0.1"], "--u-b"),
+    ],
+    ids=["x-y-on-f1", "y-on-f2", "b", "v-b", "phi-b", "u-b"],
+)
+def test_optimal_subcommand_rejects_flags_the_objective_does_not_use(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "optimal", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"does not use {flag}\n" in err
+
+
 def test_optimal_subcommand_requires_a_given_hyper(capsys):
     code, _, err = run_cli(
         capsys, "optimal", "--method", "momentum", "--objective", "f1",
@@ -300,14 +321,68 @@ def test_config_file_fills_unset_flags(tmp_path, capsys):
     assert doc["config"]["method"] == "gd"
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (
+            "method = rmsprop\nobjective = f3\npolicy = optimal\noptimize = eta\nbeta = 0.4\n"
+            "epsilon = 1e-6\ninit = w=0.2,b=0.4\nx = 0.5\ny = 0.1\nmax_epochs = 30\ntolerance = 1e-10\n"
+            "f3-half-gradient = yes\nformat = json\n",
+            ["run", "--method", "rmsprop", "--objective", "f3", "--policy", "optimal", "--optimize", "eta",
+             "--beta", "0.4", "--epsilon", "1e-6", "--init", "w=0.2,b=0.4", "--x", "0.5", "--y", "0.1",
+             "--max-epochs", "30", "--tolerance", "1e-10", "--f3-half-gradient", "--format", "json"],
+        ),
+        (
+            "init_seed = 3\nmax-epochs = 50\nf3_half_gradient = no\nformat = json\n",
+            ["table2", "--init-seed", "3", "--max-epochs", "50", "--no-f3-half-gradient", "--format", "json"],
+        ),
+    ],
+    ids=["run", "table2"],
+)
+def test_config_file_matches_flags(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text(config)
+    by_flags = run_cli(capsys, *argv)
+    assert by_flags[1] != ""
+    assert run_cli(capsys, argv[0], "--config", str(cfg)) == by_flags
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["run", "--method", "gd", "--objective", "f1", "--max-epochs", "2"], 17),
+        (["table2", "--max-epochs", "1"], 13),
+    ],
+    ids=["run", "table2"],
+)
+def test_every_long_option_is_a_config_key(tmp_path, monkeypatch, capsys, argv, count):
+    _, help_text, _ = run_cli(capsys, argv[0], "--help")
+    options = set(re.findall(r"--[a-z][a-z0-9-]*", help_text)) - {"--help", "--config"}
+    options = {o for o in options if not o.startswith("--no-")}
+    assert len(options) == count
+    monkeypatch.chdir(tmp_path)  # an "output = 1" entry writes here
+    cfg = tmp_path / "one.cfg"
+    for option in sorted(options):
+        for key in (option[2:], option[2:].replace("-", "_")):
+            cfg.write_text(f"{key} = 1\n")
+            _, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert "unknown config key" not in err, key
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("velocity = 3\n")
-    code, _, err = run_cli(
-        capsys, "run", "--method", "gd", "--objective", "f1", "--config", str(cfg)
-    )
-    assert code == EXIT_USAGE
-    assert "velocity" in err
+    for argv, key in [
+        (["run", "--method", "gd", "--objective", "f1"], "velocity"),
+        (["run", "--method", "gd", "--objective", "f1"], "help"),
+        (["run", "--method", "gd", "--objective", "f1"], "config"),
+        (["table2"], "help"),
+        (["table2"], "method"),
+    ]:
+        cfg.write_text(f"{key} = gd\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE, key
+        assert out == ""
+        assert f"unknown config key {key!r}" in err
 
 
 def test_x_y_rejected_off_f3(capsys):

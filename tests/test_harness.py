@@ -6,6 +6,7 @@ import pytest
 
 from hyperstep import (
     DEFAULT_HYPERS,
+    DEFAULT_SAMPLE,
     EpochRecord,
     HyperFlags,
     HyperParams,
@@ -91,6 +92,20 @@ def test_starting_at_the_minimum_converges_at_epoch_one():
     trace = run_training(cfg)
     assert trace.converged_epoch == 1
     assert len(trace.records) == 1
+
+
+@pytest.mark.parametrize(
+    "obj, start",
+    [(F1, ParamPoint(w=0.3)), (F2, ParamPoint(w=0.3, b=0.3)), (F3, ParamPoint(w=0.3, b=0.3))],
+    ids=["f1", "f2", "f3"],
+)
+def test_default_init_fits_the_objective(obj, start):
+    cfg = RunConfig(
+        method=Method.GD, objective=obj, policy=HyperPolicy.fixed(DEFAULT_HYPERS),
+        sample=DEFAULT_SAMPLE if obj is F3 else None,
+    )
+    assert cfg.init is None
+    assert run_training(cfg).records[0].params == start
 
 
 def test_runs_are_bit_for_bit_deterministic():
