@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -110,6 +111,22 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _json_text(payload) -> str:
+    """Strict JSON: a non-finite float becomes null (the run or check that made
+    it says why), never the token Infinity or NaN, which JSON lacks."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _pick(*values):
     for v in values:
         if v is not None:
@@ -195,15 +212,19 @@ def _load_config(path: str) -> dict[str, str]:
 def _apply_config(args: argparse.Namespace, options) -> None:
     if args.config is None:
         return
-    converters = {flag[2:].replace("-", "_"): convert for flag, convert, _ in options}
+    known = {flag[2:].replace("-", "_"): (convert, extras.get("choices")) for flag, convert, extras in options}
     for key, raw in _load_config(args.config).items():
-        if key not in converters:
+        if key not in known:
             raise _UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
+            convert, choices = known[key]
             try:
-                setattr(args, key, converters[key](raw))
+                value = convert(raw)
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise _UsageError(f"config key {key!r}: {exc}") from None
+            if choices is not None and value not in choices:
+                raise _UsageError(f"config key {key!r}: invalid choice {value!r} (choose from {', '.join(choices)})")
+            setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +241,7 @@ def _init_choice(args: argparse.Namespace) -> ParamPoint | RandomInit | None:
 
 
 def _emit(args: argparse.Namespace, to_csv: Callable[[], str], to_json: Callable[[], str]) -> None:
-    fmt = _pick(args.format, "csv")
-    if fmt not in ("csv", "json"):
-        raise _UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-    text = to_csv() if fmt == "csv" else to_json()
+    text = to_csv() if _pick(args.format, "csv") == "csv" else to_json()
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -277,7 +295,7 @@ def _render_artifact_json(trace: Trace, cfg: RunConfig, init_seed: int | None) -
         "config": _config_echo(cfg, init_seed),
         "trace": {"records": records, **_trace_summary(trace)},
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
@@ -289,10 +307,7 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
 
     base = _base_hypers(args)
 
-    policy_name = _pick(args.policy, "fixed")
-    if policy_name not in ("fixed", "optimal"):
-        raise _UsageError(f"policy must be 'fixed' or 'optimal', got {policy_name!r}")
-    if policy_name == "fixed":
+    if _pick(args.policy, "fixed") == "fixed":
         if args.optimize is not None:
             raise _UsageError("--optimize only applies to the optimal policy")
         policy = HyperPolicy.fixed(base)
@@ -410,7 +425,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.seed if args.seed is not None else 0,
         args.method,
     )
-    print(json.dumps(report, sort_keys=True, indent=2))
+    sys.stdout.write(_json_text(report))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -440,7 +455,7 @@ def _render_table2_json(matrix, settings: dict) -> str:
         }
         for c in matrix.cells
     ]
-    return json.dumps({"settings": settings, "cells": cells}, sort_keys=True, indent=2) + "\n"
+    return _json_text({"settings": settings, "cells": cells})
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:

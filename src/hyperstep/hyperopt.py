@@ -16,6 +16,8 @@ Conventions the formulas rely on:
   post-accumulation sum.
 - rmsprop: the weighted average for the pending step is recomputed here from
   the state's ``weighted_grad_sq``, beta, and the current gradient.
+- F1 and F2 share one form per rule: every gradient coordinate is 2 * r, so
+  a plain descent step maps the residual r to (1 - 2 * arity * eta) * r.
 - F3: the learning-rate and momentum-coefficient forms are exact when steps
   use the halved regression gradient (x*r, r); see objectives.gradient.
 - The rmsprop beta rule for F2/F3 assumes a common accumulator and a common
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import ObjectiveId, RegressionSample, gradient, residual
-from .optimizers import Method, OptimizerState
+from .optimizers import Method, OptimizerState, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -77,6 +79,13 @@ def _f3_base_lr(x: float) -> float:
     return 1.0 / (x * x + 1.0)
 
 
+def _velocity_sum(obj: ObjectiveId, state: OptimizerState) -> float:
+    """The velocity's pull on the F1/F2 residual: v_w, plus v_b on F2."""
+    if obj.arity == 1:
+        return state.velocity.w
+    return state.velocity.w + _need_b(state.velocity.b, "velocity", obj)
+
+
 def optimal_lr_gd(
     obj: ObjectiveId,
     state: OptimizerState,
@@ -87,12 +96,9 @@ def optimal_lr_gd(
     State-independent: 0.5 for F1, 0.25 for F2, 1 / (x**2 + 1) for F3.
     Always defined.
     """
-    if obj is ObjectiveId.F1:
-        return _from_raw(0.5)
-    if obj is ObjectiveId.F2:
-        return _from_raw(0.25)
-    s = _need_sample(obj, sample)
-    return _from_raw(_f3_base_lr(s.x))
+    if obj is ObjectiveId.F3:
+        return _from_raw(_f3_base_lr(_need_sample(obj, sample).x))
+    return _from_raw(1.0 / (2.0 * obj.arity))
 
 
 def optimal_lr_momentum(
@@ -107,17 +113,11 @@ def optimal_lr_momentum(
     Undefined when the current residual is below SINGULAR_TOL: the carried
     velocity then has nothing to correct against.
     """
-    if obj is ObjectiveId.F1:
+    if obj is not ObjectiveId.F3:
         r = residual(obj, state.params)
         if abs(r) < SINGULAR_TOL:
             return _undefined()
-        return _from_raw((alpha * state.velocity.w + r) / (2.0 * r))
-    if obj is ObjectiveId.F2:
-        r = residual(obj, state.params)
-        if abs(r) < SINGULAR_TOL:
-            return _undefined()
-        v_sum = state.velocity.w + _need_b(state.velocity.b, "velocity", obj)
-        return _from_raw((alpha * v_sum + r) / (4.0 * r))
+        return _from_raw((alpha * _velocity_sum(obj, state) + r) / (2.0 * obj.arity * r))
     s = _need_sample(obj, sample)
     delta = residual(obj, state.params, s)
     if abs(delta) < SINGULAR_TOL:
@@ -138,24 +138,38 @@ def optimal_momentum_coef(
     Undefined when the velocity term it scales is below SINGULAR_TOL, in
     particular at the very first update where the velocity is still zero.
     """
-    if obj is ObjectiveId.F1:
-        v = state.velocity.w
+    if obj is not ObjectiveId.F3:
+        v = _velocity_sum(obj, state)
         if abs(v) < SINGULAR_TOL:
             return _undefined()
         r = residual(obj, state.params)
-        return _from_raw(2.0 * (eta - 0.5) * r / v)
-    if obj is ObjectiveId.F2:
-        v_sum = state.velocity.w + _need_b(state.velocity.b, "velocity", obj)
-        if abs(v_sum) < SINGULAR_TOL:
-            return _undefined()
-        r = residual(obj, state.params)
-        return _from_raw((4.0 * eta - 1.0) * r / v_sum)
+        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / v)
     s = _need_sample(obj, sample)
     m = state.velocity.w * s.x + _need_b(state.velocity.b, "velocity", obj)
     if abs(m) < SINGULAR_TOL:
         return _undefined()
     delta = residual(obj, state.params, s)
     return _from_raw(delta * (eta * s.x * s.x + eta - 1.0) / m)
+
+
+def _scaled_lr(
+    obj: ObjectiveId, sample: RegressionSample | None, acc_w: float, acc_b: float | None, slot: str, epsilon: float
+) -> FeasibleValue:
+    """Learning rate that zeroes the residual when each coordinate's step is
+    divided by sqrt(acc + epsilon), ``acc_w``/``acc_b`` being the accumulators
+    (from state slot ``slot``) the pending step divides by."""
+    s_w = math.sqrt(acc_w + epsilon)
+    if obj is ObjectiveId.F1:
+        return _from_raw(s_w / 2.0)
+    s_b = math.sqrt(_need_b(acc_b, slot, obj) + epsilon)
+    if obj is ObjectiveId.F2:
+        denom = 2.0 * (s_w + s_b)
+    else:
+        x = _need_sample(obj, sample).x
+        denom = x * x * s_b + s_w
+    if denom < SINGULAR_TOL:
+        return _undefined()
+    return _from_raw(s_w * s_b / denom)
 
 
 def optimal_lr_adagrad(
@@ -172,40 +186,7 @@ def optimal_lr_adagrad(
     Defined whenever the scaled divisors are positive, which epsilon > 0
     guarantees.
     """
-    if obj is ObjectiveId.F1:
-        return _from_raw(math.sqrt(state.grad_sq_sum.w + epsilon) / 2.0)
-    if obj is ObjectiveId.F2:
-        s_w = math.sqrt(state.grad_sq_sum.w + epsilon)
-        s_b = math.sqrt(_need_b(state.grad_sq_sum.b, "grad_sq_sum", obj) + epsilon)
-        denom = 2.0 * (s_w + s_b)
-        if denom < SINGULAR_TOL:
-            return _undefined()
-        return _from_raw(s_w * s_b / denom)
-    s = _need_sample(obj, sample)
-    s_w = math.sqrt(state.grad_sq_sum.w + epsilon)
-    s_b = math.sqrt(_need_b(state.grad_sq_sum.b, "grad_sq_sum", obj) + epsilon)
-    denom = s.x * s.x * s_b + s_w
-    if denom < SINGULAR_TOL:
-        return _undefined()
-    return _from_raw(s_w * s_b / denom)
-
-
-def _rmsprop_divisors(
-    obj: ObjectiveId,
-    state: OptimizerState,
-    sample: RegressionSample | None,
-    beta: float,
-    epsilon: float,
-    f3_half_gradient: bool,
-) -> tuple[float, float | None]:
-    """sqrt(u' + eps) per coordinate, with u' mixed from the current gradient."""
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    u_w = beta * state.weighted_grad_sq.w + (1.0 - beta) * g.d_w * g.d_w
-    s_w = math.sqrt(u_w + epsilon)
-    if g.d_b is None:
-        return s_w, None
-    u_b = beta * _need_b(state.weighted_grad_sq.b, "weighted_grad_sq", obj) + (1.0 - beta) * g.d_b * g.d_b
-    return s_w, math.sqrt(u_b + epsilon)
+    return _scaled_lr(obj, sample, state.grad_sq_sum.w, state.grad_sq_sum.b, "grad_sq_sum", epsilon)
 
 
 def optimal_lr_rmsprop(
@@ -223,19 +204,10 @@ def optimal_lr_rmsprop(
     beta * u + (1 - beta) * g**2 from the state's current accumulators and
     gradient. ``f3_half_gradient`` must match the convention the step uses.
     """
-    s_w, s_b = _rmsprop_divisors(obj, state, sample, beta, epsilon, f3_half_gradient)
-    if obj is ObjectiveId.F1:
-        return _from_raw(s_w / 2.0)
-    if obj is ObjectiveId.F2:
-        denom = 2.0 * (s_w + s_b)
-        if denom < SINGULAR_TOL:
-            return _undefined()
-        return _from_raw(s_w * s_b / denom)
-    s = _need_sample(obj, sample)
-    denom = s.x * s.x * s_b + s_w
-    if denom < SINGULAR_TOL:
-        return _undefined()
-    return _from_raw(s_w * s_b / denom)
+    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    u = state.weighted_grad_sq
+    u_b = None if g.d_b is None else _weighted_grad_sq(_need_b(u.b, "weighted_grad_sq", obj), g.d_b, beta)
+    return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, "weighted_grad_sq", epsilon)
 
 
 def optimal_beta_rmsprop(
@@ -255,32 +227,20 @@ def optimal_beta_rmsprop(
     (the w slot is read) and one common gradient value; for F3 the common
     gradient holds at x = 1 and the b component is read.
     """
-    if obj is ObjectiveId.F1:
-        g = gradient(obj, state.params).d_w
-        g_sq = g * g
-        u = state.weighted_grad_sq.w
-        denom = u - g_sq
-        if abs(denom) < SINGULAR_TOL:
+    if obj is ObjectiveId.F3:
+        s = _need_sample(obj, sample)
+        delta = residual(obj, state.params, s)
+        if abs(delta) < SINGULAR_TOL:
             return _undefined()
-        return _from_raw((4.0 * eta * eta - g_sq - epsilon) / denom)
-    if obj is ObjectiveId.F2:
+        g = gradient(obj, state.params, s, f3_half_gradient=f3_half_gradient).d_b
+    else:
         g = gradient(obj, state.params).d_w
-        g_sq = g * g
-        u = state.weighted_grad_sq.w
-        denom = u - g_sq
-        if abs(denom) < SINGULAR_TOL:
-            return _undefined()
-        return _from_raw((16.0 * eta * eta - g_sq - epsilon) / denom)
-    s = _need_sample(obj, sample)
-    delta = residual(obj, state.params, s)
-    if abs(delta) < SINGULAR_TOL:
-        return _undefined()
-    g = gradient(obj, state.params, s, f3_half_gradient=f3_half_gradient).d_b
     g_sq = g * g
-    u = state.weighted_grad_sq.w
-    denom = u - g_sq
+    denom = state.weighted_grad_sq.w - g_sq
     if abs(denom) < SINGULAR_TOL:
         return _undefined()
+    if obj is not ObjectiveId.F3:
+        return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / denom)
     d_sq = delta * delta
     x1 = s.x + 1.0
     return _from_raw((eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / (denom * d_sq))

@@ -1,11 +1,17 @@
 """One-step update rules for four gradient descent variants.
 
-Each step function is a pure transition: it takes an OptimizerState, returns
-a new one with the epoch advanced by exactly one, and never mutates its
-input. Accumulator conventions matter to the closed-form step sizes built on
-top of these rules: the gradient-square sum is updated before the division
-(adagrad), and the weighted gradient-square mixes the current gradient into
-the incoming average before the division (rmsprop).
+``step`` is the one update path. It checks the state against the objective,
+refuses a non-finite gradient, and applies the method's per-coordinate rule
+``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b.
+``_RULES`` maps each method to that rule and to the state slot it advances.
+Coordinates may be floats or equally shaped numpy arrays. A step never
+mutates its input and advances the epoch by exactly one.
+
+The closed-form step sizes rely on the accumulator conventions: the
+gradient-square sum is updated before the division (adagrad), and the
+weighted gradient-square mixes the current gradient into the incoming
+average before the division (rmsprop). Each is written once, in
+``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt also calls.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -104,131 +111,46 @@ def _check_arity(state: OptimizerState, obj: ObjectiveId) -> None:
             raise ValueError(f"{name} has a b component but {obj.name} takes one parameter")
 
 
-def gd_step(
-    state: OptimizerState,
-    hyper: HyperParams,
-    obj: ObjectiveId,
-    sample: RegressionSample | None = None,
-    *,
-    f3_half_gradient: bool = False,
-) -> OptimizerState:
-    """Plain descent: c' = c - eta * g per coordinate. Accumulators untouched."""
-    _check_arity(state, obj)
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    _require_finite(g)
-    w = state.params.w - hyper.eta * g.d_w
-    b = None if g.d_b is None else state.params.b - hyper.eta * g.d_b
-    return replace(state, params=ParamPoint(w=w, b=b), epoch=state.epoch + 1)
+def _grad_sq_sum(phi, g):
+    """adagrad's accumulator: the running sum of squared gradients."""
+    return phi + g * g
 
 
-def momentum_step(
-    state: OptimizerState,
-    hyper: HyperParams,
-    obj: ObjectiveId,
-    sample: RegressionSample | None = None,
-    *,
-    f3_half_gradient: bool = False,
-) -> OptimizerState:
-    """Heavy-ball update: v' = alpha * v - eta * g, then c' = c + v'."""
-    _check_arity(state, obj)
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    _require_finite(g)
-    v_w = hyper.alpha * state.velocity.w - hyper.eta * g.d_w
-    w = state.params.w + v_w
-    if g.d_b is None:
-        v_b = None
-        b = None
-    else:
-        v_b = hyper.alpha * state.velocity.b - hyper.eta * g.d_b
-        b = state.params.b + v_b
-    return replace(
-        state,
-        params=ParamPoint(w=w, b=b),
-        velocity=PerCoord(w=v_w, b=v_b),
-        epoch=state.epoch + 1,
-    )
+def _weighted_grad_sq(u, g, beta):
+    """rmsprop's accumulator: the beta-weighted average of squared gradients."""
+    return beta * u + (1.0 - beta) * g * g
 
 
-def adagrad_step(
-    state: OptimizerState,
-    hyper: HyperParams,
-    obj: ObjectiveId,
-    sample: RegressionSample | None = None,
-    *,
-    f3_half_gradient: bool = False,
-) -> OptimizerState:
-    """Accumulated scaling: phi' = phi + g**2, then c' = c - eta * g / sqrt(phi' + eps).
+# Per-coordinate rules (c, slot, g, hyper) -> (c', slot'): one coordinate,
+# its value in the state slot the method advances, and its gradient.
 
-    The current squared gradient enters the sum before the division.
-    """
-    _check_arity(state, obj)
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    _require_finite(g)
-    phi_w = state.grad_sq_sum.w + g.d_w * g.d_w
-    w = state.params.w - hyper.eta * g.d_w / np.sqrt(phi_w + hyper.epsilon)
-    if g.d_b is None:
-        phi_b = None
-        b = None
-    else:
-        phi_b = state.grad_sq_sum.b + g.d_b * g.d_b
-        b = state.params.b - hyper.eta * g.d_b / np.sqrt(phi_b + hyper.epsilon)
-    return replace(
-        state,
-        params=ParamPoint(w=w, b=b),
-        grad_sq_sum=PerCoord(w=phi_w, b=phi_b),
-        epoch=state.epoch + 1,
-    )
+def _descend(c, _, g, hyper):
+    return c - hyper.eta * g, None
 
 
-def adagrad_post_view(
-    state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, *, f3_half_gradient: bool
-) -> OptimizerState:
-    """``state`` with grad_sq_sum advanced by the current squared gradient: the
-    sums the pending adagrad step divides by, which its closed form reads."""
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    post_b = None if g.d_b is None else state.grad_sq_sum.b + g.d_b * g.d_b
-    return replace(state, grad_sq_sum=PerCoord(w=state.grad_sq_sum.w + g.d_w * g.d_w, b=post_b))
+def _heavy_ball(c, v, g, hyper):
+    v = hyper.alpha * v - hyper.eta * g
+    return c + v, v
 
 
-def rmsprop_step(
-    state: OptimizerState,
-    hyper: HyperParams,
-    obj: ObjectiveId,
-    sample: RegressionSample | None = None,
-    *,
-    f3_half_gradient: bool = False,
-) -> OptimizerState:
-    """Exponentially weighted scaling: u' = beta * u + (1 - beta) * g**2,
-    then c' = c - eta * g / sqrt(u' + eps).
-
-    The divisor uses the freshly mixed average, so the current gradient
-    always contributes to its own scaling.
-    """
-    _check_arity(state, obj)
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    _require_finite(g)
-    u_w = hyper.beta * state.weighted_grad_sq.w + (1.0 - hyper.beta) * g.d_w * g.d_w
-    w = state.params.w - hyper.eta * g.d_w / np.sqrt(u_w + hyper.epsilon)
-    if g.d_b is None:
-        u_b = None
-        b = None
-    else:
-        u_b = hyper.beta * state.weighted_grad_sq.b + (1.0 - hyper.beta) * g.d_b * g.d_b
-        b = state.params.b - hyper.eta * g.d_b / np.sqrt(u_b + hyper.epsilon)
-    return replace(
-        state,
-        params=ParamPoint(w=w, b=b),
-        weighted_grad_sq=PerCoord(w=u_w, b=u_b),
-        epoch=state.epoch + 1,
-    )
+def _accumulated(c, phi, g, hyper):
+    phi = _grad_sq_sum(phi, g)
+    return c - hyper.eta * g / np.sqrt(phi + hyper.epsilon), phi
 
 
-_STEP_FNS = {
-    Method.GD: gd_step,
-    Method.MOMENTUM: momentum_step,
-    Method.ADAGRAD: adagrad_step,
-    Method.RMSPROP: rmsprop_step,
+def _weighted(c, u, g, hyper):
+    u = _weighted_grad_sq(u, g, hyper.beta)
+    return c - hyper.eta * g / np.sqrt(u + hyper.epsilon), u
+
+
+_RULES = {
+    Method.GD: (None, _descend),
+    Method.MOMENTUM: ("velocity", _heavy_ball),
+    Method.ADAGRAD: ("grad_sq_sum", _accumulated),
+    Method.RMSPROP: ("weighted_grad_sq", _weighted),
 }
+
+_NO_SLOT = PerCoord()
 
 
 def step(
@@ -240,5 +162,50 @@ def step(
     *,
     f3_half_gradient: bool = False,
 ) -> OptimizerState:
-    """Dispatch a single update for ``method``."""
-    return _STEP_FNS[method](state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
+    """One update of ``method``: its per-coordinate rule applied to w and, if present, b.
+
+    Raises:
+        ValueError: if a state slot's arity does not match ``obj``.
+        NonFiniteGradientError: if the gradient at ``state`` is not finite.
+    """
+    _check_arity(state, obj)
+    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    _require_finite(g)
+    name, rule = _RULES[method]
+    slot = _NO_SLOT if name is None else getattr(state, name)
+    w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
+    b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
+    advanced = {} if name is None else {name: PerCoord(w=slot_w, b=slot_b)}
+    return replace(state, params=ParamPoint(w=w, b=b), epoch=state.epoch + 1, **advanced)
+
+
+# The four rules by name: ``step`` with the method fixed.
+gd_step = partial(step, Method.GD)
+gd_step.__doc__ = "Plain descent: c' = c - eta * g per coordinate. Accumulators untouched."
+
+momentum_step = partial(step, Method.MOMENTUM)
+momentum_step.__doc__ = "Heavy-ball update: v' = alpha * v - eta * g, then c' = c + v'."
+
+adagrad_step = partial(step, Method.ADAGRAD)
+adagrad_step.__doc__ = """Accumulated scaling: phi' = phi + g**2, then c' = c - eta * g / sqrt(phi' + eps).
+
+The current squared gradient enters the sum before the division.
+"""
+
+rmsprop_step = partial(step, Method.RMSPROP)
+rmsprop_step.__doc__ = """Exponentially weighted scaling: u' = beta * u + (1 - beta) * g**2,
+then c' = c - eta * g / sqrt(u' + eps).
+
+The divisor uses the freshly mixed average, so the current gradient
+always contributes to its own scaling.
+"""
+
+
+def adagrad_post_view(
+    state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, *, f3_half_gradient: bool
+) -> OptimizerState:
+    """``state`` with grad_sq_sum advanced by the current squared gradient: the
+    sums the pending adagrad step divides by, which its closed form reads."""
+    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    post_b = None if g.d_b is None else _grad_sq_sum(state.grad_sq_sum.b, g.d_b)
+    return replace(state, grad_sq_sum=PerCoord(w=_grad_sq_sum(state.grad_sq_sum.w, g.d_w), b=post_b))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperstep import verify
+from hyperstep import cli, verify
 from hyperstep.cli import EXIT_CHECK_FAILED, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, TRACE_HEADER, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -383,6 +383,51 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert code == EXIT_USAGE, key
         assert out == ""
         assert f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["table2"], "format", "xml"),
+        (["run", "--method", "gd", "--objective", "f1"], "format", "xml"),
+        (["run", "--method", "gd", "--objective", "f1"], "policy", "best"),
+    ],
+    ids=["table2-format", "run-format", "run-policy"],
+)
+def test_config_value_outside_choices_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, key, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config file was checked")
+
+    monkeypatch.setattr(cli, "reproduce_table2", no_work)
+    monkeypatch.setattr(cli, "run_training", no_work)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"config key {key!r}: invalid choice {value!r}" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_diverged_run_json_is_strict(capsys):
+    code, out, _ = run_cli(capsys, "run", "--method", "gd", "--objective", "f1", "--eta", "5", "--format", "json")
+    assert code == EXIT_USAGE
+    trace = json.loads(out, parse_constant=_reject_constant)["trace"]
+    assert trace["diverged"] is True
+    assert trace["final_loss"] is None
+    assert trace["records"][-1]["loss"] is None
+
+
+def test_diverged_table2_json_is_strict(capsys):
+    code, out, _ = run_cli(capsys, "table2", "--format", "json", "--eta", "5")
+    assert code == EXIT_OK
+    cells = json.loads(out, parse_constant=_reject_constant)["cells"]
+    diverged = [c["fixed"] for c in cells if c["fixed"]["diverged"]]
+    assert diverged
+    assert all(arm["final_loss"] is None for arm in diverged)
 
 
 def test_x_y_rejected_off_f3(capsys):

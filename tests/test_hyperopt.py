@@ -1,14 +1,18 @@
 """Closed-form hyperparameter rules: worked examples, duality, reductions, dispatch."""
 
+import hashlib
 import inspect
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from hyperstep import (
     OPTIMIZED_HYPERS,
+    SINGULAR_TOL,
     Method,
     ObjectiveId,
     OptimizerState,
@@ -273,3 +277,166 @@ def test_solve_accepts_exactly_the_optimized_pairs():
     assert accepted == set(NAMED_RULES)
     assert accepted == {(m, t) for m, targets in OPTIMIZED_HYPERS.items() for t in targets}
     assert harness.OPTIMIZED_HYPERS is hyperopt.OPTIMIZED_HYPERS
+
+
+# Fixed states for the pinned values below: (objective, sample, state).
+PINNED_STATES = (
+    (F1, None, make_state(0.3, v_w=0.1, phi_w=0.05, u_w=0.2)),
+    (F1, None, make_state(-1.7, v_w=-0.45, phi_w=3.5, u_w=0.9)),
+    (F1, None, make_state(0.5, phi_w=0.25, u_w=0.0)),
+    (F2, None, make_state(0.3, 0.4, 0.1, -0.05, 0.2, 0.3, 0.1, 0.1)),
+    (F2, None, make_state(-1.2, 0.7, 0.3, 0.2, 1.5, 0.5, 0.4, 0.4)),
+    (F2, None, make_state(0.25, -0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    (F3, RegressionSample(x=1.0, y=0.5), make_state(0.3, 0.4, 0.1, -0.05, 0.2, 0.3, 0.1, 0.1)),
+    (F3, RegressionSample(x=2.5, y=-1.0), make_state(-1.2, 0.7, 0.3, 0.2, 1.5, 0.5, 0.4, 0.4)),
+    (F3, RegressionSample(x=0.0, y=0.7), make_state(0.3, 0.4, 0.1, -0.05, 0.2, 0.3, 0.1, 0.1)),
+)
+
+# repr of solve(...) at each PINNED_STATES entry (f3 entries under the standard,
+# then the halved gradient), recorded before the rules' F1 and F2 branches were
+# merged into one: a moved bit in any rule changes a line here.
+PINNED = {
+    (Method.GD, "eta"): (
+        "FeasibleValue(value=0.5, raw=0.5, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5, raw=0.5, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5, raw=0.5, feasible=True, defined=True)",
+        "FeasibleValue(value=0.25, raw=0.25, feasible=True, defined=True)",
+        "FeasibleValue(value=0.25, raw=0.25, feasible=True, defined=True)",
+        "FeasibleValue(value=0.25, raw=0.25, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5, raw=0.5, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5, raw=0.5, feasible=True, defined=True)",
+        "FeasibleValue(value=0.13793103448275862, raw=0.13793103448275862, feasible=True, defined=True)",
+        "FeasibleValue(value=0.13793103448275862, raw=0.13793103448275862, feasible=True, defined=True)",
+        "FeasibleValue(value=1.0, raw=1.0, feasible=True, defined=True)",
+        "FeasibleValue(value=1.0, raw=1.0, feasible=True, defined=True)",
+    ),
+    (Method.MOMENTUM, "eta"): (
+        "FeasibleValue(value=0.34750000000000003, raw=0.34750000000000003, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5623863636363636, raw=0.5623863636363636, feasible=True, defined=True)",
+        "FeasibleValue(value=nan, raw=nan, feasible=False, defined=False)",
+        "FeasibleValue(value=0.26089285714285715, raw=0.26089285714285715, feasible=True, defined=True)",
+        "FeasibleValue(value=0.0975, raw=0.0975, feasible=True, defined=True)",
+        "FeasibleValue(value=nan, raw=nan, feasible=False, defined=False)",
+        "FeasibleValue(value=0.57625, raw=0.57625, feasible=True, defined=True)",
+        "FeasibleValue(value=0.57625, raw=0.57625, feasible=True, defined=True)",
+        "FeasibleValue(value=0.07644562334217506, raw=0.07644562334217506, feasible=True, defined=True)",
+        "FeasibleValue(value=0.07644562334217506, raw=0.07644562334217506, feasible=True, defined=True)",
+        "FeasibleValue(value=1.0, raw=1.1016666666666666, feasible=False, defined=True)",
+        "FeasibleValue(value=1.0, raw=1.1016666666666666, feasible=False, defined=True)",
+    ),
+    (Method.MOMENTUM, "alpha"): (
+        "FeasibleValue(value=0.52, raw=0.52, feasible=True, defined=True)",
+        "FeasibleValue(value=0.0, raw=-1.2711111111111113, feasible=False, defined=True)",
+        "FeasibleValue(value=nan, raw=nan, feasible=False, defined=False)",
+        "FeasibleValue(value=1.0, raw=6.719999999999999, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-0.48, feasible=False, defined=True)",
+        "FeasibleValue(value=nan, raw=nan, feasible=False, defined=False)",
+        "FeasibleValue(value=0.0, raw=-1.0399999999999998, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-1.0399999999999998, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-2.3023684210526314, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-2.3023684210526314, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-3.779999999999999, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-3.779999999999999, feasible=False, defined=True)",
+    ),
+    (Method.ADAGRAD, "eta"): (
+        "FeasibleValue(value=0.11180341005532882, raw=0.11180341005532882, feasible=True, defined=True)",
+        "FeasibleValue(value=0.9354143480297915, raw=0.9354143480297915, feasible=True, defined=True)",
+        "FeasibleValue(value=0.25000000499999997, raw=0.25000000499999997, feasible=True, defined=True)",
+        "FeasibleValue(value=0.1230978383611232, raw=0.1230978383611232, feasible=True, defined=True)",
+        "FeasibleValue(value=0.22414386973650305, raw=0.22414386973650305, feasible=True, defined=True)",
+        "FeasibleValue(value=2.4999999999999998e-05, raw=2.4999999999999998e-05, feasible=True, defined=True)",
+        "FeasibleValue(value=0.2461956767222464, raw=0.2461956767222464, feasible=True, defined=True)",
+        "FeasibleValue(value=0.2461956767222464, raw=0.2461956767222464, feasible=True, defined=True)",
+        "FeasibleValue(value=0.1534373692641076, raw=0.1534373692641076, feasible=True, defined=True)",
+        "FeasibleValue(value=0.1534373692641076, raw=0.1534373692641076, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5477225666338753, raw=0.5477225666338753, feasible=True, defined=True)",
+        "FeasibleValue(value=0.5477225666338753, raw=0.5477225666338753, feasible=True, defined=True)",
+    ),
+    (Method.RMSPROP, "eta"): (
+        "FeasibleValue(value=0.21977261544605597, raw=0.21977261544605597, feasible=True, defined=True)",
+        "FeasibleValue(value=1.0, raw=1.004763655045305, feasible=False, defined=True)",
+        "FeasibleValue(value=5e-05, raw=5e-05, feasible=True, defined=True)",
+        "FeasibleValue(value=0.16128391310047013, raw=0.16128391310047013, feasible=True, defined=True)",
+        "FeasibleValue(value=0.17712989760342554, raw=0.17712989760342554, feasible=True, defined=True)",
+        "FeasibleValue(value=2.4999999999999998e-05, raw=2.4999999999999998e-05, feasible=True, defined=True)",
+        "FeasibleValue(value=0.16598193425791855, raw=0.16598193425791855, feasible=True, defined=True)",
+        "FeasibleValue(value=0.1498332489803248, raw=0.1498332489803248, feasible=True, defined=True)",
+        "FeasibleValue(value=0.32241046387071337, raw=0.32241046387071337, feasible=True, defined=True)",
+        "FeasibleValue(value=0.1800005774502323, raw=0.1800005774502323, feasible=True, defined=True)",
+        "FeasibleValue(value=0.3797367640879666, raw=0.3797367640879666, feasible=True, defined=True)",
+        "FeasibleValue(value=0.31352832407934056, raw=0.31352832407934056, feasible=True, defined=True)",
+    ),
+    (Method.RMSPROP, "beta"): (
+        "FeasibleValue(value=1.0, raw=9.689999750000004, feasible=False, defined=True)",
+        "FeasibleValue(value=1.0, raw=1.0190899247020586, feasible=False, defined=True)",
+        "FeasibleValue(value=nan, raw=nan, feasible=False, defined=False)",
+        "FeasibleValue(value=0.0, raw=-0.12387096236559152, feasible=False, defined=True)",
+        "FeasibleValue(value=0.0, raw=-1.9839999833333333, feasible=False, defined=True)",
+        "FeasibleValue(value=nan, raw=nan, feasible=False, defined=False)",
+        "FeasibleValue(value=0.0, raw=-33.83999983333338, feasible=False, defined=True)",
+        "FeasibleValue(value=1.0, raw=8.459999833333331, feasible=False, defined=True)",
+        "FeasibleValue(value=0.008160378930817334, raw=0.008160378930817334, feasible=True, defined=True)",
+        "FeasibleValue(value=0.010058147286821367, raw=0.010058147286821367, feasible=True, defined=True)",
+        "FeasibleValue(value=0.0, raw=-0.7215384230769241, feasible=False, defined=True)",
+        "FeasibleValue(value=1.0, raw=4.68999899999998, feasible=False, defined=True)",
+    ),
+}
+
+
+PINNED_GIVEN = {"eta": 0.37, "alpha": 0.61, "beta": 0.83}
+
+# sha256 of the reprs over _drawn_cases(), newline-joined, recorded with PINNED
+PINNED_DRAWN = {
+    (Method.GD, "eta"): "262620720e4ce6f16a00aaf1241f16b4d591cba874f8d01ad73fcd41b122ef69",
+    (Method.MOMENTUM, "eta"): "689132ba2846b3a35cb88055e93982a97ddd712bfb3a6a86382de6519d282174",
+    (Method.MOMENTUM, "alpha"): "8a7df8587297a1aaaaa3a3087dbdc25f330639c4303ce4b1794d8041273aef73",
+    (Method.ADAGRAD, "eta"): "defa0bef48448f02f32604579a41f1c6b316020159a4df8b095b231cac0a5c74",
+    (Method.RMSPROP, "eta"): "89f82b5de5df02eaa1b09c9293f38bd38818fa3542ef50f0ba95fc72290f3b29",
+    (Method.RMSPROP, "beta"): "73cee977a42f21d27e0f1619099b29047fdc83b47f5a9a3e9a8950751d6151de",
+}
+
+
+def _drawn_cases(per_objective=40):
+    """Seeded (objective, sample, state, given values); Python's random keeps its stream across versions."""
+    rng = random.Random(7)
+    cases = []
+    for obj in (F1, F2, F3):
+        two = obj.arity == 2
+        for _ in range(per_objective):
+            w, b, v_w, v_b = (rng.uniform(-2.0, 2.0) for _ in range(4))
+            phi_w, phi_b, u_w, u_b = (rng.uniform(0.0, 3.0) for _ in range(4))
+            if not two:
+                b = v_b = phi_b = u_b = None
+            sample = RegressionSample(x=rng.uniform(-2.0, 2.0), y=rng.uniform(-2.0, 2.0)) if obj is F3 else None
+            given = {name: rng.uniform(0.0, 1.0) for name in ("eta", "alpha", "beta")}
+            cases.append((obj, sample, make_state(w, b, v_w, v_b, phi_w, phi_b, u_w, u_b), given))
+    return cases
+
+
+def _solved_reprs(pair, cases):
+    method, target = pair
+    return [
+        repr(solve(method, target, obj, st, sample, **given, epsilon=1e-8, f3_half_gradient=half))
+        for obj, sample, st, given in cases
+        for half in ((False, True) if obj is F3 else (False,))
+    ]
+
+
+@pytest.mark.parametrize("pair", list(PINNED), ids=lambda p: f"{p[0].value}-{p[1]}")
+def test_closed_forms_keep_their_pinned_values(pair):
+    fixed = [(obj, sample, st, PINNED_GIVEN) for obj, sample, st in PINNED_STATES]
+    assert _solved_reprs(pair, fixed) == list(PINNED[pair])
+    drawn = "\n".join(_solved_reprs(pair, _drawn_cases()))
+    assert hashlib.sha256(drawn.encode()).hexdigest() == PINNED_DRAWN[pair]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    eta=strategies.floats(allow_nan=False, allow_infinity=False),
+    w=strategies.floats(-1e6, 1e6),
+    v=strategies.floats(-1e6, 1e6).filter(lambda v: abs(v) >= SINGULAR_TOL),
+)
+def test_f1_momentum_coefficient_equals_its_unmerged_form(eta, w, v):
+    # the merged rule computes (2 * eta - 1) * r / v; F1's own form was 2 * (eta - 0.5) * r / v
+    got = optimal_momentum_coef(F1, make_state(w, v_w=v), eta=eta)
+    assert repr(got) == repr(hyperopt._from_raw(2.0 * (eta - 0.5) * (w - 0.5) / v))

@@ -1,7 +1,11 @@
 """Update rules: worked examples, equivalences, and state handling."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from hyperstep import (
     HyperParams,
@@ -11,6 +15,7 @@ from hyperstep import (
     OptimizerState,
     ParamPoint,
     PerCoord,
+    SINGULAR_TOL,
     RegressionSample,
     adagrad_step,
     evaluate,
@@ -200,3 +205,65 @@ def test_dispatcher_agrees_with_direct_calls():
     st = make_state(0.3, v_w=0.1)
     hyper = HyperParams(eta=0.375, alpha=0.5)
     assert step(Method.MOMENTUM, st, hyper, F1).params.w == momentum_step(st, hyper, F1).params.w
+
+
+_SLOTS = ("params", "velocity", "grad_sq_sum", "weighted_grad_sq")
+# coordinates up to 1e6 in size, accumulators >= 0 around SINGULAR_TOL, and the edges x = 0, epsilon = 0
+_COORD = strategies.one_of(strategies.sampled_from([0.0, -0.0, 0.5, 1e6, -1e6]), strategies.floats(-1e6, 1e6))
+_ACC = strategies.one_of(
+    strategies.sampled_from([0.0, SINGULAR_TOL, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL]),
+    strategies.floats(0.0, 1e6),
+)
+_ROW = strategies.tuples(_COORD, _COORD, _COORD, _COORD, _ACC, _ACC, _ACC, _ACC)
+_UNIT = strategies.floats(0.0, 1.0)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit (signed zeros told apart), any NaN matching any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _row_state(columns, obj, i=None):
+    """The state over all rows (numpy arrays) or, given ``i``, row i alone (floats)."""
+    pick = (lambda c: np.array(c)) if i is None else (lambda c: float(c[i]))
+    w, b, v_w, v_b, phi_w, phi_b, u_w, u_b = map(pick, columns)
+    if obj.arity == 1:
+        b = v_b = phi_b = u_b = None
+    return OptimizerState(
+        params=ParamPoint(w=w, b=b),
+        velocity=PerCoord(w=v_w, b=v_b),
+        grad_sq_sum=PerCoord(w=phi_w, b=phi_b),
+        weighted_grad_sq=PerCoord(w=u_w, b=u_b),
+    )
+
+
+@pytest.mark.parametrize(
+    "method, obj, half",
+    [(m, o, h) for m, o, h in itertools.product(Method, (F1, F2, F3), (False, True)) if o is F3 or not h],
+    ids=lambda v: v.value if hasattr(v, "value") else ("half" if v else "std"),
+)
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    rows=strategies.lists(_ROW, min_size=1, max_size=5),
+    x=strategies.one_of(strategies.just(0.0), strategies.floats(-1e3, 1e3)),
+    y=_COORD,
+    hyper=strategies.builds(
+        HyperParams, eta=_UNIT, alpha=_UNIT, beta=_UNIT,
+        epsilon=strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 1e-3)),
+    ),
+)
+def test_array_step_equals_per_row_scalar_steps(method, obj, half, rows, x, y, hyper):
+    columns = list(zip(*rows))
+    sample = RegressionSample(x=x, y=y) if obj is F3 else None
+    with np.errstate(divide="ignore", invalid="ignore"):  # epsilon = 0 with a zero gradient is 0/0
+        batched = step(method, _row_state(columns, obj), hyper, obj, sample, f3_half_gradient=half)
+        for i in range(len(rows)):
+            single = step(method, _row_state(columns, obj, i), hyper, obj, sample, f3_half_gradient=half)
+            assert single.epoch == batched.epoch
+            for name in _SLOTS:
+                one, many = getattr(single, name), getattr(batched, name)
+                assert _same_bits(one.w, many.w[i]), (name, "w")
+                if obj.arity == 2:
+                    assert _same_bits(one.b, many.b[i]), (name, "b")
