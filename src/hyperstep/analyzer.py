@@ -3,8 +3,10 @@
 Two independent checks live here. ``mean_post_step_error`` estimates the
 average one-step loss over a sampled region of parameter space and
 ``argmin_hyper`` / ``pointwise_argmin_hyper`` locate the hyperparameter that
-minimizes it by direct search (a uniform scan followed by golden-section
-refinement), with no knowledge of the closed forms they are used to verify.
+minimizes it by direct search, with no knowledge of the closed forms they
+are used to verify. Both searches run through one routine, ``_argmin``: a
+uniform scan followed by golden-section refinement of the one-step loss,
+reduced by its mean over the sampled grid or read off a single state.
 ``finite_diff_gradient`` plays the same role for the analytic gradients.
 
 Batch evaluation threads numpy arrays through the real step functions, so
@@ -102,34 +104,26 @@ def finite_diff_gradient(
     if not step_size > 0.0:
         raise ValueError(f"step_size must be positive, got {step_size!r}")
     h = step_size
-    d_w = (
-        evaluate(obj, replace(point, w=point.w + h), sample)
-        - evaluate(obj, replace(point, w=point.w - h), sample)
-    ) / (2.0 * h)
-    if obj.arity == 1:
-        return GradientVector(d_w=d_w)
-    d_b = (
-        evaluate(obj, replace(point, b=point.b + h), sample)
-        - evaluate(obj, replace(point, b=point.b - h), sample)
-    ) / (2.0 * h)
-    return GradientVector(d_w=d_w, d_b=d_b)
+
+    def central(coord: str) -> float:
+        c = getattr(point, coord)
+        up = evaluate(obj, replace(point, **{coord: c + h}), sample)
+        return (up - evaluate(obj, replace(point, **{coord: c - h}), sample)) / (2.0 * h)
+
+    return GradientVector(d_w=central("w"), d_b=None if obj.arity == 1 else central("b"))
 
 
-def _sample_points(obj: ObjectiveId, spec: SamplingSpec) -> tuple[np.ndarray, np.ndarray | None]:
+def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerState) -> OptimizerState:
+    """``template`` with its parameters swept over the points ``spec`` samples."""
     lo, hi = spec.domain
-    width = hi - lo
     if spec.mode is SamplingMode.GRID:
         n = spec.resolution
-        axis = lo + (np.arange(n) + 0.5) * (width / n)
-        if obj.arity == 1:
-            return axis, None
-        w, b = np.meshgrid(axis, axis, indexing="ij")
-        return w.ravel(), b.ravel()
-    rng = np.random.default_rng(spec.seed)
-    w = rng.uniform(lo, hi, size=spec.resolution)
-    if obj.arity == 1:
-        return w, None
-    return w, rng.uniform(lo, hi, size=spec.resolution)
+        axis = lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+        axes = [g.ravel() for g in np.meshgrid(*[axis] * obj.arity, indexing="ij")]
+    else:
+        rng = np.random.default_rng(spec.seed)
+        axes = [rng.uniform(lo, hi, size=spec.resolution) for _ in range(obj.arity)]
+    return replace(template, params=ParamPoint(*axes))
 
 
 def _post_step_losses(
@@ -167,16 +161,11 @@ def mean_post_step_error(
     Raises:
         ValueError: if any sampled point produces a non-finite loss.
     """
-    w, b = _sample_points(obj, spec)
-    state = replace(state_template, params=ParamPoint(w=w, b=b))
-    losses = _post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)
-    return float(np.mean(losses))
+    state = _sampled_state(obj, spec, state_template)
+    return float(np.mean(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)))
 
 
-def _significant_local_minima(values: list[float]) -> list[int]:
-    vmin = min(values)
-    vmax = max(values)
-    cutoff = vmin + 1e-6 * (vmax - vmin)
+def _significant_local_minima(values: list[float], cutoff: float) -> list[int]:
     n = len(values)
     minima = []
     for i in range(n):
@@ -198,7 +187,7 @@ def _search_unit_interval(curve: Callable[[float], float]) -> ArgminResult:
     if vmin == vmax:
         return ArgminResult(argmin=0.5, min_value=vmin, bracket=(0.0, 1.0), evaluations=evals, flat=True)
 
-    minima = _significant_local_minima(vals)
+    minima = _significant_local_minima(vals, vmin + 1e-6 * (vmax - vmin))
     multimodal = any(j - i >= 3 for i, j in zip(minima, minima[1:]))
 
     k = vals.index(vmin)
@@ -238,9 +227,25 @@ def _search_unit_interval(curve: Callable[[float], float]) -> ArgminResult:
     )
 
 
-def _check_target(target: str) -> None:
+def _argmin(
+    method: Method,
+    obj: ObjectiveId,
+    target: str,
+    fixed: HyperParams,
+    sample: RegressionSample | None,
+    state: OptimizerState,
+    f3_half_gradient: bool,
+    reduce: Callable[[np.ndarray], float],
+) -> ArgminResult:
+    """Search [0, 1] for the ``target`` value minimizing ``reduce`` of the one-step losses."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
+
+    def curve(t: float) -> float:
+        hyper = replace(fixed, **{target: t})
+        return float(reduce(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)))
+
+    return _search_unit_interval(curve)
 
 
 def argmin_hyper(
@@ -260,16 +265,8 @@ def argmin_hyper(
     The search covers [0, 1] and is accurate to well under 1e-6 for unimodal
     curves.
     """
-    _check_target(target)
-    w, b = _sample_points(obj, spec)
-    state = replace(state_template, params=ParamPoint(w=w, b=b))
-
-    def curve(t: float) -> float:
-        hyper = replace(fixed, **{target: t})
-        losses = _post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)
-        return float(np.mean(losses))
-
-    return _search_unit_interval(curve)
+    state = _sampled_state(obj, spec, state_template)
+    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient, np.mean)
 
 
 def pointwise_argmin_hyper(
@@ -288,17 +285,9 @@ def pointwise_argmin_hyper(
     the pending step divides by, matching the closed form's convention; the
     search still runs through the real step function.
     """
-    _check_target(target)
     if method is Method.ADAGRAD:
         g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-        pre_b = None if g.d_b is None else state.grad_sq_sum.b - g.d_b * g.d_b
-        state = replace(
-            state,
-            grad_sq_sum=PerCoord(w=state.grad_sq_sum.w - g.d_w * g.d_w, b=pre_b),
-        )
-
-    def curve(t: float) -> float:
-        hyper = replace(fixed, **{target: t})
-        return float(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient))
-
-    return _search_unit_interval(curve)
+        phi = state.grad_sq_sum
+        pre_b = None if g.d_b is None else phi.b - g.d_b * g.d_b
+        state = replace(state, grad_sq_sum=PerCoord(w=phi.w - g.d_w * g.d_w, b=pre_b))
+    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient, float)

@@ -221,27 +221,25 @@ def run_training(cfg: RunConfig) -> Trace:
     hypers = cfg.policy.base
     diverged = not math.isfinite(loss)
 
-    while (
-        not diverged
-        and records[-1].loss > cfg.tolerance
-        and state.epoch < cfg.max_epochs
-    ):
-        if cfg.policy.kind is PolicyKind.OPTIMAL_PER_EPOCH:
-            hypers, flags = _resolve_optimal(cfg, state, hypers)
-        else:
-            flags = _FIXED_FLAGS
-        try:
-            state = step(
-                cfg.method, state, hypers, cfg.objective, cfg.sample,
-                f3_half_gradient=cfg.f3_half_gradient,
-            )
-        except NonFiniteGradientError:
-            diverged = True
-            break
-        loss = float(evaluate(cfg.objective, state.params, cfg.sample))
-        records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
-        if not math.isfinite(loss):
-            diverged = True
+    # overflow is recorded in the trace (a non-finite loss ends the run), not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while not diverged and records[-1].loss > cfg.tolerance and state.epoch < cfg.max_epochs:
+            if cfg.policy.kind is PolicyKind.OPTIMAL_PER_EPOCH:
+                hypers, flags = _resolve_optimal(cfg, state, hypers)
+            else:
+                flags = _FIXED_FLAGS
+            try:
+                state = step(
+                    cfg.method, state, hypers, cfg.objective, cfg.sample,
+                    f3_half_gradient=cfg.f3_half_gradient,
+                )
+            except NonFiniteGradientError:
+                diverged = True
+                break
+            loss = float(evaluate(cfg.objective, state.params, cfg.sample))
+            records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
+            if not math.isfinite(loss):
+                diverged = True
 
     recs = tuple(records)
     return Trace(

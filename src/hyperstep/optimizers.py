@@ -133,14 +133,18 @@ def _heavy_ball(c, v, g, hyper):
     return c + v, v
 
 
+def _scaled(c, acc, g, hyper):
+    # adagrad's and rmsprop's tail: divide by the freshly updated accumulator.
+    # A coordinate with no gradient stays put, even where acc + epsilon is 0.
+    return c - hyper.eta * g / np.sqrt(acc + hyper.epsilon + (g == 0)), acc
+
+
 def _accumulated(c, phi, g, hyper):
-    phi = _grad_sq_sum(phi, g)
-    return c - hyper.eta * g / np.sqrt(phi + hyper.epsilon), phi
+    return _scaled(c, _grad_sq_sum(phi, g), g, hyper)
 
 
 def _weighted(c, u, g, hyper):
-    u = _weighted_grad_sq(u, g, hyper.beta)
-    return c - hyper.eta * g / np.sqrt(u + hyper.epsilon), u
+    return _scaled(c, _weighted_grad_sq(u, g, hyper.beta), g, hyper)
 
 
 _RULES = {

@@ -1,9 +1,12 @@
 """Numeric oracle checks of the closed forms, assembled into one report.
 
-Every check draws its states from a seeded generator, so a report is a pure
-function of its arguments. Hyperstep functions are looked up as module
-attributes at call time (``optimizers.step``, ...), so a wrapper bound in
-their home module also sees the calls made from here.
+Every check draws its states from a seeded generator through one sampler,
+``_draw_state`` (accumulators from ``_draw_accumulator``), so a report is a
+pure function of its arguments; the acceptance tests draw through the same
+helpers. ``_obj_sample`` picks each objective's regression sample, the beta
+rule's included, and ``_row`` writes every report row. Hyperstep functions
+are looked up as module attributes at call time (``optimizers.step``, ...),
+so a wrapper bound in their home module also sees the calls made from here.
 """
 
 from __future__ import annotations
@@ -33,32 +36,42 @@ def _unit_open(rng: np.random.Generator) -> float:
     return 1.0 - float(rng.random())
 
 
-def _rand_params(rng: np.random.Generator, obj: ObjectiveId) -> ParamPoint:
-    w = float(rng.uniform(0.0, 1.0))
-    return ParamPoint(w=w, b=float(rng.uniform(0.0, 1.0)) if obj.arity == 2 else None)
+def _uniform(rng: np.random.Generator, obj: ObjectiveId, lo: float, hi: float) -> list[float]:
+    # one draw per coordinate: w, then b if the objective has one
+    return [float(rng.uniform(lo, hi)) for _ in range(obj.arity)]
 
 
-def _open_percoord(rng: np.random.Generator, obj: ObjectiveId) -> PerCoord:
-    return PerCoord(w=_unit_open(rng), b=_unit_open(rng) if obj.arity == 2 else None)
-
-
-def _shared_percoord(rng: np.random.Generator, obj: ObjectiveId) -> PerCoord:
-    # the rmsprop beta rule assumes one accumulator common to both coordinates
-    shared = _unit_open(rng)
-    return PerCoord(w=shared, b=shared if obj.arity == 2 else None)
+def _draw_accumulator(rng: np.random.Generator, obj: ObjectiveId, shared: bool = False) -> PerCoord:
+    # ``shared``: one value for both coordinates, as the rmsprop beta rule assumes
+    w = _unit_open(rng)
+    return PerCoord(w=w, b=None if obj.arity == 1 else w if shared else _unit_open(rng))
 
 
 def _draw_state(rng: np.random.Generator, obj: ObjectiveId, common_u: bool = False) -> OptimizerState:
-    params = _rand_params(rng, obj)
-    v_w = float(rng.uniform(-0.5, 0.5))
-    velocity = PerCoord(w=v_w, b=float(rng.uniform(-0.5, 0.5)) if obj.arity == 2 else None)
-    phi = _open_percoord(rng, obj)
-    u = _shared_percoord(rng, obj) if common_u else _open_percoord(rng, obj)
-    return OptimizerState(params=params, velocity=velocity, grad_sq_sum=phi, weighted_grad_sq=u)
+    return OptimizerState(
+        params=ParamPoint(*_uniform(rng, obj, 0.0, 1.0)),
+        velocity=PerCoord(*_uniform(rng, obj, -0.5, 0.5)),
+        grad_sq_sum=_draw_accumulator(rng, obj),
+        weighted_grad_sq=_draw_accumulator(rng, obj, shared=common_u),
+    )
 
 
-def _obj_sample(obj: ObjectiveId) -> RegressionSample | None:
-    return DEFAULT_SAMPLE if obj is ObjectiveId.F3 else None
+def _obj_sample(obj: ObjectiveId, target: str = "eta") -> RegressionSample | None:
+    # at f3 the beta rule's common gradient holds only at x = 1
+    if obj is not ObjectiveId.F3:
+        return None
+    return _BETA_SAMPLE if target == "beta" else DEFAULT_SAMPLE
+
+
+def _row(name: str, tolerance: float, worst: float, ok: bool, **counts) -> dict:
+    """One report row; it passes when ``worst`` is within ``tolerance`` and ``ok`` holds."""
+    return {
+        "name": name,
+        "tolerance": tolerance,
+        "max_deviation": worst,
+        **counts,
+        "passed": worst <= tolerance and ok,
+    }
 
 
 def _check_gradients(samples: int, seed: int) -> list[dict]:
@@ -68,22 +81,13 @@ def _check_gradients(samples: int, seed: int) -> list[dict]:
         s = _obj_sample(obj)
         worst = 0.0
         for _ in range(samples):
-            p = _rand_params(rng, obj)
+            p = ParamPoint(*_uniform(rng, obj, 0.0, 1.0))
             a = analyzer.finite_diff_gradient(obj, p, s)
             g = objectives.gradient(obj, p, s)
-            dev = abs(a.d_w - g.d_w) / max(1.0, abs(g.d_w))
-            if g.d_b is not None:
-                dev = max(dev, abs(a.d_b - g.d_b) / max(1.0, abs(g.d_b)))
-            worst = max(worst, dev)
-        checks.append(
-            {
-                "name": f"gradients/{obj.value}",
-                "tolerance": _GRADIENT_TOL,
-                "max_deviation": worst,
-                "samples": samples,
-                "passed": worst <= _GRADIENT_TOL,
-            }
-        )
+            for approx, exact in ((a.d_w, g.d_w), (a.d_b, g.d_b)):
+                if exact is not None:
+                    worst = max(worst, abs(approx - exact) / max(1.0, abs(exact)))
+        checks.append(_row(f"gradients/{obj.value}", _GRADIENT_TOL, worst, True, samples=samples))
     return checks
 
 
@@ -109,29 +113,19 @@ def check_argmin_gd(seed: int = 0) -> dict:
             Method.GD, "eta", obj, template, s, eta=None, alpha=None, beta=None, epsilon=_EPSILON
         )
         worst = max(worst, abs(res.argmin - fv.value))
-    return {
-        "name": "argmin/gd",
-        "tolerance": _ARGMIN_TOL,
-        "max_deviation": worst,
-        "passed": worst <= _ARGMIN_TOL,
-    }
+    return _row("argmin/gd", _ARGMIN_TOL, worst, True)
 
 
 def _pointwise_deviation(
     method: Method, obj: ObjectiveId, target: str, rng: np.random.Generator
 ) -> tuple[float | None, bool]:
     """One sampled state; returns (deviation or None if skipped, defined)."""
-    beta_rule = method is Method.RMSPROP and target == "beta"
-    sample = _BETA_SAMPLE if beta_rule and obj is ObjectiveId.F3 else _obj_sample(obj)
+    sample = _obj_sample(obj, target)
     half = obj is ObjectiveId.F3
     # adagrad's state is read as the post-accumulation view on both sides
-    state = _draw_state(rng, obj, common_u=beta_rule)
-    fixed = HyperParams(
-        eta=float(rng.uniform(0.0, 1.0)),
-        alpha=float(rng.uniform(0.0, 1.0)),
-        beta=float(rng.uniform(0.0, 1.0)),
-        epsilon=_EPSILON,
-    )
+    state = _draw_state(rng, obj, common_u=target == "beta")
+    eta, alpha, beta = (float(rng.uniform(0.0, 1.0)) for _ in range(3))
+    fixed = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=_EPSILON)
     fv = hyperopt.solve(method, target, obj, state, sample, **asdict(fixed), f3_half_gradient=half)
     if not fv.defined:
         return None, False
@@ -159,14 +153,10 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
                     worst = max(worst, dev)
                     compared += 1
             min_defined = min(min_defined, defined / states)
-    return {
-        "name": f"argmin/{method.value}",
-        "tolerance": _ARGMIN_TOL,
-        "max_deviation": worst,
-        "compared": compared,
-        "min_defined_fraction": min_defined,
-        "passed": worst <= _ARGMIN_TOL and min_defined >= 0.95,
-    }
+    return _row(
+        f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95,
+        compared=compared, min_defined_fraction=min_defined,
+    )
 
 
 def _check_one_step(method: Method, samples: int, seed: int) -> dict:
@@ -185,10 +175,9 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
                 given[coefficient] = float(rng.uniform(0.0, 1.0))
                 given["eta"] = float(rng.uniform(0.0, 1.0))
             for target in targets:
-                at, sample = state, _obj_sample(obj)
+                at, sample = state, _obj_sample(obj, target)
                 if target == "beta":
-                    at = replace(state, weighted_grad_sq=_shared_percoord(rng, obj))
-                    sample = _BETA_SAMPLE if half else sample
+                    at = replace(state, weighted_grad_sq=_draw_accumulator(rng, obj, shared=True))
                 view = at
                 if method is Method.ADAGRAD:
                     view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=half)
@@ -201,13 +190,7 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
                 stepped = optimizers.step(method, at, hyper, obj, sample, f3_half_gradient=half)
                 worst = max(worst, float(objectives.evaluate(obj, stepped.params, sample)))
                 tested += 1
-    return {
-        "name": f"one-step/{method.value}",
-        "tolerance": _ONE_STEP_TOL,
-        "max_deviation": worst,
-        "tested": tested,
-        "passed": worst <= _ONE_STEP_TOL and tested > 0,
-    }
+    return _row(f"one-step/{method.value}", _ONE_STEP_TOL, worst, tested > 0, tested=tested)
 
 
 def report(scope: str, samples: int, seed: int, method: Method | None = None) -> dict:
@@ -229,14 +212,11 @@ def report(scope: str, samples: int, seed: int, method: Method | None = None) ->
     if scope in ("gradients", "all"):
         checks.extend(_check_gradients(samples, seed))
     if scope in ("argmin", "all"):
-        if Method.GD in methods:
-            checks.append(check_argmin_gd(seed))
-        for m in methods:
-            if m is not Method.GD:
-                checks.append(check_argmin_pointwise(m, seed))
+        checks.extend(
+            check_argmin_gd(seed) if m is Method.GD else check_argmin_pointwise(m, seed) for m in methods
+        )
     if scope in ("one-step", "all"):
-        for m in methods:
-            checks.append(_check_one_step(m, samples, seed))
+        checks.extend(_check_one_step(m, samples, seed) for m in methods)
 
     passed = all(c["passed"] for c in checks)
     return {"scope": scope, "seed": seed, "samples": samples, "passed": passed, "checks": checks}

@@ -9,6 +9,7 @@ agrees with itself end to end.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from hyperstep import (
     HyperPolicy,
     Method,
     ObjectiveId,
-    OptimizerState,
     ParamPoint,
     PerCoord,
     RegressionSample,
@@ -47,37 +47,6 @@ DEFAULT_SAMPLE = RegressionSample(x=0.3, y=0.23)
 def _verdict(num: int, ok: bool, detail: str) -> None:
     word = "PASS" if ok else "FAIL"
     print(f"[{word}] criterion {num}: {detail}")
-
-
-def _unit_open(rng) -> float:
-    # uniform draw from (0, 1], keeping accumulators strictly positive
-    return 1.0 - float(rng.random())
-
-
-def _draw_state(rng, obj: ObjectiveId) -> OptimizerState:
-    two = obj.arity == 2
-    return OptimizerState(
-        params=ParamPoint(
-            w=float(rng.uniform(0, 1)), b=float(rng.uniform(0, 1)) if two else None
-        ),
-        velocity=PerCoord(
-            w=float(rng.uniform(-0.5, 0.5)),
-            b=float(rng.uniform(-0.5, 0.5)) if two else None,
-        ),
-        grad_sq_sum=PerCoord(w=_unit_open(rng), b=_unit_open(rng) if two else None),
-        weighted_grad_sq=PerCoord(w=_unit_open(rng), b=_unit_open(rng) if two else None),
-    )
-
-
-def _with_common_u(state: OptimizerState, rng) -> OptimizerState:
-    shared = _unit_open(rng)
-    two = state.params.b is not None
-    return OptimizerState(
-        params=state.params,
-        velocity=state.velocity,
-        grad_sq_sum=state.grad_sq_sum,
-        weighted_grad_sq=PerCoord(w=shared, b=shared if two else None),
-    )
 
 
 def test_criterion_1_gd_argmin_matches_closed_form():
@@ -147,11 +116,12 @@ def test_criterion_3_closed_forms_are_one_step_exact():
                     )
                 else:
                     sample = None
-                state = _draw_state(rng, obj)
+                state = verify._draw_state(rng, obj)
                 if beta_path:
                     # the beta rule needs a common accumulator, and at f3 the
                     # common gradient holds only at x = 1
-                    state = _with_common_u(state, rng)
+                    u = verify._draw_accumulator(rng, obj, shared=True)
+                    state = replace(state, weighted_grad_sq=u)
                     if obj is F3:
                         sample = RegressionSample(x=1.0, y=float(rng.uniform(0, 1)))
                 for hyper in _one_step_trials(method, obj, state, sample, rng):
@@ -274,7 +244,7 @@ def test_criterion_7_scaled_rules_reduce_to_plain_descent_exactly():
         sample = DEFAULT_SAMPLE if obj is F3 else None
         rng = np.random.default_rng(400)
         for _ in range(100):
-            state = _draw_state(rng, obj)
+            state = verify._draw_state(rng, obj)
             base = optimal_lr_gd(obj, state, sample).raw
             checked += 1
 
@@ -284,19 +254,11 @@ def test_criterion_7_scaled_rules_reduce_to_plain_descent_exactly():
                 mismatches += 1
 
             # unit divisors: accumulator + epsilon = 1 on every coordinate
-            two = obj.arity == 2
-            unit = OptimizerState(
-                params=state.params,
-                velocity=state.velocity,
-                grad_sq_sum=PerCoord(w=0.5, b=0.5 if two else None),
-                weighted_grad_sq=PerCoord(w=0.5, b=0.5 if two else None),
-            )
+            half = PerCoord(w=0.5, b=0.5 if obj.arity == 2 else None)
+            unit = replace(state, grad_sq_sum=half, weighted_grad_sq=half)
             if optimal_lr_adagrad(obj, unit, sample, epsilon=0.5).raw != base:
                 mismatches += 1
-            if (
-                optimal_lr_rmsprop(obj, unit, sample, beta=1.0, epsilon=0.5).raw
-                != base
-            ):
+            if optimal_lr_rmsprop(obj, unit, sample, beta=1.0, epsilon=0.5).raw != base:
                 mismatches += 1
     ok = mismatches == 0
     _verdict(

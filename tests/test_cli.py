@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output schemas, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -251,6 +252,45 @@ def test_verify_rejects_sample_counts_below_one(capsys, samples):
     assert code == EXIT_USAGE
     assert out == ""
     assert "samples must be at least 1" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, expected", [("adagrad", EXIT_OK), ("rmsprop", EXIT_NO_CONVERGENCE)])
+def test_coordinate_without_gradient_stays_put_at_zero_epsilon(capsys, method, expected):
+    # at x = 0 f3's w has no gradient, so with epsilon = 0 its divisor is 0;
+    # w must stay put while b alone fits y (rmsprop then sits at its plateau)
+    code, out, err = run_cli(
+        capsys, "run", "--method", method, "--objective", "f3",
+        "--x", "0", "--y", "0.5", "--epsilon", "0",
+    )
+    assert code == expected
+    assert err == ""
+    assert all(float(line.split(",")[2]) == 0.3 for line in out.strip().splitlines()[1:])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, expected, digest",
+    [
+        (
+            ["table2", "--init", "w=1e154"],
+            EXIT_OK,
+            "b02daac3495a28ca99be6e65f57881e88e0f98aa24b1a140b45c592e4a073946",
+        ),
+        (
+            ["run", "--method", "adagrad", "--objective", "f1", "--init", "w=1e154"],
+            EXIT_NO_CONVERGENCE,
+            "6ca2b5aac5211a3400199311c2bb9575994c7db5c708d3660d93d327cd27f18f",
+        ),
+    ],
+    ids=["table2", "run"],
+)
+def test_overflow_inside_a_run_writes_no_warnings(capsys, argv, expected, digest):
+    # the trace already records the overflow; stdout is the reference output
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,31 @@ def test_adagrad_zero_gradient_is_a_no_op():
     assert out.grad_sq_sum.w == 0.3
 
 
+@pytest.mark.parametrize("method", [Method.ADAGRAD, Method.RMSPROP])
+@pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+def test_zero_gradient_coordinate_stays_put_at_zero_epsilon(method, array):
+    # at x = 0 f3's w has no gradient and a zero divisor when epsilon = 0
+    coord = (lambda v: np.array([v, v])) if array else (lambda v: v)
+    zero = PerCoord(w=coord(0.0), b=coord(0.0))
+    state = OptimizerState(ParamPoint(w=coord(0.3), b=coord(0.3)), zero, zero, zero)
+    hyper = HyperParams(eta=0.1, beta=0.5, epsilon=0.0)
+    with np.errstate(all="raise"):
+        out = step(method, state, hyper, F3, RegressionSample(x=0.0, y=0.5))
+    name = "grad_sq_sum" if method is Method.ADAGRAD else "weighted_grad_sq"
+    assert np.all(out.params.w == 0.3)
+    assert np.all(getattr(out, name).w == 0.0)
+    assert np.all(out.params.b > 0.3)
+    assert np.all(getattr(out, name).b > 0.0)
+
+
+def test_zero_divisor_with_a_gradient_still_diverges():
+    # beta = 1 keeps u at 0, so the step divides a nonzero gradient by 0
+    state = make_state(0.3, u_w=0.0)
+    with np.errstate(divide="ignore"):
+        out = rmsprop_step(state, HyperParams(eta=0.1, beta=1.0, epsilon=0.0), F1)
+    assert math.isinf(out.params.w)
+
+
 def test_rmsprop_worked_examples():
     out = rmsprop_step(
         make_state(0.3, u_w=0.2), HyperParams(eta=0.21, beta=0.41, epsilon=0.0), F1
@@ -257,7 +282,7 @@ def _row_state(columns, obj, i=None):
 def test_array_step_equals_per_row_scalar_steps(method, obj, half, rows, x, y, hyper):
     columns = list(zip(*rows))
     sample = RegressionSample(x=x, y=y) if obj is F3 else None
-    with np.errstate(divide="ignore", invalid="ignore"):  # epsilon = 0 with a zero gradient is 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):  # epsilon = 0 with an underflowing g * g divides by 0
         batched = step(method, _row_state(columns, obj), hyper, obj, sample, f3_half_gradient=half)
         for i in range(len(rows)):
             single = step(method, _row_state(columns, obj, i), hyper, obj, sample, f3_half_gradient=half)
