@@ -4,13 +4,14 @@ Two independent checks live here. ``mean_post_step_error`` estimates the
 average one-step loss over a sampled region of parameter space and
 ``argmin_hyper`` / ``pointwise_argmin_hyper`` locate the hyperparameter that
 minimizes it by direct search, with no knowledge of the closed forms they
-are used to verify. Both searches run through one routine, ``_argmin``: a
-uniform scan followed by golden-section refinement of the one-step loss,
-reduced by its mean over the sampled grid or read off a single state.
+are used to verify. Both run through one routine, ``_argmin``: the mean
+one-step loss along each row of a state (the sampled grid, or one state) is
+one curve, and ``_search`` drives all the curves in lockstep, a uniform scan
+then golden-section refinement, each to the result it gets searched alone.
 ``finite_diff_gradient`` plays the same role for the analytic gradients.
 
-Batch evaluation threads numpy arrays through the real step functions, so
-the dynamics being averaged are exactly the ones a training run would take.
+Evaluation threads numpy arrays through the real step function, so the
+dynamics being minimized are exactly the ones a training run would take.
 """
 
 from __future__ import annotations
@@ -127,12 +128,8 @@ def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerStat
 
 
 def _post_step_losses(
-    method: Method,
-    obj: ObjectiveId,
-    hyper: HyperParams,
-    sample: RegressionSample | None,
-    state: OptimizerState,
-    f3_half_gradient: bool,
+    method: Method, obj: ObjectiveId, hyper: HyperParams,
+    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
 ) -> np.ndarray:
     # overflow surfaces as the ValueError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,87 +162,73 @@ def mean_post_step_error(
     return float(np.mean(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)))
 
 
-def _significant_local_minima(values: list[float], cutoff: float) -> list[int]:
-    n = len(values)
-    minima = []
-    for i in range(n):
-        left_ok = i == 0 or values[i] < values[i - 1]
-        right_ok = i == n - 1 or values[i] < values[i + 1]
-        if left_ok and right_ok and values[i] <= cutoff:
-            minima.append(i)
-    return minima
+def _search(curve: Callable[[np.ndarray], np.ndarray], n: int) -> list[ArgminResult]:
+    """Minimize ``n`` curves on [0, 1] in lockstep: a uniform scan, then golden-section
+    refinement around each curve's best scan point. ``curve`` maps one point per curve,
+    shape (n,), to the n values. Each curve sees the points it would see searched alone;
+    a flat or finished one is evaluated at its best scan point until all are done.
+    """
+    xs = np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
+    vals = np.stack([curve(np.full(n, x)) for x in xs], axis=1)
+    vmin, vmax = vals.min(axis=1), vals.max(axis=1)
+    flat = vmin == vmax
 
+    # multimodal: two neighbouring strict local minima of the scan, both within
+    # 1e-6 of the curve's range of its best value, lie three or more points apart
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
+    minima = (vals < padded[:, :-2]) & (vals < padded[:, 2:]) & (vals <= (vmin + 1e-6 * (vmax - vmin))[:, None])
+    seen = np.logical_or.accumulate(minima, axis=1)
+    multimodal = (minima[:, 3:] & ~minima[:, 1:-2] & seen[:, :-3]).any(axis=1)
 
-def _search_unit_interval(curve: Callable[[float], float]) -> ArgminResult:
-    """Scan then golden-section refine; curve is evaluated on [0, 1] only."""
-    xs = [i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-    vals = [curve(x) for x in xs]
-    evals = _SCAN_POINTS
-
-    vmin = min(vals)
-    vmax = max(vals)
-    if vmin == vmax:
-        return ArgminResult(argmin=0.5, min_value=vmin, bracket=(0.0, 1.0), evaluations=evals, flat=True)
-
-    minima = _significant_local_minima(vals, vmin + 1e-6 * (vmax - vmin))
-    multimodal = any(j - i >= 3 for i, j in zip(minima, minima[1:]))
-
-    k = vals.index(vmin)
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, _SCAN_POINTS - 1)]
-    best_x, best_v = xs[k], vals[k]
+    k = vals.argmin(axis=1)
+    lo = np.where(flat, 0.0, xs[np.maximum(k - 1, 0)])
+    hi = np.where(flat, 1.0, xs[np.minimum(k + 1, _SCAN_POINTS - 1)])
+    best_x, best_v = np.where(flat, 0.5, xs[k]), vmin
+    evals = np.full(n, _SCAN_POINTS)
+    active = ~flat
 
     span = hi - lo
-    c = hi - _INV_PHI * span
-    d = lo + _INV_PHI * span
-    yc = curve(c)
-    yd = curve(d)
-    evals += 2
-    while span > _GOLDEN_WIDTH:
-        if yc < yd:
-            hi, d, yd = d, c, yc
-            span = hi - lo
-            c = hi - _INV_PHI * span
-            yc = curve(c)
-        else:
-            lo, c, yc = c, d, yd
-            span = hi - lo
-            d = lo + _INV_PHI * span
-            yd = curve(d)
-        evals += 1
-        if yc < best_v:
-            best_x, best_v = c, yc
-        if yd < best_v:
-            best_x, best_v = d, yd
+    c, d = hi - _INV_PHI * span, lo + _INV_PHI * span
+    yc, yd = (curve(np.where(active, t, xs[k])) for t in (c, d))
+    evals += 2 * active
+    active &= span > _GOLDEN_WIDTH
+    while active.any():
+        # keep [lo, d] when c is lower, else [c, hi], and probe its other side;
+        # only the bracket, best point and count of a finished curve are read
+        left = yc < yd
+        hi, lo = np.where(active & left, d, hi), np.where(active & ~left, c, lo)
+        span = hi - lo
+        probe = np.where(left, hi - _INV_PHI * span, lo + _INV_PHI * span)
+        y = curve(np.where(active, probe, xs[k]))
+        kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
+        c, yc = np.where(left, probe, kept), np.where(left, y, y_kept)
+        d, yd = np.where(left, kept, probe), np.where(left, y_kept, y)
+        evals += active
+        for z, yz in ((c, yc), (d, yd)):
+            better = active & (yz < best_v)
+            best_x, best_v = np.where(better, z, best_x), np.where(better, yz, best_v)
+        active &= span > _GOLDEN_WIDTH
 
-    return ArgminResult(
-        argmin=best_x,
-        min_value=best_v,
-        bracket=(lo, hi),
-        evaluations=evals,
-        multimodal=multimodal,
-    )
+    found = zip(*(a.tolist() for a in (best_x, best_v, lo, hi, evals, flat, multimodal)))
+    return [ArgminResult(x, v, (a, b), e, f, m) for x, v, a, b, e, f, m in found]
 
 
 def _argmin(
-    method: Method,
-    obj: ObjectiveId,
-    target: str,
-    fixed: HyperParams,
-    sample: RegressionSample | None,
-    state: OptimizerState,
-    f3_half_gradient: bool,
-    reduce: Callable[[np.ndarray], float],
-) -> ArgminResult:
-    """Search [0, 1] for the ``target`` value minimizing ``reduce`` of the one-step losses."""
+    method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
+    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
+) -> list[ArgminResult]:
+    """Search [0, 1] for the ``target`` value minimizing the mean one-step loss
+    along each row of ``state``: one curve per row of a 2-D state, a single
+    curve for a 1-D (sampled grid) or scalar one. ``fixed`` holds floats or
+    (rows, 1) arrays."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
 
-    def curve(t: float) -> float:
-        hyper = replace(fixed, **{target: t})
-        return float(reduce(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)))
+    def curve(t: np.ndarray) -> np.ndarray:
+        hyper = replace(fixed, **{target: t[:, None]})
+        return np.atleast_2d(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)).mean(axis=1)
 
-    return _search_unit_interval(curve)
+    return _search(curve, np.atleast_2d(state.params.w).shape[0])
 
 
 def argmin_hyper(
@@ -266,7 +249,7 @@ def argmin_hyper(
     curves.
     """
     state = _sampled_state(obj, spec, state_template)
-    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient, np.mean)
+    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient)[0]
 
 
 def pointwise_argmin_hyper(
@@ -285,9 +268,17 @@ def pointwise_argmin_hyper(
     the pending step divides by, matching the closed form's convention; the
     search still runs through the real step function.
     """
+    return _pointwise_argmins(method, obj, target, fixed, sample, state, f3_half_gradient)[0]
+
+
+def _pointwise_argmins(
+    method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
+    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
+) -> list[ArgminResult]:
+    """``pointwise_argmin_hyper`` from each row of a state of (rows, 1) arrays, in one search."""
     if method is Method.ADAGRAD:
         g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
         phi = state.grad_sq_sum
         pre_b = None if g.d_b is None else phi.b - g.d_b * g.d_b
         state = replace(state, grad_sq_sum=PerCoord(w=phi.w - g.d_w * g.d_w, b=pre_b))
-    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient, float)
+    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient)

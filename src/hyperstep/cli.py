@@ -346,7 +346,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = run_training(cfg)
     _emit(args, lambda: _render_trace_csv(trace), lambda: _render_artifact_json(trace, cfg, init_seed))
     if trace.diverged:
-        print("run diverged: loss or gradient became non-finite", file=sys.stderr)
+        print("run diverged: loss, gradient or optimizer state became non-finite", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if trace.converged_epoch is not None else EXIT_NO_CONVERGENCE
 

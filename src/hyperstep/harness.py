@@ -208,6 +208,11 @@ def _resolve_optimal(
     return h, HyperFlags(**flags)
 
 
+def _finite_state(state: OptimizerState) -> bool:
+    slots = (state.params, state.velocity, state.grad_sq_sum, state.weighted_grad_sq)
+    return all(math.isfinite(c) for slot in slots for c in (slot.w, slot.b) if c is not None)
+
+
 def run_training(cfg: RunConfig) -> Trace:
     """Run until convergence, divergence, or ``max_epochs`` recorded epochs.
 
@@ -238,8 +243,8 @@ def run_training(cfg: RunConfig) -> Trace:
                 break
             loss = float(evaluate(cfg.objective, state.params, cfg.sample))
             records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
-            if not math.isfinite(loss):
-                diverged = True
+            # an overflowed accumulator would freeze the run with a finite loss
+            diverged = not (math.isfinite(loss) and _finite_state(state))
 
     recs = tuple(records)
     return Trace(

@@ -43,9 +43,14 @@ class NonFiniteGradientError(ValueError):
     """Raised when an update would consume a NaN or infinite gradient."""
 
 
+def _all(ok) -> bool:
+    """Whether a comparison holds: a bool from floats (which skip numpy's cost), or every element."""
+    return ok if ok.__class__ is bool else bool(ok.all())
+
+
 @dataclass(frozen=True)
 class HyperParams:
-    """Step hyperparameters; alpha and beta are read only by the methods that use them."""
+    """Step hyperparameters (floats or arrays); alpha and beta are read only by the methods that use them."""
 
     eta: float
     alpha: float = 0.0
@@ -53,13 +58,13 @@ class HyperParams:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.eta) or self.eta < 0.0:
+        if not _all((0.0 <= self.eta) & (self.eta < math.inf)):
             raise ValueError(f"eta must be a finite non-negative real, got {self.eta!r}")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not _all((0.0 <= self.alpha) & (self.alpha <= 1.0)):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not 0.0 <= self.beta <= 1.0:
+        if not _all((0.0 <= self.beta) & (self.beta <= 1.0)):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
+        if not _all((0.0 <= self.epsilon) & (self.epsilon < math.inf)):
             raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
 
 
@@ -94,10 +99,7 @@ class OptimizerState:
 
 
 def _require_finite(g: GradientVector) -> None:
-    ok = bool(np.all(np.isfinite(g.d_w)))
-    if ok and g.d_b is not None:
-        ok = bool(np.all(np.isfinite(g.d_b)))
-    if not ok:
+    if not (_all(abs(g.d_w) < math.inf) and (g.d_b is None or _all(abs(g.d_b) < math.inf))):
         raise NonFiniteGradientError(f"gradient is not finite: {g!r}")
 
 

@@ -4,14 +4,16 @@ Every check draws its states from a seeded generator through one sampler,
 ``_draw_state`` (accumulators from ``_draw_accumulator``), so a report is a
 pure function of its arguments; the acceptance tests draw through the same
 helpers. ``_obj_sample`` picks each objective's regression sample, the beta
-rule's included, and ``_row`` writes every report row. Hyperstep functions
-are looked up as module attributes at call time (``optimizers.step``, ...),
-so a wrapper bound in their home module also sees the calls made from here.
+rule's included, and ``_row`` writes every report row. The argmin and
+gradient checks draw one by one, then search or evaluate all draws as
+arrays. Hyperstep functions are looked up as module attributes at call time
+(``optimizers.step``, ...), so a wrapper bound in their home module also
+sees the calls made from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -79,14 +81,11 @@ def _check_gradients(samples: int, seed: int) -> list[dict]:
     for obj in ObjectiveId:
         rng = np.random.default_rng(seed)
         s = _obj_sample(obj)
-        worst = 0.0
-        for _ in range(samples):
-            p = ParamPoint(*_uniform(rng, obj, 0.0, 1.0))
-            a = analyzer.finite_diff_gradient(obj, p, s)
-            g = objectives.gradient(obj, p, s)
-            for approx, exact in ((a.d_w, g.d_w), (a.d_b, g.d_b)):
-                if exact is not None:
-                    worst = max(worst, abs(approx - exact) / max(1.0, abs(exact)))
+        p = ParamPoint(*map(np.array, zip(*(_uniform(rng, obj, 0.0, 1.0) for _ in range(samples)))))
+        a = analyzer.finite_diff_gradient(obj, p, s)
+        g = objectives.gradient(obj, p, s)
+        pairs = zip((a.d_w, a.d_b), (g.d_w, g.d_b))
+        worst = float(np.max([abs(x - e) / np.maximum(1.0, abs(e)) for x, e in pairs if e is not None]))
         checks.append(_row(f"gradients/{obj.value}", _GRADIENT_TOL, worst, True, samples=samples))
     return checks
 
@@ -116,43 +115,46 @@ def check_argmin_gd(seed: int = 0) -> dict:
     return _row("argmin/gd", _ARGMIN_TOL, worst, True)
 
 
-def _pointwise_deviation(
-    method: Method, obj: ObjectiveId, target: str, rng: np.random.Generator
-) -> tuple[float | None, bool]:
-    """One sampled state; returns (deviation or None if skipped, defined)."""
-    sample = _obj_sample(obj, target)
-    half = obj is ObjectiveId.F3
-    # adagrad's state is read as the post-accumulation view on both sides
-    state = _draw_state(rng, obj, common_u=target == "beta")
-    eta, alpha, beta = (float(rng.uniform(0.0, 1.0)) for _ in range(3))
-    fixed = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=_EPSILON)
-    fv = hyperopt.solve(method, target, obj, state, sample, **asdict(fixed), f3_half_gradient=half)
-    if not fv.defined:
-        return None, False
-    if not fv.feasible:
-        return None, True
-    res = analyzer.pointwise_argmin_hyper(
-        method, obj, target, fixed, sample, state, f3_half_gradient=half
-    )
-    return abs(res.argmin - fv.value), True
+def _stacked(items: list):
+    """Alike dataclasses of floats as one of (rows, 1) arrays; None and the epoch carry over."""
+    first = items[0]
+    if isinstance(first, float):
+        return np.array(items)[:, None]
+    if not is_dataclass(first):
+        return first
+    return replace(first, **{f.name: _stacked([getattr(x, f.name) for x in items]) for f in fields(first)})
 
 
 def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict:
-    """Single-state argmins against every closed form of ``method``, per objective."""
+    """Single-state argmins against every closed form of ``method``, per objective;
+    one search per (objective, target) from all its defined, feasible states."""
     worst = 0.0
     min_defined = 1.0
     compared = 0
     for obj in ObjectiveId:
+        half = obj is ObjectiveId.F3
         for target in sorted(OPTIMIZED_HYPERS[method]):
+            sample = _obj_sample(obj, target)
             rng = np.random.default_rng(seed)
             defined = 0
+            kept = []
             for _ in range(states):
-                dev, is_defined = _pointwise_deviation(method, obj, target, rng)
-                defined += int(is_defined)
-                if dev is not None:
-                    worst = max(worst, dev)
-                    compared += 1
+                # adagrad's state is read as the post-accumulation view on both sides
+                state = _draw_state(rng, obj, common_u=target == "beta")
+                fixed = HyperParams(*(float(rng.uniform(0.0, 1.0)) for _ in range(3)), epsilon=_EPSILON)
+                fv = hyperopt.solve(method, target, obj, state, sample, **asdict(fixed), f3_half_gradient=half)
+                defined += int(fv.defined)
+                if fv.defined and fv.feasible:
+                    kept.append((fixed, state, fv.value))
             min_defined = min(min_defined, defined / states)
+            if not kept:
+                continue
+            fixed, drawn, solved = zip(*kept)
+            found = analyzer._pointwise_argmins(
+                method, obj, target, _stacked(fixed), sample, _stacked(drawn), half
+            )
+            worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, solved)))
+            compared += len(kept)
     return _row(
         f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95,
         compared=compared, min_defined_fraction=min_defined,

@@ -1,6 +1,7 @@
 """Numeric oracles: mean post-step error, argmin searches, gradient checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from hyperstep import (
     RegressionSample,
     SamplingMode,
     SamplingSpec,
+    analyzer,
     argmin_hyper,
     default_sampling,
     finite_diff_gradient,
     mean_post_step_error,
     pointwise_argmin_hyper,
+    verify,
 )
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
@@ -165,3 +168,80 @@ def test_sweeping_an_unused_hyper_reports_flat():
     st = OptimizerState.initial(ParamPoint(w=0.3))
     res = pointwise_argmin_hyper(GD, F1, "alpha", BASE, None, st)
     assert res.flat
+
+
+# Scalar curves and the ``repr`` of the result the scalar scan/golden-section
+# search returned for each, one curve at a time, before the search was batched.
+SYNTHETIC_CURVES = {
+    "flat": (
+        lambda t: 0.7,
+        "ArgminResult(argmin=0.5, min_value=0.7, bracket=(0.0, 1.0), evaluations=64, "
+        "flat=True, multimodal=False)",
+    ),
+    "bimodal": (
+        lambda t: (t - 0.2) ** 2 * (t - 0.8) ** 2,
+        "ArgminResult(argmin=0.19999999991550843, min_value=2.569977777707354e-21, "
+        "bracket=(0.19999999955229733, 0.20000000050319636), evaluations=102, "
+        "flat=False, multimodal=True)",
+    ),
+    "min_at_0": (
+        lambda t: (t + 0.5) ** 2,
+        "ArgminResult(argmin=0.0, min_value=0.25, bracket=(0.0, 7.692934625056106e-10), "
+        "evaluations=101, flat=False, multimodal=False)",
+    ),
+    "min_at_1": (
+        lambda t: (t - 1.5) ** 2,
+        "ArgminResult(argmin=1.0, min_value=0.25, bracket=(0.9999999992307065, 1.0), "
+        "evaluations=101, flat=False, multimodal=False)",
+    ),
+    "interior": (
+        lambda t: (t - 0.3) ** 2 + 0.1,
+        "ArgminResult(argmin=0.29999999914684045, min_value=0.1, "
+        "bracket=(0.3000000022240143, 0.30000000317491327), evaluations=102, "
+        "flat=False, multimodal=False)",
+    ),
+    # equal scan minima at every 2nd point (not multimodal) and every 3rd (multimodal)
+    "minima_2_apart": (
+        lambda t: 1.0 - math.cos(math.pi * 63.0 * t),
+        "ArgminResult(argmin=0.0, min_value=0.0, bracket=(0.0, 7.692934625056106e-10), "
+        "evaluations=101, flat=False, multimodal=False)",
+    ),
+    "minima_3_apart": (
+        lambda t: 1.0 - math.cos(2.0 * math.pi * 21.0 * t),
+        "ArgminResult(argmin=0.0, min_value=0.0, bracket=(0.0, 7.692934625056106e-10), "
+        "evaluations=101, flat=False, multimodal=True)",
+    ),
+}
+
+
+def test_one_lockstep_search_reproduces_every_single_curve_result():
+    # flat and multimodal curves and minima at either end, all in one search;
+    # a numpy scalar leaking into a result would change its repr
+    curves = [f for f, _ in SYNTHETIC_CURVES.values()]
+    results = analyzer._search(lambda t: np.array([f(x) for f, x in zip(curves, t)]), len(curves))
+    assert [repr(r) for r in results] == [want for _, want in SYNTHETIC_CURVES.values()]
+
+
+@pytest.mark.parametrize(
+    "method, target",
+    [
+        (GD, "eta"),
+        (GD, "alpha"),
+        (Method.MOMENTUM, "eta"),
+        (Method.ADAGRAD, "eta"),
+        (Method.RMSPROP, "eta"),
+        (Method.RMSPROP, "beta"),
+    ],
+)
+def test_batched_pointwise_search_equals_per_state_searches(method, target):
+    # the third state has a zero gradient, so its curve is flat beside curved ones
+    rng = np.random.default_rng(5)
+    states = [verify._draw_state(rng, F2) for _ in range(6)]
+    states[2] = replace(states[2], params=ParamPoint(w=0.3, b=-0.3))
+    hypers = [HyperParams(*(float(rng.uniform(0.0, 1.0)) for _ in range(3))) for _ in states]
+    batched = analyzer._pointwise_argmins(
+        method, F2, target, verify._stacked(hypers), None, verify._stacked(states), False
+    )
+    single = [pointwise_argmin_hyper(method, F2, target, h, None, s) for h, s in zip(hypers, states)]
+    assert batched[2].flat
+    assert [repr(r) for r in batched] == [repr(r) for r in single]

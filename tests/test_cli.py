@@ -268,29 +268,47 @@ def test_coordinate_without_gradient_stays_put_at_zero_epsilon(capsys, method, e
     assert all(float(line.split(",")[2]) == 0.3 for line in out.strip().splitlines()[1:])
 
 
+_STATE_DIVERGED = "run diverged: loss, gradient or optimizer state became non-finite\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv, expected, digest",
+    "argv, expected, expected_err, digest",
     [
         (
             ["table2", "--init", "w=1e154"],
             EXIT_OK,
+            "",
             "b02daac3495a28ca99be6e65f57881e88e0f98aa24b1a140b45c592e4a073946",
         ),
         (
             ["run", "--method", "adagrad", "--objective", "f1", "--init", "w=1e154"],
-            EXIT_NO_CONVERGENCE,
-            "6ca2b5aac5211a3400199311c2bb9575994c7db5c708d3660d93d327cd27f18f",
+            EXIT_USAGE,
+            _STATE_DIVERGED,
+            "7ef40d5929e37788ede8c60f63c66a4d1c75c8b2027e67ad481e1c31e889af34",
         ),
     ],
     ids=["table2", "run"],
 )
-def test_overflow_inside_a_run_writes_no_warnings(capsys, argv, expected, digest):
+def test_overflow_inside_a_run_writes_no_warnings(capsys, argv, expected, expected_err, digest):
     # the trace already records the overflow; stdout is the reference output
     code, out, err = run_cli(capsys, *argv)
     assert code == expected
-    assert err == ""
+    assert err == expected_err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method", ["adagrad", "rmsprop"])
+def test_overflowed_accumulator_ends_the_run_as_diverged(capsys, method):
+    # phi + g * g overflows to inf at w = 1e154; every later step would divide by sqrt(inf)
+    code, out, err = run_cli(
+        capsys, "run", "--method", method, "--objective", "f1", "--init", "w=1e154", "--format", "json"
+    )
+    trace = json.loads(out)["trace"]
+    assert code == EXIT_USAGE
+    assert err == _STATE_DIVERGED
+    assert trace["diverged"] is True
+    assert len(trace["records"]) == 2
 
 
 @pytest.mark.parametrize(

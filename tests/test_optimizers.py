@@ -189,10 +189,11 @@ def test_epoch_counter_increments():
 
 def test_non_finite_gradient_raises():
     # 2 * (1e308 - 0.5) overflows, so every rule must refuse the step
-    st = make_state(1e308)
-    for method in Method:
-        with pytest.raises(NonFiniteGradientError):
-            step(method, st, HyperParams(eta=1.0, alpha=0.5, beta=0.5), F1)
+    # an array state is refused when any one of its rows is
+    for st in (make_state(1e308), make_state(np.array([0.3, 1e308, 0.7]))):
+        for method in Method:
+            with pytest.raises(NonFiniteGradientError), np.errstate(over="ignore"):
+                step(method, st, HyperParams(eta=1.0, alpha=0.5, beta=0.5), F1)
 
 
 def test_hyperparams_validation():
@@ -207,6 +208,14 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(eta=0.1, epsilon=-1e-8)
     HyperParams(eta=0.1, epsilon=0.0)  # zero epsilon is allowed
+
+
+def test_hyperparams_check_arrays_elementwise():
+    ok = np.array([[0.0], [0.5], [1.0]])
+    HyperParams(eta=ok, alpha=ok, beta=ok, epsilon=ok)
+    for name, bad in (("eta", np.inf), ("alpha", 1.5), ("beta", np.nan), ("epsilon", -1e-8)):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            HyperParams(**{"eta": ok, name: np.array([[0.5], [bad], [0.5]])})
 
 
 def test_state_arity_is_checked_against_objective():

@@ -25,6 +25,11 @@ CASES = {
         f"pointwise/{m.value}": (verify.check_argmin_pointwise, (m,), {"seed": 7, "states": 5})
         for m in (Method.MOMENTUM, Method.ADAGRAD, Method.RMSPROP)
     },
+    # at the size ``hyperstep verify`` runs: seed 0, 100 states
+    **{
+        f"pointwise/{m.value}/0": (verify.check_argmin_pointwise, (m, 0), {})
+        for m in (Method.MOMENTUM, Method.ADAGRAD, Method.RMSPROP)
+    },
     "gd": (verify.check_argmin_gd, (0,), {}),
 }
 
