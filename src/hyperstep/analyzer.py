@@ -209,6 +209,8 @@ def _search(curve: Callable[[np.ndarray], np.ndarray], n: int) -> list[ArgminRes
             best_x, best_v = np.where(better, z, best_x), np.where(better, yz, best_v)
         active &= span > _GOLDEN_WIDTH
 
+    # the best point can lie just outside the last bracket on a curve flat to rounding
+    lo, hi = np.minimum(lo, best_x), np.maximum(hi, best_x)
     found = zip(*(a.tolist() for a in (best_x, best_v, lo, hi, evals, flat, multimodal)))
     return [ArgminResult(x, v, (a, b), e, f, m) for x, v, a, b, e, f, m in found]
 

@@ -9,11 +9,14 @@ without converging, 3 an internal check failed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
+from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -23,7 +26,6 @@ from . import hyperopt, verify
 from .harness import (
     DEFAULT_HYPERS,
     DEFAULT_SAMPLE,
-    DEFAULT_TOLERANCE,
     OPTIMIZED_HYPERS,
     HyperPolicy,
     RandomInit,
@@ -59,20 +61,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _method_arg(text: str) -> Method:
+def _enum_arg(enum: type[Enum], noun: str, text: str) -> Enum:
+    """The member of ``enum`` named ``text`` in any case; the error lists the values."""
     try:
-        return Method(text.lower())
+        return enum(text.lower())
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown method {text!r} (choose from gd, momentum, adagrad, rmsprop)"
-        ) from None
-
-
-def _objective_arg(text: str) -> ObjectiveId:
-    try:
-        return ObjectiveId(text.lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown objective {text!r} (choose from f1, f2, f3)") from None
+        values = ", ".join(member.value for member in enum)
+        raise argparse.ArgumentTypeError(f"unknown {noun} {text!r} (choose from {values})") from None
 
 
 def _init_arg(text: str) -> ParamPoint:
@@ -127,66 +122,58 @@ def _json_text(payload) -> str:
     return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _pick(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
 # ---------------------------------------------------------------------------
-# options of run and table2 as (flag, converter, argparse extras); the parser
-# and the config-file loader both read these tables.
-
-_TRUE_WORDS = {"true", "yes", "on", "1"}
-_FALSE_WORDS = {"false", "no", "off", "0"}
-
+# every flag of every command, once, as dest -> (converter, argparse extras);
+# _COMMANDS picks each command's flags, and the parser and the config-file
+# loader both read this table.
 
 def _bool_word(text: str) -> bool:
     word = text.strip().lower()
-    if word in _TRUE_WORDS:
+    if word in ("true", "yes", "on", "1"):
         return True
-    if word in _FALSE_WORDS:
+    if word in ("false", "no", "off", "0"):
         return False
-    raise _UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_TABLE2_OPTIONS = (
-    ("--eta", float, {}),
-    ("--alpha", float, {}),
-    ("--beta", float, {}),
-    ("--epsilon", float, {}),
-    ("--init", _init_arg, {"help": 'initial parameters, e.g. "w=0.3,b=0.4"'}),
-    ("--init-seed", int, {"help": "draw the initial parameters from this seed"}),
-    ("--x", float, {"help": "regression input (f3)"}),
-    ("--y", float, {"help": "regression target (f3)"}),
-    ("--max-epochs", int, {}),
-    ("--tolerance", float, {}),
-    ("--f3-half-gradient", _bool_word, {
+_OPTIONS = {
+    "method": (partial(_enum_arg, Method, "method"), {}),
+    "objective": (partial(_enum_arg, ObjectiveId, "objective"), {}),
+    "policy": (str, {"choices": ["fixed", "optimal"]}),
+    "optimize": (str, {"help": "comma list of hyperparameters to re-derive each epoch"}),
+    "w": (float, {"help": "current w"}),
+    "b": (float, {"help": "current b (two-parameter objectives)"}),
+    "v_w": (float, {"help": "velocity, w component"}),
+    "v_b": (float, {"help": "velocity, b component"}),
+    "phi_w": (float, {"help": "gradient-square sum divisor, w component"}),
+    "phi_b": (float, {"help": "gradient-square sum divisor, b component"}),
+    "u_w": (float, {"help": "weighted gradient-square, w component"}),
+    "u_b": (float, {"help": "weighted gradient-square, b component"}),
+    "eta": (float, {}),
+    "alpha": (float, {}),
+    "beta": (float, {}),
+    "epsilon": (float, {}),
+    "init": (_init_arg, {"help": 'initial parameters, e.g. "w=0.3,b=0.4"'}),
+    "init_seed": (int, {"help": "draw the initial parameters from this seed"}),
+    "x": (float, {"help": "regression input (f3)"}),
+    "y": (float, {"help": "regression target (f3)"}),
+    "max_epochs": (int, {}),
+    "tolerance": (float, {}),
+    "f3_half_gradient": (_bool_word, {
         "action": argparse.BooleanOptionalAction,
         "help": "use the halved regression gradient (x*r, r) for f3",
     }),
-    ("--format", str, {"choices": ["csv", "json"]}),
-    ("--output", str, {"help": "write the output here instead of stdout"}),
-)
-
-_RUN_OPTIONS = (
-    ("--method", _method_arg, {}),
-    ("--objective", _objective_arg, {}),
-    ("--policy", str, {"choices": ["fixed", "optimal"]}),
-    ("--optimize", str, {"help": "comma list of hyperparameters to re-derive each epoch"}),
-) + _TABLE2_OPTIONS
+    "format": (str, {"choices": ["csv", "json"]}),
+    "output": (str, {"help": "write the output here instead of stdout"}),
+    "config": (str, {"help": "flat key=value file supplying any of the above"}),
+    "scope": (str, {"choices": verify.SCOPES}),
+    "samples": (int, {}),
+    "seed": (int, {}),
+}
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
-
-
-def _add_options(p: argparse.ArgumentParser, options) -> None:
-    for flag, convert, extras in options:
-        typed = {} if "action" in extras else {"type": convert}
-        p.add_argument(flag, **typed, **extras)
-    p.add_argument("--config", help="flat key=value file supplying any of the above")
 
 
 # config files: flat "key = value" lines, '#' comments, keys matching the
@@ -209,15 +196,16 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config(args: argparse.Namespace, options) -> None:
-    if args.config is None:
-        return
-    known = {flag[2:].replace("-", "_"): (convert, extras.get("choices")) for flag, convert, extras in options}
-    for key, raw in _load_config(args.config).items():
-        if key not in known:
+def _resolve(args: argparse.Namespace, flags: list[str], defaults: dict) -> None:
+    """Fill the unset flags of ``args`` from its config file, if the command takes one, then
+    from ``defaults``; ``args.given`` keeps those the command line or config file set."""
+    path = getattr(args, "config", None)
+    for key, raw in (_load_config(path) if path is not None else {}).items():
+        if key not in flags or key == "config":
             raise _UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
-            convert, choices = known[key]
+            convert, extras = _OPTIONS[key]
+            choices = extras.get("choices")
             try:
                 value = convert(raw)
             except (argparse.ArgumentTypeError, ValueError) as exc:
@@ -225,14 +213,14 @@ def _apply_config(args: argparse.Namespace, options) -> None:
             if choices is not None and value not in choices:
                 raise _UsageError(f"config key {key!r}: invalid choice {value!r} (choose from {', '.join(choices)})")
             setattr(args, key, value)
+    args.given = {dest for dest in flags if getattr(args, dest) is not None}
+    for dest in flags:
+        if dest not in args.given and dest in defaults:
+            setattr(args, dest, defaults[dest])
 
 
 # ---------------------------------------------------------------------------
 # resolution shared by run and table2
-
-def _base_hypers(args: argparse.Namespace) -> HyperParams:
-    return HyperParams(**{k: _pick(getattr(args, k), v) for k, v in asdict(DEFAULT_HYPERS).items()})
-
 
 def _init_choice(args: argparse.Namespace) -> ParamPoint | RandomInit | None:
     if args.init is not None and args.init_seed is not None:
@@ -241,7 +229,7 @@ def _init_choice(args: argparse.Namespace) -> ParamPoint | RandomInit | None:
 
 
 def _emit(args: argparse.Namespace, to_csv: Callable[[], str], to_json: Callable[[], str]) -> None:
-    text = to_csv() if _pick(args.format, "csv") == "csv" else to_json()
+    text = to_csv() if args.format == "csv" else to_json()
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -298,23 +286,18 @@ def _render_artifact_json(trace: Trace, cfg: RunConfig, init_seed: int | None) -
     return _json_text(payload)
 
 
-def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
-    _apply_config(args, _RUN_OPTIONS)
+def _cmd_run(args: argparse.Namespace) -> int:
     if args.method is None or args.objective is None:
         raise _UsageError("both --method and --objective are required")
-    method: Method = args.method
-    objective: ObjectiveId = args.objective
+    base = HyperParams(args.eta, args.alpha, args.beta, args.epsilon)
 
-    base = _base_hypers(args)
-
-    if _pick(args.policy, "fixed") == "fixed":
+    if args.policy == "fixed":
         if args.optimize is not None:
             raise _UsageError("--optimize only applies to the optimal policy")
         policy = HyperPolicy.fixed(base)
     else:
-        if args.optimize is None:
-            names = OPTIMIZED_HYPERS[method]
-        else:
+        names = OPTIMIZED_HYPERS[args.method]
+        if args.optimize is not None:
             names = frozenset(p.strip() for p in args.optimize.split(",") if p.strip())
             if not names:
                 raise _UsageError("--optimize names no hyperparameters")
@@ -323,28 +306,17 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, int | None]:
     init = _init_choice(args)
 
     sample = None
-    if objective is ObjectiveId.F3:
-        sample = RegressionSample(x=_pick(args.x, DEFAULT_SAMPLE.x), y=_pick(args.y, DEFAULT_SAMPLE.y))
-    elif args.x is not None or args.y is not None:
-        raise _UsageError(f"--x/--y only apply to f3, not {objective.value}")
+    if args.objective is ObjectiveId.F3:
+        sample = RegressionSample(x=args.x, y=args.y)
+    elif {"x", "y"} & args.given:
+        raise _UsageError(f"--x/--y only apply to f3, not {args.objective.value}")
 
     cfg = RunConfig(
-        method=method,
-        objective=objective,
-        policy=policy,
-        sample=sample,
-        init=init,
-        max_epochs=_pick(args.max_epochs, 200),
-        tolerance=_pick(args.tolerance, DEFAULT_TOLERANCE),
-        f3_half_gradient=_pick(args.f3_half_gradient, False),
+        method=args.method, objective=args.objective, policy=policy, sample=sample, init=init,
+        max_epochs=args.max_epochs, tolerance=args.tolerance, f3_half_gradient=args.f3_half_gradient,
     )
-    return cfg, args.init_seed
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg, init_seed = _build_run_config(args)
     trace = run_training(cfg)
-    _emit(args, lambda: _render_trace_csv(trace), lambda: _render_artifact_json(trace, cfg, init_seed))
+    _emit(args, lambda: _render_trace_csv(trace), lambda: _render_artifact_json(trace, cfg, args.init_seed))
     if trace.diverged:
         print("run diverged: loss, gradient or optimizer state became non-finite", file=sys.stderr)
         return EXIT_USAGE
@@ -355,19 +327,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # optimal
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [_flag(n) for n in names if getattr(args, n) is None]
+    missing = [_flag(n) for n in names if n not in args.given]
     if missing:
         raise _UsageError(f"the formula needs {', '.join(missing)}")
 
 
 def _build_state(args: argparse.Namespace, obj: ObjectiveId) -> OptimizerState:
-    # the b flags are unset on one-parameter objectives (_cmd_optimal rejects them)
-    zero_b = 0.0 if obj.arity == 2 else None
+    # one-parameter objectives have no b (_cmd_optimal rejects the b flags there)
+    two = obj.arity == 2
     return OptimizerState(
-        params=ParamPoint(w=_pick(args.w, 0.0), b=_pick(args.b, zero_b)),
-        velocity=PerCoord(w=_pick(args.v_w, 0.0), b=_pick(args.v_b, zero_b)),
-        grad_sq_sum=PerCoord(w=_pick(args.phi_w, 0.0), b=_pick(args.phi_b, zero_b)),
-        weighted_grad_sq=PerCoord(w=_pick(args.u_w, 0.0), b=_pick(args.u_b, zero_b)),
+        params=ParamPoint(w=args.w, b=args.b if two else None),
+        velocity=PerCoord(w=args.v_w, b=args.v_b if two else None),
+        grad_sq_sum=PerCoord(w=args.phi_w, b=args.phi_b if two else None),
+        weighted_grad_sq=PerCoord(w=args.u_w, b=args.u_b if two else None),
     )
 
 
@@ -387,7 +359,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     unused = [] if obj is ObjectiveId.F3 else ["x", "y"]
     if obj.arity == 1:
         unused += ["b", "v_b", "phi_b", "u_b"]
-    stray = [_flag(n) for n in unused if getattr(args, n) is not None]
+    stray = [_flag(n) for n in unused if n in args.given]
     if stray:
         raise _UsageError(f"{obj.value} does not use {', '.join(stray)}")
     sample = None
@@ -398,15 +370,13 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     needs, needs_two, rows = _OPTIMAL_ROWS[method]
     _require(args, needs + (needs_two if obj.arity == 2 else []))
     state = _build_state(args, obj)
-    wanted = [target for target, given in rows if given is None or getattr(args, given) is not None]
+    wanted = [target for target, given in rows if given is None or given in args.given]
     if not wanted:
         choices = ", ".join(f"--{given} to solve {target}" for target, given in rows)
         raise _UsageError(f"provide {choices}, or both")
 
-    epsilon = _pick(args.epsilon, DEFAULT_HYPERS.epsilon)
-    half = _pick(args.f3_half_gradient, False)
-    given = dict(eta=args.eta, alpha=args.alpha, beta=args.beta, epsilon=epsilon, f3_half_gradient=half)
-    solved = [(target, hyperopt.solve(method, target, obj, state, sample, **given)) for target in wanted]
+    known = {name: getattr(args, name) for name in ("eta", "alpha", "beta", "epsilon", "f3_half_gradient")}
+    solved = [(target, hyperopt.solve(method, target, obj, state, sample, **known)) for target in wanted]
     for name, fv in solved:
         print(
             f"{name}: value={_fmt(fv.value)} raw={_fmt(fv.raw)} "
@@ -419,12 +389,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 # verify
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.report(
-        args.scope or "all",
-        args.samples if args.samples is not None else 1000,
-        args.seed if args.seed is not None else 0,
-        args.method,
-    )
+    report = verify.report(args.scope, args.samples, args.seed, args.method)
     sys.stdout.write(_json_text(report))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
@@ -459,78 +424,74 @@ def _render_table2_json(matrix, settings: dict) -> str:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    _apply_config(args, _TABLE2_OPTIONS)
-    defaults = _base_hypers(args)
-    sample = RegressionSample(x=_pick(args.x, DEFAULT_SAMPLE.x), y=_pick(args.y, DEFAULT_SAMPLE.y))
+    defaults = HyperParams(args.eta, args.alpha, args.beta, args.epsilon)
+    sample = RegressionSample(x=args.x, y=args.y)
     init = _init_choice(args)
-    half = _pick(args.f3_half_gradient, True)
-    tolerance = _pick(args.tolerance, DEFAULT_TOLERANCE)
-    max_epochs = _pick(args.max_epochs, 1000)
-    matrix = reproduce_table2(
-        defaults=defaults,
-        sample=sample,
-        init=init,
-        tolerance=tolerance,
-        max_epochs=max_epochs,
-        f3_half_gradient=half,
-    )
-    settings = {
-        **asdict(defaults),
-        **asdict(sample),
-        "init": None if init is None else asdict(init),
-        "tolerance": tolerance,
-        "max_epochs": max_epochs,
-        "f3_half_gradient": half,
-    }
+    chosen = dict(tolerance=args.tolerance, max_epochs=args.max_epochs, f3_half_gradient=args.f3_half_gradient)
+    matrix = reproduce_table2(defaults=defaults, sample=sample, init=init, **chosen)
+    settings = {**asdict(defaults), **asdict(sample), "init": None if init is None else asdict(init), **chosen}
     _emit(args, lambda: _render_table2_csv(matrix), lambda: _render_table2_json(matrix, settings))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
-def _add_state_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w", type=float, help="current w")
-    p.add_argument("--b", type=float, help="current b (two-parameter objectives)")
-    p.add_argument("--v-w", type=float, help="velocity, w component")
-    p.add_argument("--v-b", type=float, help="velocity, b component")
-    p.add_argument("--phi-w", type=float, help="gradient-square sum divisor, w component")
-    p.add_argument("--phi-b", type=float, help="gradient-square sum divisor, b component")
-    p.add_argument("--u-w", type=float, help="weighted gradient-square, w component")
-    p.add_argument("--u-b", type=float, help="weighted gradient-square, b component")
+def _defaults(fn: Callable, **extra) -> dict:
+    """``fn``'s parameter defaults overlaid with ``extra``; a dataclass value (the
+    hyperparameters, the regression sample) spreads into one entry per field."""
+    params = inspect.signature(fn).parameters.values()
+    merged = {**{p.name: p.default for p in params if p.default is not p.empty}, **extra}
+    out: dict = {}
+    for name, value in merged.items():
+        out.update(asdict(value) if is_dataclass(value) else {name: value})
+    return out
+
+
+_STATE_FLAGS = "w b v_w v_b phi_w phi_b u_w u_b"
+_TABLE2_FLAGS = "eta alpha beta epsilon init init_seed x y max_epochs tolerance f3_half_gradient format output config"
+
+# name -> (help, handler, flags in help order, per-flag argparse overrides, defaults)
+_COMMANDS = {
+    "run": (
+        "run one training configuration and emit its trace", _cmd_run,
+        "method objective policy optimize " + _TABLE2_FLAGS, {},
+        _defaults(RunConfig, hypers=DEFAULT_HYPERS, sample=DEFAULT_SAMPLE, policy="fixed", format="csv"),
+    ),
+    "optimal": (
+        "closed-form optimal hyperparameters at one state", _cmd_optimal,
+        f"method objective {_STATE_FLAGS} x y eta alpha beta epsilon f3_half_gradient",
+        {
+            "method": {"required": True},
+            "objective": {"required": True},
+            "eta": {"help": "given eta (solves the coefficient rules)"},
+            "alpha": {"help": "given alpha (solves the momentum eta rule)"},
+            "beta": {"help": "given beta (solves the rmsprop eta rule)"},
+            "f3_half_gradient": {"help": None},
+        },
+        _defaults(hyperopt.solve, epsilon=DEFAULT_HYPERS.epsilon, **dict.fromkeys(_STATE_FLAGS.split(), 0.0)),
+    ),
+    "verify": (
+        "run the numeric oracles against the closed forms", _cmd_verify,
+        "scope samples seed method", {"method": {"help": "restrict to one method"}},
+        {"scope": "all", "samples": 1000, "seed": 0},
+    ),
+    "table2": (
+        "4x3 convergence comparison against published values", _cmd_table2,
+        _TABLE2_FLAGS, {}, _defaults(reproduce_table2, format="csv"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperstep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    run = sub.add_parser("run", help="run one training configuration and emit its trace")
-    _add_options(run, _RUN_OPTIONS)
-    run.set_defaults(handler=_cmd_run)
-
-    optimal = sub.add_parser("optimal", help="closed-form optimal hyperparameters at one state")
-    optimal.add_argument("--method", type=_method_arg, required=True)
-    optimal.add_argument("--objective", type=_objective_arg, required=True)
-    _add_state_options(optimal)
-    optimal.add_argument("--x", type=float, help="regression input (f3)")
-    optimal.add_argument("--y", type=float, help="regression target (f3)")
-    optimal.add_argument("--eta", type=float, help="given eta (solves the coefficient rules)")
-    optimal.add_argument("--alpha", type=float, help="given alpha (solves the momentum eta rule)")
-    optimal.add_argument("--beta", type=float, help="given beta (solves the rmsprop eta rule)")
-    optimal.add_argument("--epsilon", type=float)
-    optimal.add_argument("--f3-half-gradient", action=argparse.BooleanOptionalAction)
-    optimal.set_defaults(handler=_cmd_optimal)
-
-    oracles = sub.add_parser("verify", help="run the numeric oracles against the closed forms")
-    oracles.add_argument("--scope", choices=verify.SCOPES)
-    oracles.add_argument("--samples", type=int)
-    oracles.add_argument("--seed", type=int)
-    oracles.add_argument("--method", type=_method_arg, help="restrict to one method")
-    oracles.set_defaults(handler=_cmd_verify)
-
-    table2 = sub.add_parser("table2", help="4x3 convergence comparison against published values")
-    _add_options(table2, _TABLE2_OPTIONS)
-    table2.set_defaults(handler=_cmd_table2)
-
+    for name, (help_text, _, flags, overrides, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for dest in flags.split():
+            convert, extras = _OPTIONS[dest]
+            extras = {**extras, **overrides.get(dest, {})}
+            typed = {} if "action" in extras else {"type": convert}
+            command.add_argument(_flag(dest), **typed, **extras)
     return parser
 
 
@@ -540,8 +501,10 @@ def _dispatch(argv: list[str] | None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    _, handler, flags, _, defaults = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        _resolve(args, flags.split(), defaults)
+        return handler(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,6 +83,10 @@ class RandomInit:
 
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"init seed must be non-negative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class HyperFlags:

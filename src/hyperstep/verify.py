@@ -202,12 +202,14 @@ def report(scope: str, samples: int, seed: int, method: Method | None = None) ->
     checks; ``method`` restricts the argmin and one-step checks to one method.
 
     Raises:
-        ValueError: on an unknown scope or a sample count below 1.
+        ValueError: on an unknown scope, a sample count below 1 or a negative seed.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     methods = [method] if method is not None else list(OPTIMIZED_HYPERS)
 
     checks: list[dict] = []

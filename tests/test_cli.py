@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from hyperstep import cli, verify
+from hyperstep import RandomInit, cli, verify
 from hyperstep.cli import EXIT_CHECK_FAILED, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, TRACE_HEADER, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,26 @@ def test_verify_rejects_sample_counts_below_one(capsys, samples):
     assert "samples must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--method", "gd", "--objective", "f1", "--init-seed", "-1"],
+        ["table2", "--init-seed", "-1"],
+        ["verify", "--scope", "gradients", "--samples", "10", "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seeds_are_rejected_by_name(capsys, argv):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        RandomInit(seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        verify.report("gradients", 10, -1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "seed must be non-negative, got -1" in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method, expected", [("adagrad", EXIT_OK), ("rmsprop", EXIT_NO_CONVERGENCE)])
 def test_coordinate_without_gradient_stays_put_at_zero_epsilon(capsys, method, expected):
@@ -466,6 +487,16 @@ def test_config_value_outside_choices_fails_before_any_work(tmp_path, monkeypatc
     assert f"config key {key!r}: invalid choice {value!r}" in err
 
 
+@pytest.mark.parametrize("argv", [["run", "--method", "gd", "--objective", "f1"], ["table2"]], ids=lambda a: a[0])
+def test_config_bad_boolean_names_its_key(tmp_path, capsys, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("f3-half-gradient = maybe\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: config key 'f3_half_gradient': expected a boolean, got 'maybe'\n"
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -499,3 +530,19 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == EXIT_OK
     assert "run" in out and "verify" in out and "table2" in out
+
+
+def test_every_golden_command_line_reproduces_its_output(capsys):
+    # the benchmark's reference outputs, run in process: exit code and stdout
+    # sha256 of every run, optimal and table2 line (table2 pins the fixed arm
+    # against the published numbers) and the gradients-scope verify lines; the
+    # eight full-scope verify lines are left to the benchmark for their time
+    golden = json.loads(GOLDEN.read_text())["cli"]
+    keys = [k for k in golden if not (k.startswith("verify") and "--scope" not in k)]
+    assert len(keys) == 244
+    wrong = []
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split(" "))
+        if [code, hashlib.sha256(out.encode()).hexdigest()] != golden[key]:
+            wrong.append(key)
+    assert wrong == []
