@@ -14,7 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -43,9 +44,9 @@ EXIT_CHECK_FAILED = 3
 
 _TRACE_COLUMNS = ("epoch", "loss", "w", "b", "eta", "alpha", "beta", "eta_flag", "alpha_flag", "beta_flag")
 TRACE_HEADER = ",".join(_TRACE_COLUMNS)
-TABLE2_HEADER = (
-    "method,objective,optimal_epoch,optimal_loss,fixed_epoch,fixed_loss,"
-    "published_optimal_epoch,published_optimal_loss,published_fixed_epoch,published_fixed_loss"
+_TABLE2_COLUMNS = (
+    "method", "objective", "optimal_epoch", "optimal_loss", "fixed_epoch", "fixed_loss",
+    "published_optimal_epoch", "published_optimal_loss", "published_fixed_epoch", "published_fixed_loss",
 )
 
 
@@ -94,32 +95,37 @@ def _fmt(value: float) -> str:
 
 
 def _csv_cell(value) -> str:
-    """Empty for None, integers (epochs) and text as they are, floats by ``_fmt``."""
+    """Empty for None, booleans as true/false, integers (epochs) and text as they are, floats by ``_fmt``."""
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (str, int)):
         return str(value)
     return _fmt(value)
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _finite_or_null(value):
+def _jsonable(value):
+    """``value`` as plain JSON data: a dataclass becomes a dict of its fields, an
+    enum its value, a set a sorted list, and a non-finite float null (the run or
+    check that made it says why), never the token Infinity or NaN, which JSON lacks."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_null(v) for v in value]
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
     return value
 
 
 def _json_text(payload) -> str:
-    """Strict JSON: a non-finite float becomes null (the run or check that made
-    it says why), never the token Infinity or NaN, which JSON lacks."""
-    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +234,32 @@ def _init_choice(args: argparse.Namespace) -> ParamPoint | RandomInit | None:
     return RandomInit(seed=args.init_seed) if args.init_seed is not None else args.init
 
 
-def _emit(args: argparse.Namespace, to_csv: Callable[[], str], to_json: Callable[[], str]) -> None:
-    text = to_csv() if args.format == "csv" else to_json()
+@contextmanager
+def _output(args: argparse.Namespace):
+    """Stdout, or the ``--output`` file: created or truncated on entry, before the
+    work, so a bad path fails at once, and closed on every path. The work inside
+    does no I/O of its own, so an ``OSError`` is the file's open, write or close."""
     if args.output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as stream:
+            yield stream
     except OSError as exc:
         raise _UsageError(f"cannot write {args.output!r}: {exc}") from None
+
+
+def _emit(out, args: argparse.Namespace, columns: tuple[str, ...], rows, payload) -> None:
+    """The CSV header and ``rows``, every cell by ``_csv_cell``, or the JSON ``payload``."""
+    if args.format == "json":
+        out.write(_json_text(payload))
+    else:
+        out.write("".join(",".join(map(_csv_cell, row)) + "\n" for row in (columns, *rows)))
+
+
+def _summary(trace: Trace) -> dict:
+    """A trace's fields but its records."""
+    return {k: v for k, v in vars(trace).items() if k != "records"}
 
 
 # ---------------------------------------------------------------------------
@@ -246,44 +269,6 @@ def _record_values(rec) -> tuple:
     """One record's values in ``_TRACE_COLUMNS`` order."""
     h, f = rec.hyper_used, rec.hyper_flags
     return (rec.epoch, rec.loss, rec.params.w, rec.params.b, h.eta, h.alpha, h.beta, f.eta, f.alpha, f.beta)
-
-
-def _render_trace_csv(trace: Trace) -> str:
-    lines = [TRACE_HEADER]
-    lines.extend(",".join(map(_csv_cell, _record_values(rec))) for rec in trace.records)
-    return "\n".join(lines) + "\n"
-
-
-def _config_echo(cfg: RunConfig, init_seed: int | None) -> dict:
-    return {
-        "method": cfg.method.value,
-        "objective": cfg.objective.value,
-        "sample": None if cfg.sample is None else asdict(cfg.sample),
-        "init": asdict(resolve_init(cfg)),
-        "init_seed": init_seed,
-        "policy": {
-            "kind": cfg.policy.kind.value,
-            "optimize": sorted(cfg.policy.optimize),
-            "base": asdict(cfg.policy.base),
-        },
-        "max_epochs": cfg.max_epochs,
-        "tolerance": cfg.tolerance,
-        "f3_half_gradient": cfg.f3_half_gradient,
-    }
-
-
-def _trace_summary(trace: Trace) -> dict:
-    return {"converged_epoch": trace.converged_epoch, "final_loss": trace.final_loss, "diverged": trace.diverged}
-
-
-def _render_artifact_json(trace: Trace, cfg: RunConfig, init_seed: int | None) -> str:
-    records = [dict(zip(_TRACE_COLUMNS, _record_values(rec))) for rec in trace.records]
-    payload = {
-        "format": "json",
-        "config": _config_echo(cfg, init_seed),
-        "trace": {"records": records, **_trace_summary(trace)},
-    }
-    return _json_text(payload)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -315,8 +300,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         method=args.method, objective=args.objective, policy=policy, sample=sample, init=init,
         max_epochs=args.max_epochs, tolerance=args.tolerance, f3_half_gradient=args.f3_half_gradient,
     )
-    trace = run_training(cfg)
-    _emit(args, lambda: _render_trace_csv(trace), lambda: _render_artifact_json(trace, cfg, args.init_seed))
+    with _output(args) as out:
+        trace = run_training(cfg)
+        rows = [_record_values(rec) for rec in trace.records]
+        records = [dict(zip(_TRACE_COLUMNS, row)) for row in rows]
+        config = {**asdict(cfg), "init": resolve_init(cfg), "init_seed": args.init_seed}
+        payload = {"format": "json", "config": config, "trace": {**_summary(trace), "records": records}}
+        _emit(out, args, _TRACE_COLUMNS, rows, payload)
     if trace.diverged:
         print("run diverged: loss, gradient or optimizer state became non-finite", file=sys.stderr)
         return EXIT_USAGE
@@ -362,6 +352,12 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     stray = [_flag(n) for n in unused if n in args.given]
     if stray:
         raise _UsageError(f"{obj.value} does not use {', '.join(stray)}")
+    for name in ("phi_w", "phi_b", "u_w", "u_b"):
+        if not getattr(args, name) >= 0.0:
+            raise _UsageError(f"{_flag(name)} must be non-negative, got {getattr(args, name)!r}")
+    # run's ranges and error texts; alpha stays free, as momentum's rules read it
+    # only as the velocity's coefficient, where any real is defined
+    HyperParams(eta=args.eta or 0.0, beta=args.beta or 0.0, epsilon=args.epsilon)
     sample = None
     if obj is ObjectiveId.F3:
         _require(args, ["x", "y"])
@@ -378,10 +374,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     known = {name: getattr(args, name) for name in ("eta", "alpha", "beta", "epsilon", "f3_half_gradient")}
     solved = [(target, hyperopt.solve(method, target, obj, state, sample, **known)) for target in wanted]
     for name, fv in solved:
-        print(
-            f"{name}: value={_fmt(fv.value)} raw={_fmt(fv.raw)} "
-            f"feasible={_fmt_bool(fv.feasible)} defined={_fmt_bool(fv.defined)}"
-        )
+        print(f"{name}: " + " ".join(f"{k}={_csv_cell(v)}" for k, v in vars(fv).items()))
     return EXIT_OK
 
 
@@ -397,40 +390,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # table2
 
-def _render_table2_csv(matrix) -> str:
-    lines = [TABLE2_HEADER]
-    for c in matrix.cells:
-        values = (
-            c.method.value, c.objective.value,
-            c.optimal.converged_epoch, c.optimal.final_loss, c.fixed.converged_epoch, c.fixed.final_loss,
-            *asdict(c.published).values(),
-        )
-        lines.append(",".join(map(_csv_cell, values)))
-    return "\n".join(lines) + "\n"
-
-
-def _render_table2_json(matrix, settings: dict) -> str:
-    cells = [
-        {
-            "method": c.method.value,
-            "objective": c.objective.value,
-            "optimal": _trace_summary(c.optimal),
-            "fixed": _trace_summary(c.fixed),
-            "published": asdict(c.published),
-        }
-        for c in matrix.cells
-    ]
-    return _json_text({"settings": settings, "cells": cells})
-
-
 def _cmd_table2(args: argparse.Namespace) -> int:
     defaults = HyperParams(args.eta, args.alpha, args.beta, args.epsilon)
     sample = RegressionSample(x=args.x, y=args.y)
     init = _init_choice(args)
     chosen = dict(tolerance=args.tolerance, max_epochs=args.max_epochs, f3_half_gradient=args.f3_half_gradient)
-    matrix = reproduce_table2(defaults=defaults, sample=sample, init=init, **chosen)
-    settings = {**asdict(defaults), **asdict(sample), "init": None if init is None else asdict(init), **chosen}
-    _emit(args, lambda: _render_table2_csv(matrix), lambda: _render_table2_json(matrix, settings))
+    # RunConfig's checks on the settings every cell shares, before --output is opened
+    RunConfig(Method.GD, ObjectiveId.F1, HyperPolicy.fixed(defaults), **chosen)
+    with _output(args) as out:
+        matrix = reproduce_table2(defaults=defaults, sample=sample, init=init, **chosen)
+        rows = [(c.method.value, c.objective.value, c.optimal.converged_epoch, c.optimal.final_loss,
+                 c.fixed.converged_epoch, c.fixed.final_loss, *vars(c.published).values()) for c in matrix.cells]
+        cells = [{**vars(c), "optimal": _summary(c.optimal), "fixed": _summary(c.fixed)} for c in matrix.cells]
+        settings = {**asdict(defaults), **asdict(sample), "init": init, **chosen}
+        _emit(out, args, _TABLE2_COLUMNS, rows, {"settings": settings, "cells": cells})
     return EXIT_OK
 
 

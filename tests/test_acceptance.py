@@ -37,6 +37,7 @@ from hyperstep import (
     step,
     verify,
 )
+from hyperstep.cli import main
 from hyperstep.optimizers import adagrad_post_view
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
@@ -270,14 +271,14 @@ def test_criterion_7_scaled_rules_reduce_to_plain_descent_exactly():
     assert mismatches == 0
 
 
-def test_criterion_8_comparison_report_is_deterministic():
-    from hyperstep.cli import _render_table2_csv
-
+def test_criterion_8_comparison_report_is_deterministic(capsys):
+    # the report as users get it: `hyperstep table2`, twice, in process
     first = reproduce_table2()
     second = reproduce_table2()
-    text_a = _render_table2_csv(first)
-    text_b = _render_table2_csv(second)
-    ok = first == second and text_a == text_b
+    code_a, text_a = main(["table2"]), capsys.readouterr().out
+    code_b, text_b = main(["table2"]), capsys.readouterr().out
+    ok = first == second and code_a == code_b == 0 and text_a == text_b
     _verdict(8, ok, "two full comparison runs render byte-identical reports")
     assert first == second
+    assert code_a == code_b == 0
     assert text_a == text_b

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from hyperstep import RandomInit, cli, verify
+from hyperstep import HyperPolicy, RandomInit, RunConfig, cli, verify
+from hyperstep.harness import ComparisonCell, PublishedCell, Trace
 from hyperstep.cli import EXIT_CHECK_FAILED, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, TRACE_HEADER, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -122,6 +124,21 @@ def test_run_json_artifact_structure(capsys):
     assert doc["trace"]["records"][0]["eta_flag"] == ""
 
 
+def test_run_json_config_follows_the_dataclasses(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--method", "rmsprop", "--objective", "f3", "--policy", "optimal",
+        "--init-seed", "3", "--format", "json",
+    )
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    config = json.loads(out)["config"]
+    assert set(config) == {f.name for f in fields(RunConfig)} | {"init_seed"}
+    assert set(config["policy"]) == {f.name for f in fields(HyperPolicy)}
+    assert config["policy"]["kind"] == "optimal_per_epoch"
+    assert config["policy"]["optimize"] == ["beta", "eta"]
+    assert config["init_seed"] == 3
+    assert set(config["init"]) == {"w", "b"}  # the drawn point, not the seed
+
+
 def test_run_output_file(tmp_path, capsys):
     target = tmp_path / "trace.csv"
     code, out, _ = run_cli(
@@ -210,6 +227,38 @@ def test_optimal_subcommand_requires_a_given_hyper(capsys):
         "--w", "0.3", "--v-w", "0.1",
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method", "adagrad", "--objective", "f1", "--phi-w", "0.1", "--epsilon", "-1"],
+         "epsilon must be a finite non-negative real, got -1.0"),
+        (["--method", "adagrad", "--objective", "f1", "--phi-w", "-1"], "--phi-w must be non-negative, got -1.0"),
+        (["--method", "adagrad", "--objective", "f2", "--phi-w", "0.1", "--phi-b", "-0.5"],
+         "--phi-b must be non-negative, got -0.5"),
+        (["--method", "rmsprop", "--objective", "f1", "--w", "0.3", "--u-w", "0.2", "--eta", "0.1", "--beta", "2"],
+         "beta must lie in [0, 1], got 2.0"),
+        (["--method", "rmsprop", "--objective", "f1", "--w", "0.3", "--u-w", "-0.2", "--eta", "0.1"],
+         "--u-w must be non-negative, got -0.2"),
+        (["--method", "rmsprop", "--objective", "f2", "--w", "0.3", "--u-w", "0.2", "--b", "0.1", "--u-b", "nan",
+          "--beta", "0.5"], "--u-b must be non-negative, got nan"),
+        (["--method", "momentum", "--objective", "f1", "--w", "0.3", "--v-w", "0.1", "--alpha", "0.5", "--eta", "-1"],
+         "eta must be a finite non-negative real, got -1.0"),
+        (["--method", "gd", "--objective", "f1", "--eta", "inf"], "eta must be a finite non-negative real, got inf"),
+    ],
+    ids=["epsilon", "phi-w", "phi-b", "beta", "u-w", "u-b-nan", "eta", "eta-inf"],
+)
+def test_optimal_subcommand_rejects_values_outside_their_ranges(capsys, argv, message):
+    code, out, err = run_cli(capsys, "optimal", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+    hyper = re.match(r"(eta|beta|epsilon) ", message)
+    if hyper:  # the same range and text as a run's step setting
+        value = argv[argv.index(f"--{hyper[1]}") + 1]
+        run_argv = ["run", "--method", "rmsprop", "--objective", "f1", f"--{hyper[1]}", value]
+        assert run_cli(capsys, *run_argv)[2] == err
 
 
 def test_verify_gradients_scope(capsys):
@@ -379,6 +428,10 @@ def test_table2_json_structure(capsys):
     assert first["optimal"]["converged_epoch"] == 2
     assert first["published"]["fixed_epoch"] == 63
     assert doc["settings"]["f3_half_gradient"] is True
+    # each cell is a ComparisonCell, its arms Traces without their records
+    assert set(first) == {f.name for f in fields(ComparisonCell)}
+    assert set(first["published"]) == {f.name for f in fields(PublishedCell)}
+    assert set(first["optimal"]) == set(first["fixed"]) == {f.name for f in fields(Trace)} - {"records"}
 
 
 def test_config_file_fills_unset_flags(tmp_path, capsys):
@@ -485,6 +538,41 @@ def test_config_value_outside_choices_fails_before_any_work(tmp_path, monkeypatc
     assert code == EXIT_USAGE
     assert out == ""
     assert f"config key {key!r}: invalid choice {value!r}" in err
+
+
+@pytest.mark.parametrize("argv", [["run", "--method", "gd", "--objective", "f1"], ["table2"]], ids=lambda a: a[0])
+def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --output was opened")
+
+    monkeypatch.setattr(cli, "reproduce_table2", no_work)
+    monkeypatch.setattr(cli, "run_training", no_work)
+    target = str(tmp_path / "missing" / "out.csv")
+    code, out, err = run_cli(capsys, *argv, "--output", target)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target!r}: ")
+
+
+def test_output_file_is_truncated_and_closed_when_the_work_fails(tmp_path, monkeypatch, capsys):
+    def failing_run(cfg):
+        raise ValueError("the run failed")
+
+    monkeypatch.setattr(cli, "run_training", failing_run)
+    target = tmp_path / "trace.csv"
+    target.write_text("stale\n")
+    code, out, err = run_cli(capsys, "run", "--method", "gd", "--objective", "f1", "--output", str(target))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: the run failed\n")
+    assert target.read_text() == ""  # created or truncated up front, as a shell redirect is
+
+
+@pytest.mark.parametrize("argv", [["run", "--method", "gd", "--objective", "f1"], ["table2"]], ids=lambda a: a[0])
+def test_invalid_settings_leave_the_output_file_alone(tmp_path, capsys, argv):
+    target = tmp_path / "kept.csv"
+    target.write_text("kept\n")
+    code, out, err = run_cli(capsys, *argv, "--max-epochs", "0", "--output", str(target))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: max_epochs must be at least 1, got 0\n")
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [["run", "--method", "gd", "--objective", "f1"], ["table2"]], ids=lambda a: a[0])
