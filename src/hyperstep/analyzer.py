@@ -10,8 +10,11 @@ one curve, and ``_search`` drives all the curves in lockstep, a uniform scan
 then golden-section refinement, each to the result it gets searched alone.
 ``finite_diff_gradient`` plays the same role for the analytic gradients.
 
-Evaluation threads numpy arrays through the real step function, so the
-dynamics being minimized are exactly the ones a training run would take.
+Evaluation threads numpy arrays through the real update, so the dynamics
+being minimized are exactly the ones a training run would take. The state
+does not move during a search, so ``_argmin`` takes its checked gradient
+once and applies the method's rule to it at each curve point: the two parts
+``optimizers.step`` runs in sequence.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from .objectives import (
     ParamPoint,
     RegressionSample,
     evaluate,
-    gradient,
 )
-from .optimizers import HyperParams, Method, OptimizerState, PerCoord, step
+from .optimizers import HyperParams, Method, OptimizerState, PerCoord, _apply_rule, _checked_gradient, step
 
 HyperName = Literal["eta", "alpha", "beta"]
 
@@ -128,13 +130,12 @@ def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerStat
 
 
 def _post_step_losses(
-    method: Method, obj: ObjectiveId, hyper: HyperParams,
-    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
+    obj: ObjectiveId, sample: RegressionSample | None, advance: Callable[[], OptimizerState]
 ) -> np.ndarray:
+    """The loss at the state ``advance()`` steps to."""
     # overflow surfaces as the ValueError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        stepped = step(method, state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
-        losses = np.asarray(evaluate(obj, stepped.params, sample))
+        losses = np.asarray(evaluate(obj, advance().params, sample))
     if not np.all(np.isfinite(losses)):
         raise ValueError("non-finite loss at a sample point")
     return losses
@@ -159,7 +160,11 @@ def mean_post_step_error(
         ValueError: if any sampled point produces a non-finite loss.
     """
     state = _sampled_state(obj, spec, state_template)
-    return float(np.mean(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)))
+
+    def advance() -> OptimizerState:
+        return step(method, state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
+
+    return float(np.mean(_post_step_losses(obj, sample, advance)))
 
 
 def _search(curve: Callable[[np.ndarray], np.ndarray], n: int) -> list[ArgminResult]:
@@ -215,20 +220,30 @@ def _search(curve: Callable[[np.ndarray], np.ndarray], n: int) -> list[ArgminRes
     return [ArgminResult(x, v, (a, b), e, f, m) for x, v, a, b, e, f, m in found]
 
 
+def _gradient_at(
+    state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, f3_half_gradient: bool
+) -> GradientVector:
+    """The checked gradient a search steps every curve point with."""
+    # overflow surfaces as NonFiniteGradientError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked_gradient(state, obj, sample, f3_half_gradient)
+
+
 def _argmin(
     method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
-    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
+    sample: RegressionSample | None, state: OptimizerState, g: GradientVector,
 ) -> list[ArgminResult]:
     """Search [0, 1] for the ``target`` value minimizing the mean one-step loss
     along each row of ``state``: one curve per row of a 2-D state, a single
     curve for a 1-D (sampled grid) or scalar one. ``fixed`` holds floats or
-    (rows, 1) arrays."""
+    (rows, 1) arrays; ``g`` is ``_gradient_at(state, ...)``."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
 
     def curve(t: np.ndarray) -> np.ndarray:
         hyper = replace(fixed, **{target: t[:, None]})
-        return np.atleast_2d(_post_step_losses(method, obj, hyper, sample, state, f3_half_gradient)).mean(axis=1)
+        losses = _post_step_losses(obj, sample, lambda: _apply_rule(method, state, hyper, g))
+        return np.atleast_2d(losses).mean(axis=1)
 
     return _search(curve, np.atleast_2d(state.params.w).shape[0])
 
@@ -251,7 +266,8 @@ def argmin_hyper(
     curves.
     """
     state = _sampled_state(obj, spec, state_template)
-    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient)[0]
+    g = _gradient_at(state, obj, sample, f3_half_gradient)
+    return _argmin(method, obj, target, fixed, sample, state, g)[0]
 
 
 def pointwise_argmin_hyper(
@@ -278,9 +294,9 @@ def _pointwise_argmins(
     sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
 ) -> list[ArgminResult]:
     """``pointwise_argmin_hyper`` from each row of a state of (rows, 1) arrays, in one search."""
+    g = _gradient_at(state, obj, sample, f3_half_gradient)
     if method is Method.ADAGRAD:
-        g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
         phi = state.grad_sq_sum
         pre_b = None if g.d_b is None else phi.b - g.d_b * g.d_b
         state = replace(state, grad_sq_sum=PerCoord(w=phi.w - g.d_w * g.d_w, b=pre_b))
-    return _argmin(method, obj, target, fixed, sample, state, f3_half_gradient)
+    return _argmin(method, obj, target, fixed, sample, state, g)

@@ -1,9 +1,12 @@
 """One-step update rules for four gradient descent variants.
 
-``step`` is the one update path. It checks the state against the objective,
-refuses a non-finite gradient, and applies the method's per-coordinate rule
+``step`` is the one update path, two parts run in sequence.
+``_checked_gradient`` checks the state against the objective and refuses a
+non-finite gradient; ``_apply_rule`` applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b.
 ``_RULES`` maps each method to that rule and to the state slot it advances.
+A direct search, whose state does not move, takes the first part once and
+the second at every curve point.
 Coordinates may be floats or equally shaped numpy arrays. A step never
 mutates its input and advances the epoch by exactly one.
 
@@ -137,8 +140,12 @@ def _heavy_ball(c, v, g, hyper):
 
 def _scaled(c, acc, g, hyper):
     # adagrad's and rmsprop's tail: divide by the freshly updated accumulator.
-    # A coordinate with no gradient stays put, even where acc + epsilon is 0.
-    return c - hyper.eta * g / np.sqrt(acc + hyper.epsilon + (g == 0)), acc
+    # Where acc + epsilon is 0 and so is g * g (g = 0, or a subnormal g whose
+    # square underflows), the divisor is 1: the coordinate takes the plain
+    # descent step -eta * g, nothing or a subnormal one. A gradient whose square
+    # registers still divides by a zero divisor.
+    s = acc + hyper.epsilon
+    return c - hyper.eta * g / np.sqrt(s + (s + g * g == 0)), acc
 
 
 def _accumulated(c, phi, g, hyper):
@@ -159,6 +166,30 @@ _RULES = {
 _NO_SLOT = PerCoord()
 
 
+def _checked_gradient(
+    state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, f3_half_gradient: bool
+) -> GradientVector:
+    """The gradient ``step`` consumes at ``state``: arity checked, finite."""
+    _check_arity(state, obj)
+    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    _require_finite(g)
+    return g
+
+
+def _apply_rule(method: Method, state: OptimizerState, hyper: HyperParams, g: GradientVector) -> OptimizerState:
+    """``state`` advanced by ``method``'s rule on the checked gradient ``g``."""
+    name, rule = _RULES[method]
+    slots = {
+        "velocity": state.velocity, "grad_sq_sum": state.grad_sq_sum, "weighted_grad_sq": state.weighted_grad_sq
+    }
+    slot = _NO_SLOT if name is None else slots[name]
+    w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
+    b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
+    if name is not None:
+        slots[name] = PerCoord(slot_w, slot_b)
+    return OptimizerState(ParamPoint(w, b), epoch=state.epoch + 1, **slots)
+
+
 def step(
     method: Method,
     state: OptimizerState,
@@ -174,15 +205,7 @@ def step(
         ValueError: if a state slot's arity does not match ``obj``.
         NonFiniteGradientError: if the gradient at ``state`` is not finite.
     """
-    _check_arity(state, obj)
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
-    _require_finite(g)
-    name, rule = _RULES[method]
-    slot = _NO_SLOT if name is None else getattr(state, name)
-    w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
-    b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
-    advanced = {} if name is None else {name: PerCoord(w=slot_w, b=slot_b)}
-    return replace(state, params=ParamPoint(w=w, b=b), epoch=state.epoch + 1, **advanced)
+    return _apply_rule(method, state, hyper, _checked_gradient(state, obj, sample, f3_half_gradient))
 
 
 # The four rules by name: ``step`` with the method fixed.

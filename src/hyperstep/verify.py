@@ -1,19 +1,21 @@
 """Numeric oracle checks of the closed forms, assembled into one report.
 
-Every check draws its states from a seeded generator through one sampler,
-``_draw_state`` (accumulators from ``_draw_accumulator``), so a report is a
-pure function of its arguments; the acceptance tests draw through the same
-helpers. ``_obj_sample`` picks each objective's regression sample, the beta
-rule's included, and ``_row`` writes every report row. The argmin and
-gradient checks draw one by one, then search or evaluate all draws as
-arrays. Hyperstep functions are looked up as module attributes at call time
+Every check draws from a seeded generator through one sampler, ``_draw``: a
+table of draws per (objective, target) as one block, each column laid out
+by ``_state_columns`` and the check's extra columns, and each row the
+values one draw after another would give. So a report is a pure function
+of its arguments; the acceptance tests draw through the same sampler, one
+row at a time. ``_state`` reads a state from a row (floats) or from the
+columns (arrays). ``_obj_sample`` picks each objective's regression sample,
+the beta rule's included, and ``_row`` writes every report row. The
+closed forms are solved row by row; the argmin, one-step and gradient
+checks then search, step or evaluate all kept rows as arrays. Hyperstep
+functions are looked up as module attributes at call time
 (``optimizers.step``, ...), so a wrapper bound in their home module also
 sees the calls made from here.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -33,29 +35,40 @@ _EPSILON = 1e-8
 _BETA_SAMPLE = RegressionSample(x=1.0, y=0.3)  # common-gradient point for the beta rule
 
 
-def _unit_open(rng: np.random.Generator) -> float:
-    # uniform draw from (0, 1]
-    return 1.0 - float(rng.random())
+# A column is the (lo, hi) its values lo + (hi - lo) * u take, u from [0, 1).
+_UNIT = (0.0, 1.0)
+_VELOCITY = (-0.5, 0.5)
+_OPEN_UNIT = (1.0, 0.0)  # 1 - u: an accumulator, from (0, 1]
 
 
-def _uniform(rng: np.random.Generator, obj: ObjectiveId, lo: float, hi: float) -> list[float]:
-    # one draw per coordinate: w, then b if the objective has one
-    return [float(rng.uniform(lo, hi)) for _ in range(obj.arity)]
+def _draw(rng: np.random.Generator, n: int, columns: list[tuple[float, float]]) -> np.ndarray:
+    """An (n, len(columns)) table of draws from one ``rng.random`` call; row i
+    holds, bit for bit, what the i-th of n successive one-row tables would."""
+    lo, hi = np.array(columns).T
+    return lo + (hi - lo) * rng.random((n, len(columns)))
 
 
-def _draw_accumulator(rng: np.random.Generator, obj: ObjectiveId, shared: bool = False) -> PerCoord:
-    # ``shared``: one value for both coordinates, as the rmsprop beta rule assumes
-    w = _unit_open(rng)
-    return PerCoord(w=w, b=None if obj.arity == 1 else w if shared else _unit_open(rng))
+def _state_columns(obj: ObjectiveId, common_u: bool = False) -> list[tuple[float, float]]:
+    """The columns of one state, w then b of each slot: params, velocity,
+    grad_sq_sum, weighted_grad_sq; ``common_u`` draws one weighted_grad_sq for
+    both coordinates, as the rmsprop beta rule assumes."""
+    a = obj.arity
+    return [_UNIT] * a + [_VELOCITY] * a + [_OPEN_UNIT] * (a + (1 if common_u else a))
 
 
-def _draw_state(rng: np.random.Generator, obj: ObjectiveId, common_u: bool = False) -> OptimizerState:
-    return OptimizerState(
-        params=ParamPoint(*_uniform(rng, obj, 0.0, 1.0)),
-        velocity=PerCoord(*_uniform(rng, obj, -0.5, 0.5)),
-        grad_sq_sum=_draw_accumulator(rng, obj),
-        weighted_grad_sq=_draw_accumulator(rng, obj, shared=common_u),
-    )
+def _common_u(obj: ObjectiveId, u) -> PerCoord:
+    return PerCoord(w=u, b=None if obj.arity == 1 else u)
+
+
+def _state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerState:
+    """The state laid out by ``_state_columns(obj, common_u)`` at the head of
+    ``values``: one row of a table (floats) or its columns (arrays)."""
+    if obj.arity == 1:
+        w, v, phi, u = values[:4]
+        return OptimizerState(ParamPoint(w), PerCoord(v), PerCoord(phi), PerCoord(u))
+    w, b, v_w, v_b, phi_w, phi_b, u_w = values[:7]
+    u_b = u_w if common_u else values[7]
+    return OptimizerState(ParamPoint(w, b), PerCoord(v_w, v_b), PerCoord(phi_w, phi_b), PerCoord(u_w, u_b))
 
 
 def _obj_sample(obj: ObjectiveId, target: str = "eta") -> RegressionSample | None:
@@ -79,9 +92,8 @@ def _row(name: str, tolerance: float, worst: float, ok: bool, **counts) -> dict:
 def _check_gradients(samples: int, seed: int) -> list[dict]:
     checks = []
     for obj in ObjectiveId:
-        rng = np.random.default_rng(seed)
         s = _obj_sample(obj)
-        p = ParamPoint(*map(np.array, zip(*(_uniform(rng, obj, 0.0, 1.0) for _ in range(samples)))))
+        p = ParamPoint(*_draw(np.random.default_rng(seed), samples, [_UNIT] * obj.arity).T)
         a = analyzer.finite_diff_gradient(obj, p, s)
         g = objectives.gradient(obj, p, s)
         pairs = zip((a.d_w, a.d_b), (g.d_w, g.d_b))
@@ -115,14 +127,9 @@ def check_argmin_gd(seed: int = 0) -> dict:
     return _row("argmin/gd", _ARGMIN_TOL, worst, True)
 
 
-def _stacked(items: list):
-    """Alike dataclasses of floats as one of (rows, 1) arrays; None and the epoch carry over."""
-    first = items[0]
-    if isinstance(first, float):
-        return np.array(items)[:, None]
-    if not is_dataclass(first):
-        return first
-    return replace(first, **{f.name: _stacked([getattr(x, f.name) for x in items]) for f in fields(first)})
+def _pointwise_columns(obj: ObjectiveId, target: str) -> list[tuple[float, float]]:
+    # per draw: the state, then the fixed eta, alpha and beta
+    return _state_columns(obj, common_u=target == "beta") + [_UNIT] * 3
 
 
 def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict:
@@ -135,24 +142,27 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
         half = obj is ObjectiveId.F3
         for target in sorted(OPTIMIZED_HYPERS[method]):
             sample = _obj_sample(obj, target)
-            rng = np.random.default_rng(seed)
+            common = target == "beta"
+            table = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target))
             defined = 0
-            kept = []
-            for _ in range(states):
+            kept, solved = [], []
+            for i, row in enumerate(table.tolist()):
                 # adagrad's state is read as the post-accumulation view on both sides
-                state = _draw_state(rng, obj, common_u=target == "beta")
-                fixed = HyperParams(*(float(rng.uniform(0.0, 1.0)) for _ in range(3)), epsilon=_EPSILON)
-                fv = hyperopt.solve(method, target, obj, state, sample, **asdict(fixed), f3_half_gradient=half)
+                eta, alpha, beta = row[-3:]
+                fv = hyperopt.solve(
+                    method, target, obj, _state(obj, row, common), sample,
+                    eta=eta, alpha=alpha, beta=beta, epsilon=_EPSILON, f3_half_gradient=half,
+                )
                 defined += int(fv.defined)
                 if fv.defined and fv.feasible:
-                    kept.append((fixed, state, fv.value))
+                    kept.append(i)
+                    solved.append(fv.value)
             min_defined = min(min_defined, defined / states)
             if not kept:
                 continue
-            fixed, drawn, solved = zip(*kept)
-            found = analyzer._pointwise_argmins(
-                method, obj, target, _stacked(fixed), sample, _stacked(drawn), half
-            )
+            columns = table[kept].T[..., None]  # each a (rows, 1) array
+            fixed = HyperParams(*columns[-3:], epsilon=_EPSILON)
+            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, _state(obj, columns, common), half)
             worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, solved)))
             compared += len(kept)
     return _row(
@@ -161,37 +171,56 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
     )
 
 
+def _one_step_columns(obj: ObjectiveId, coefficient: str | None) -> list[tuple[float, float]]:
+    # per draw: the state; with a coefficient, it and then eta; for beta, its common accumulator
+    extra = {None: [], "alpha": [_UNIT, _UNIT], "beta": [_UNIT, _UNIT, _OPEN_UNIT]}[coefficient]
+    return _state_columns(obj) + extra
+
+
+def _one_step_draw(obj: ObjectiveId, values, coefficient: str | None, target: str) -> tuple[OptimizerState, dict]:
+    """The state a one-step draw steps from for ``target``, and its given hyperparameters."""
+    at = _state(obj, values)
+    if target == "beta":
+        at = OptimizerState(at.params, at.velocity, at.grad_sq_sum, _common_u(obj, values[-1]))
+    given = {"eta": 0.0, "alpha": 0.0, "beta": 0.0}
+    if coefficient is not None:
+        k = 4 * obj.arity  # past the state's columns
+        given[coefficient], given["eta"] = values[k], values[k + 1]
+    return at, given
+
+
 def _check_one_step(method: Method, samples: int, seed: int) -> dict:
-    """Worst post-step loss using closed-form values, over defined+feasible draws."""
+    """Worst post-step loss using closed-form values, over defined+feasible draws;
+    each value is solved per draw, then all kept draws take one array step."""
     coefficient = next(iter(OPTIMIZED_HYPERS[method] - {"eta"}), None)
     targets = ("eta",) if coefficient is None else ("eta", coefficient)
     worst = 0.0
     tested = 0
     for obj in ObjectiveId:
         half = obj is ObjectiveId.F3
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            state = _draw_state(rng, obj)
-            given = {"eta": 0.0, "alpha": 0.0, "beta": 0.0}
-            if coefficient is not None:
-                given[coefficient] = float(rng.uniform(0.0, 1.0))
-                given["eta"] = float(rng.uniform(0.0, 1.0))
-            for target in targets:
-                at, sample = state, _obj_sample(obj, target)
-                if target == "beta":
-                    at = replace(state, weighted_grad_sq=_draw_accumulator(rng, obj, shared=True))
+        table = _draw(np.random.default_rng(seed), samples, _one_step_columns(obj, coefficient))
+        rows = table.tolist()
+        for target in targets:
+            sample = _obj_sample(obj, target)
+            kept, solved = [], []
+            for i, row in enumerate(rows):
+                at, given = _one_step_draw(obj, row, coefficient, target)
                 view = at
                 if method is Method.ADAGRAD:
                     view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=half)
                 fv = hyperopt.solve(
                     method, target, obj, view, sample, **given, epsilon=_EPSILON, f3_half_gradient=half
                 )
-                if not (fv.defined and fv.feasible):
-                    continue
-                hyper = HyperParams(**{**given, target: fv.value}, epsilon=_EPSILON)
-                stepped = optimizers.step(method, at, hyper, obj, sample, f3_half_gradient=half)
-                worst = max(worst, float(objectives.evaluate(obj, stepped.params, sample)))
-                tested += 1
+                if fv.defined and fv.feasible:
+                    kept.append(i)
+                    solved.append(fv.value)
+            if not kept:
+                continue
+            at, given = _one_step_draw(obj, table[kept].T, coefficient, target)
+            hyper = HyperParams(**{**given, target: np.array(solved)}, epsilon=_EPSILON)
+            stepped = optimizers.step(method, at, hyper, obj, sample, f3_half_gradient=half)
+            worst = max(worst, float(np.max(objectives.evaluate(obj, stepped.params, sample))))
+            tested += len(kept)
     return _row(f"one-step/{method.value}", _ONE_STEP_TOL, worst, tested > 0, tested=tested)
 
 

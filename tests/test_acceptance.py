@@ -117,12 +117,14 @@ def test_criterion_3_closed_forms_are_one_step_exact():
                     )
                 else:
                     sample = None
-                state = verify._draw_state(rng, obj)
+                # one row: the state, then for the beta rule a common accumulator
+                columns = verify._state_columns(obj) + ([verify._OPEN_UNIT] if beta_path else [])
+                drawn = verify._draw(rng, 1, columns)[0].tolist()
+                state = verify._state(obj, drawn)
                 if beta_path:
                     # the beta rule needs a common accumulator, and at f3 the
                     # common gradient holds only at x = 1
-                    u = verify._draw_accumulator(rng, obj, shared=True)
-                    state = replace(state, weighted_grad_sq=u)
+                    state = replace(state, weighted_grad_sq=verify._common_u(obj, drawn[-1]))
                     if obj is F3:
                         sample = RegressionSample(x=1.0, y=float(rng.uniform(0, 1)))
                 for hyper in _one_step_trials(method, obj, state, sample, rng):
@@ -243,9 +245,8 @@ def test_criterion_7_scaled_rules_reduce_to_plain_descent_exactly():
     checked = 0
     for obj in OBJECTIVES:
         sample = DEFAULT_SAMPLE if obj is F3 else None
-        rng = np.random.default_rng(400)
-        for _ in range(100):
-            state = verify._draw_state(rng, obj)
+        for row in verify._draw(np.random.default_rng(400), 100, verify._state_columns(obj)).tolist():
+            state = verify._state(obj, row)
             base = optimal_lr_gd(obj, state, sample).raw
             checked += 1
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperstep import (
+    DEFAULT_HYPERS,
     HyperParams,
     Method,
     ObjectiveId,
@@ -19,9 +20,11 @@ from hyperstep import (
     analyzer,
     argmin_hyper,
     default_sampling,
+    evaluate,
     finite_diff_gradient,
     mean_post_step_error,
     pointwise_argmin_hyper,
+    step,
     verify,
 )
 
@@ -240,12 +243,45 @@ def test_one_lockstep_search_reproduces_every_single_curve_result():
 def test_batched_pointwise_search_equals_per_state_searches(method, target):
     # the third state has a zero gradient, so its curve is flat beside curved ones
     rng = np.random.default_rng(5)
-    states = [verify._draw_state(rng, F2) for _ in range(6)]
-    states[2] = replace(states[2], params=ParamPoint(w=0.3, b=-0.3))
-    hypers = [HyperParams(*(float(rng.uniform(0.0, 1.0)) for _ in range(3))) for _ in states]
+    states = verify._draw(rng, 6, verify._state_columns(F2))
+    states[2, :2] = (0.3, -0.3)
+    hypers = verify._draw(rng, 6, [verify._UNIT] * 3)
     batched = analyzer._pointwise_argmins(
-        method, F2, target, verify._stacked(hypers), None, verify._stacked(states), False
+        method, F2, target, HyperParams(*hypers.T[..., None]), None, verify._state(F2, states.T[..., None]), False
     )
-    single = [pointwise_argmin_hyper(method, F2, target, h, None, s) for h, s in zip(hypers, states)]
+    single = [
+        pointwise_argmin_hyper(method, F2, target, HyperParams(*h), None, verify._state(F2, s))
+        for h, s in zip(hypers.tolist(), states.tolist())
+    ]
     assert batched[2].flat
     assert [repr(r) for r in batched] == [repr(r) for r in single]
+
+
+# Two routes to the same number: a search steps every curve point with the
+# gradient it took once; mean_post_step_error and step take the full update.
+
+
+@pytest.mark.parametrize("obj, sample", verify._GD_ARGMIN_CASES, ids=["f1", "f2", "f3-x0.3", "f3-x1", "f3-x2"])
+def test_gd_argmin_min_value_is_the_mean_error_at_its_argmin(obj, sample):
+    template = OptimizerState.initial(ParamPoint(w=0.0, b=0.0 if obj.arity == 2 else None))
+    spec = default_sampling(obj)
+    res = argmin_hyper(GD, obj, "eta", DEFAULT_HYPERS, sample, spec, template, f3_half_gradient=True)
+    at = replace(DEFAULT_HYPERS, eta=res.argmin)
+    mean = mean_post_step_error(GD, obj, at, sample, spec, template, f3_half_gradient=True)
+    assert res.min_value.hex() == mean.hex()
+
+
+@pytest.mark.parametrize("obj", [F1, F2, F3], ids=lambda o: o.value)
+@pytest.mark.parametrize(
+    "method, target",
+    [(Method.MOMENTUM, "eta"), (Method.MOMENTUM, "alpha"), (Method.RMSPROP, "eta"), (Method.RMSPROP, "beta")],
+)
+def test_pointwise_min_value_is_the_loss_after_a_step_at_its_argmin(method, target, obj):
+    sample, half = verify._obj_sample(obj, target), obj is F3
+    for row in verify._draw(np.random.default_rng(0), 4, verify._pointwise_columns(obj, target)).tolist():
+        state = verify._state(obj, row, common_u=target == "beta")
+        fixed = HyperParams(*row[-3:])
+        res = pointwise_argmin_hyper(method, obj, target, fixed, sample, state, f3_half_gradient=half)
+        out = step(method, state, replace(fixed, **{target: res.argmin}), obj, sample, f3_half_gradient=half)
+        assert not res.flat
+        assert res.min_value.hex() == float(evaluate(obj, out.params, sample)).hex()

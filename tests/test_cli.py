@@ -623,13 +623,12 @@ def test_help_exits_cleanly(capsys):
 def test_every_golden_command_line_reproduces_its_output(capsys):
     # the benchmark's reference outputs, run in process: exit code and stdout
     # sha256 of every run, optimal and table2 line (table2 pins the fixed arm
-    # against the published numbers) and the gradients-scope verify lines; the
-    # eight full-scope verify lines are left to the benchmark for their time
+    # against the published numbers) and every verify line, the eight
+    # full-scope ones included
     golden = json.loads(GOLDEN.read_text())["cli"]
-    keys = [k for k in golden if not (k.startswith("verify") and "--scope" not in k)]
-    assert len(keys) == 244
+    assert len(golden) == 252
     wrong = []
-    for key in keys:
+    for key in golden:
         code, out, _ = run_cli(capsys, *key.split(" "))
         if [code, hashlib.sha256(out.encode()).hexdigest()] != golden[key]:
             wrong.append(key)

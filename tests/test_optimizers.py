@@ -96,6 +96,23 @@ def test_zero_gradient_coordinate_stays_put_at_zero_epsilon(method, array):
     assert np.all(getattr(out, name).b > 0.0)
 
 
+@pytest.mark.parametrize("method", [Method.ADAGRAD, Method.RMSPROP])
+@pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+def test_subnormal_gradient_at_zero_epsilon_takes_a_plain_descent_step(method, array):
+    # f2's gradient at (1e-310, 0) is 2e-310 on both coordinates; its square
+    # underflows to 0, so at epsilon = 0 the divisor is 1 and not sqrt(0)
+    coord = (lambda v: np.array([v, v])) if array else (lambda v: v)
+    state = OptimizerState.initial(ParamPoint(coord(1e-310), coord(0.0)))
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        out = step(method, state, HyperParams(0.1, epsilon=0.0), F2)
+    g = 2e-310
+    name = "grad_sq_sum" if method is Method.ADAGRAD else "weighted_grad_sq"
+    assert np.all(out.params.w == 1e-310 - 0.1 * g)
+    assert np.all(out.params.b == 0.0 - 0.1 * g)
+    assert np.all(getattr(out, name).w == 0.0)
+    assert np.all(getattr(out, name).b == 0.0)
+
+
 def test_zero_divisor_with_a_gradient_still_diverges():
     # beta = 1 keeps u at 0, so the step divides a nonzero gradient by 0
     state = make_state(0.3, u_w=0.0)
@@ -291,7 +308,7 @@ def _row_state(columns, obj, i=None):
 def test_array_step_equals_per_row_scalar_steps(method, obj, half, rows, x, y, hyper):
     columns = list(zip(*rows))
     sample = RegressionSample(x=x, y=y) if obj is F3 else None
-    with np.errstate(divide="ignore", invalid="ignore"):  # epsilon = 0 with an underflowing g * g divides by 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # beta = 1 with u = 0 at epsilon = 0 divides by 0
         batched = step(method, _row_state(columns, obj), hyper, obj, sample, f3_half_gradient=half)
         for i in range(len(rows)):
             single = step(method, _row_state(columns, obj, i), hyper, obj, sample, f3_half_gradient=half)
