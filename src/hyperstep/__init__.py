@@ -1,6 +1,10 @@
 """Gradient-descent laboratory: four update rules on three quadratic
 objectives, closed-form per-state optimal hyperparameters, numeric oracles
 that validate those closed forms, and a convergence comparison harness.
+
+The oracles (``analyzer``) are the only public names that need numpy; they
+are imported on first access, so a process that never touches them never
+imports numpy.
 """
 
 from .objectives import (
@@ -35,16 +39,6 @@ from .hyperopt import (
     optimal_momentum_coef,
     solve,
 )
-from .analyzer import (
-    ArgminResult,
-    SamplingMode,
-    SamplingSpec,
-    argmin_hyper,
-    default_sampling,
-    finite_diff_gradient,
-    mean_post_step_error,
-    pointwise_argmin_hyper,
-)
 from .harness import (
     DEFAULT_HYPERS,
     DEFAULT_SAMPLE,
@@ -67,6 +61,29 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+_ANALYZER_NAMES = (
+    "ArgminResult",
+    "SamplingMode",
+    "SamplingSpec",
+    "argmin_hyper",
+    "default_sampling",
+    "finite_diff_gradient",
+    "mean_post_step_error",
+    "pointwise_argmin_hyper",
+)
+
+
+def __getattr__(name: str):
+    if name in _ANALYZER_NAMES:
+        from . import analyzer
+
+        return getattr(analyzer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ANALYZER_NAMES})
 
 __all__ = [
     "GradientVector",

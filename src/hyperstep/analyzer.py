@@ -33,7 +33,16 @@ from .objectives import (
     RegressionSample,
     evaluate,
 )
-from .optimizers import HyperParams, Method, OptimizerState, PerCoord, _apply_rule, _checked_gradient, step
+from .optimizers import (
+    HyperParams,
+    Method,
+    OptimizerState,
+    PerCoord,
+    _apply_rule,
+    _checked_gradient,
+    _unchecked_hyper,
+    step,
+)
 
 HyperName = Literal["eta", "alpha", "beta"]
 
@@ -239,9 +248,13 @@ def _argmin(
     (rows, 1) arrays; ``g`` is ``_gradient_at(state, ...)``."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
+    # HyperParams' range checks, once per search, on the other values as ``fixed``
+    # holds them now (an array may have changed since it was checked); every
+    # search point in [0, 1] lies in each target's range, so the points skip them
+    values = vars(replace(fixed, **{target: 0.0}))
 
     def curve(t: np.ndarray) -> np.ndarray:
-        hyper = replace(fixed, **{target: t[:, None]})
+        hyper = _unchecked_hyper({**values, target: t[:, None]})
         losses = _post_step_losses(obj, sample, lambda: _apply_rule(method, state, hyper, g))
         return np.atleast_2d(losses).mean(axis=1)
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .objectives import ObjectiveId, ParamPoint, RegressionSample
 from .optimizers import HyperParams, Method, OptimizerState, PerCoord
-from . import hyperopt, verify
+from . import hyperopt
 from .harness import (
     DEFAULT_HYPERS,
     DEFAULT_SAMPLE,
@@ -172,7 +172,7 @@ _OPTIONS = {
     "format": (str, {"choices": ["csv", "json"]}),
     "output": (str, {"help": "write the output here instead of stdout"}),
     "config": (str, {"help": "flat key=value file supplying any of the above"}),
-    "scope": (str, {"choices": verify.SCOPES}),
+    "scope": (str, {"choices": hyperopt.SCOPES}),
     "samples": (int, {}),
     "seed": (int, {}),
 }
@@ -382,6 +382,8 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 # verify
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # the oracles load numpy, which no other command needs
+
     report = verify.report(args.scope, args.samples, args.seed, args.method)
     sys.stdout.write(_json_text(report))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

@@ -14,10 +14,11 @@ reference numbers this harness is meant to be compared against.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from .objectives import ObjectiveId, ParamPoint, RegressionSample, evaluate
 from .optimizers import (
@@ -79,7 +80,8 @@ class HyperPolicy:
 
 @dataclass(frozen=True)
 class RandomInit:
-    """Seeded uniform draw of the initial parameters from [0, 1] (w first, then b)."""
+    """Seeded uniform draw of the initial parameters from [0, 1) (w first, then b):
+    the values ``np.random.default_rng(seed).uniform(0.0, 1.0)`` gives, drawn without numpy."""
 
     seed: int
 
@@ -151,15 +153,75 @@ class RunConfig:
             )
 
 
+# numpy's default_rng(seed).uniform(0.0, 1.0), bit for bit, in plain Python:
+# SeedSequence(seed) hashes the seed's 32-bit words into four 64-bit words,
+# PCG64 takes them as its 128-bit state and increment, and each draw is the
+# top 53 bits of one XSL-RR output.
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for a non-negative integer."""
+    seed = operator.index(seed)  # a numpy integer too, as numpy takes it, as a Python int
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _seeded_uniforms(seed: int, n: int) -> list[float]:
+    """The first ``n`` draws of ``np.random.default_rng(seed).uniform(0.0, 1.0)``."""
+    s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+    draws = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        draws.append((x >> 11) * 2.0**-53)
+    return draws
+
+
 def resolve_init(cfg: RunConfig) -> ParamPoint:
     """Concrete initial parameters for a config, drawing seeded ones if asked."""
     two = cfg.objective.arity == 2
     if cfg.init is None:
         return ParamPoint(w=DEFAULT_INIT_COORD, b=DEFAULT_INIT_COORD if two else None)
     if isinstance(cfg.init, RandomInit):
-        rng = np.random.default_rng(cfg.init.seed)
-        w = float(rng.uniform(0.0, 1.0))
-        return ParamPoint(w=w, b=float(rng.uniform(0.0, 1.0)) if two else None)
+        w, b = _seeded_uniforms(cfg.init.seed, 2)
+        return ParamPoint(w=w, b=b if two else None)
     init = cfg.init
     if two and init.b is None:
         raise ValueError(f"{cfg.objective.name} needs an initial b")
@@ -217,6 +279,20 @@ def _finite_state(state: OptimizerState) -> bool:
     return all(math.isfinite(c) for slot in slots for c in (slot.w, slot.b) if c is not None)
 
 
+def _quiet_numpy(cfg: RunConfig):
+    """numpy's overflow, invalid and divide warnings silenced, as a run records a
+    non-finite value as divergence, wherever the run can compute on numpy values:
+    numpy is loaded, so ``cfg`` may hold them, or an adagrad or rmsprop run at
+    epsilon = 0 can meet the zero divisor ``optimizers._scaled`` hands to numpy.
+    Any other run computes on plain floats and enters no context."""
+    zero_divisor = cfg.method in (Method.ADAGRAD, Method.RMSPROP) and cfg.policy.base.epsilon == 0.0
+    if "numpy" not in sys.modules and not zero_divisor:
+        return nullcontext()
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def run_training(cfg: RunConfig) -> Trace:
     """Run until convergence, divergence, or ``max_epochs`` recorded epochs.
 
@@ -230,8 +306,7 @@ def run_training(cfg: RunConfig) -> Trace:
     hypers = cfg.policy.base
     diverged = not math.isfinite(loss)
 
-    # overflow is recorded in the trace (a non-finite loss ends the run), not warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _quiet_numpy(cfg):
         while not diverged and records[-1].loss > cfg.tolerance and state.epoch < cfg.max_epochs:
             if cfg.policy.kind is PolicyKind.OPTIMAL_PER_EPOCH:
                 hypers, flags = _resolve_optimal(cfg, state, hypers)

@@ -253,6 +253,10 @@ OPTIMIZED_HYPERS = {
     Method.RMSPROP: frozenset({"eta", "beta"}),
 }
 
+# The groups of oracle checks ``verify.report`` runs against these forms; here,
+# where no numpy is imported, so the command line offers them without the oracles.
+SCOPES = ("gradients", "argmin", "one-step", "all")
+
 
 def solve(
     method: Method,

@@ -7,8 +7,11 @@ non-finite gradient; ``_apply_rule`` applies the method's per-coordinate rule
 ``_RULES`` maps each method to that rule and to the state slot it advances.
 A direct search, whose state does not move, takes the first part once and
 the second at every curve point.
-Coordinates may be floats or equally shaped numpy arrays. A step never
-mutates its input and advances the epoch by exactly one.
+Coordinates may be floats or equally shaped numpy arrays. A step on floats
+stays in plain floats and imports no numpy, except where adagrad's or
+rmsprop's divisor is zero or NaN: numpy gives its IEEE result (inf or NaN)
+there without raising. A step never mutates its input and advances the
+epoch by exactly one.
 
 The closed-form step sizes rely on the accumulator conventions: the
 gradient-square sum is updated before the division (adagrad), and the
@@ -23,8 +26,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-
-import numpy as np
 
 from .objectives import (
     GradientVector,
@@ -69,6 +70,14 @@ class HyperParams:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         if not _all((0.0 <= self.epsilon) & (self.epsilon < math.inf)):
             raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
+
+
+def _unchecked_hyper(values: dict) -> HyperParams:
+    """HyperParams holding ``values`` without ``__post_init__``'s range checks,
+    for a caller that checked them once for many instances."""
+    hyper = object.__new__(HyperParams)
+    hyper.__dict__.update(values)
+    return hyper
 
 
 @dataclass(frozen=True)
@@ -143,9 +152,17 @@ def _scaled(c, acc, g, hyper):
     # Where acc + epsilon is 0 and so is g * g (g = 0, or a subnormal g whose
     # square underflows), the divisor is 1: the coordinate takes the plain
     # descent step -eta * g, nothing or a subnormal one. A gradient whose square
-    # registers still divides by a zero divisor.
+    # registers still divides by a zero divisor. A positive float divisor takes
+    # math.sqrt, which rounds as numpy's does; arrays, numpy scalars and a zero
+    # or NaN divisor take numpy, whose division gives inf or NaN where Python's
+    # would raise ZeroDivisionError.
     s = acc + hyper.epsilon
-    return c - hyper.eta * g / np.sqrt(s + (s + g * g == 0)), acc
+    d = s + (s + g * g == 0)
+    if d.__class__ is float and d > 0.0:
+        return c - hyper.eta * g / math.sqrt(d), acc
+    import numpy as np
+
+    return c - hyper.eta * g / np.sqrt(d), acc
 
 
 def _accumulated(c, phi, g, hyper):

@@ -21,11 +21,9 @@ import numpy as np
 
 from . import analyzer, hyperopt, objectives, optimizers
 from .harness import DEFAULT_HYPERS, DEFAULT_SAMPLE
-from .hyperopt import OPTIMIZED_HYPERS
+from .hyperopt import OPTIMIZED_HYPERS, SCOPES
 from .objectives import ObjectiveId, ParamPoint, RegressionSample
 from .optimizers import HyperParams, Method, OptimizerState, PerCoord
-
-SCOPES = ("gradients", "argmin", "one-step", "all")
 
 _ARGMIN_TOL = 1e-6
 _ONE_STEP_TOL = 1e-20

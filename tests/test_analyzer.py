@@ -285,3 +285,22 @@ def test_pointwise_min_value_is_the_loss_after_a_step_at_its_argmin(method, targ
         out = step(method, state, replace(fixed, **{target: res.argmin}), obj, sample, f3_half_gradient=half)
         assert not res.flat
         assert res.min_value.hex() == float(evaluate(obj, out.params, sample)).hex()
+
+
+def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeypatch):
+    # an array can change after HyperParams checked it; the search checks the
+    # values once, up front, and raises what HyperParams itself raises
+    rows = 3
+    alpha = np.full((rows, 1), 0.5)
+    fixed = HyperParams(eta=np.full((rows, 1), 0.1), alpha=alpha, beta=np.full((rows, 1), 0.5))
+    alpha[1, 0] = 1.5
+    with pytest.raises(ValueError) as direct:
+        replace(fixed)
+    evaluated = []
+    monkeypatch.setattr(analyzer, "_post_step_losses", lambda *args: evaluated.append(args))
+    state = verify._state(F2, verify._draw(np.random.default_rng(0), rows, verify._state_columns(F2)).T[..., None])
+    with pytest.raises(ValueError) as searched:
+        analyzer._pointwise_argmins(Method.MOMENTUM, F2, "eta", fixed, None, state, False)
+    assert str(searched.value) == str(direct.value)
+    assert str(direct.value).startswith("alpha must lie in [0, 1]")
+    assert evaluated == []

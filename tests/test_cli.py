@@ -408,6 +408,48 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.returncode == EXIT_USAGE
 
 
+# numpy stays unloaded through the scalar commands, then loads where it is needed:
+# at a zero divisor, at the first analyzer name, and in verify
+_COLD_PATH = """
+import contextlib, io, json, sys
+import hyperstep
+from hyperstep import cli
+
+seen = {"import": "numpy" in sys.modules}
+for name, argv in (
+    ("optimal", ["optimal", "--method", "rmsprop", "--objective", "f1", "--w", "0.3", "--u-w", "0.2", "--eta", "0.1"]),
+    ("run", ["run", "--method", "adagrad", "--objective", "f3", "--init-seed", "3", "--format", "json"]),
+    ("table2", ["table2"]),
+    ("zero_divisor", ["run", "--method", "rmsprop", "--objective", "f1", "--beta", "1", "--epsilon", "0"]),
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        seen[name] = [cli.main(argv), "numpy" in sys.modules, err.getvalue()]
+seen["dir"] = "argmin_hyper" in dir(hyperstep)
+seen["argmin_hyper"] = hyperstep.argmin_hyper is sys.modules["hyperstep.analyzer"].argmin_hyper
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["verify"] = cli.main(["verify", "--scope", "gradients", "--samples", "10"])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_stays_off_the_cold_path():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _COLD_PATH], capture_output=True, env=env, timeout=120, check=True
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["import"] is False
+    assert seen["optimal"] == [EXIT_OK, False, ""]
+    assert seen["run"] == [EXIT_OK, False, ""]
+    assert seen["table2"] == [EXIT_OK, False, ""]
+    # numpy's inf, no warning and no ZeroDivisionError: the run ends as diverged
+    code, loaded, err = seen["zero_divisor"]
+    assert (code, loaded) == (EXIT_USAGE, True)
+    assert err.startswith("run diverged")
+    assert seen["dir"] is seen["argmin_hyper"] is True
+    assert seen["verify"] == EXIT_OK
+
+
 def test_table2_is_byte_identical_across_invocations(capsys):
     code_a, out_a, _ = run_cli(capsys, "table2")
     code_b, out_b, _ = run_cli(capsys, "table2")

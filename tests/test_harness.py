@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from hyperstep import (
     DEFAULT_HYPERS,
     DEFAULT_SAMPLE,
+    OPTIMIZED_HYPERS,
     EpochRecord,
     HyperFlags,
     HyperParams,
@@ -23,6 +26,7 @@ from hyperstep import (
     reproduce_table2,
     run_training,
 )
+from hyperstep.harness import resolve_init
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 
@@ -269,3 +273,60 @@ def test_trace_final_loss_matches_last_record():
     trace = run_training(cfg)
     assert trace.final_loss == trace.records[-1].loss
     assert isinstance(trace, Trace)
+
+
+def _numpy_draws(seed):
+    rng = np.random.default_rng(seed)
+    return [float(rng.uniform(0.0, 1.0)) for _ in range(2)]
+
+
+def _seeded_init(seed):
+    cfg = RunConfig(Method.GD, F2, HyperPolicy.fixed(DEFAULT_HYPERS), init=RandomInit(seed=seed))
+    return resolve_init(cfg)
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_seeded_init_draws_what_numpy_draws(seed):
+    p = _seeded_init(seed)
+    assert [p.w.hex(), p.b.hex()] == [x.hex() for x in _numpy_draws(seed)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=strategies.integers(min_value=0, max_value=2**300))
+def test_seeded_init_draws_what_numpy_draws_for_any_seed(seed):
+    # seeds past 128 bits fold their extra 32-bit words into the pool after its first mix
+    p = _seeded_init(seed)
+    assert [p.w.hex(), p.b.hex()] == [x.hex() for x in _numpy_draws(seed)]
+
+
+def test_seeded_init_of_a_one_parameter_objective_takes_the_first_draw():
+    cfg = RunConfig(Method.GD, F1, HyperPolicy.fixed(DEFAULT_HYPERS), init=RandomInit(seed=7))
+    assert resolve_init(cfg) == ParamPoint(w=_numpy_draws(7)[0])
+
+
+def test_seeded_init_takes_a_numpy_integer_seed():
+    assert _seeded_init(np.uint64(2**64 - 1)) == _seeded_init(2**64 - 1)
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("optimal", [False, True], ids=["fixed", "optimal"])
+def test_float_runs_record_plain_floats(method, optimal):
+    base = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=1e-8)
+    policy = HyperPolicy.optimal(base, OPTIMIZED_HYPERS[method]) if optimal else HyperPolicy.fixed(base)
+    cfg = RunConfig(method, F3, policy, sample=DEFAULT_SAMPLE, init=RandomInit(seed=3), max_epochs=20)
+    trace = run_training(cfg)
+    assert len(trace.records) > 1
+    for rec in trace.records:
+        h = rec.hyper_used
+        values = (rec.params.w, rec.params.b, rec.loss, h.eta, h.alpha, h.beta, h.epsilon)
+        assert all(v.__class__ is float for v in values), rec
+
+
+def test_zero_divisor_ends_a_run_as_diverged():
+    # beta = 1 keeps u at 0, so at epsilon = 0 the first step divides a nonzero
+    # gradient by 0: numpy's inf, recorded as divergence, with no warning raised
+    hyper = HyperParams(eta=0.1, beta=1.0, epsilon=0.0)
+    trace = run_training(RunConfig(Method.RMSPROP, F1, HyperPolicy.fixed(hyper)))
+    assert trace.diverged
+    assert len(trace.records) == 2
+    assert math.isinf(trace.records[-1].params.w)

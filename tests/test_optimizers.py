@@ -318,3 +318,16 @@ def test_array_step_equals_per_row_scalar_steps(method, obj, half, rows, x, y, h
                 assert _same_bits(one.w, many.w[i]), (name, "w")
                 if obj.arity == 2:
                     assert _same_bits(one.b, many.b[i]), (name, "b")
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("epsilon", [1e-8, 0.0])
+def test_float_steps_stay_plain_floats(method, epsilon):
+    # numpy's scalars are for arrays and a zero divisor; at epsilon = 0 the first
+    # step meets f2's zero gradient at (0.3, -0.3), whose divisor is 1, not 0
+    state = make_state(0.3, -0.3) if epsilon == 0.0 else make_state(0.3, 0.4)
+    hyper = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=epsilon)
+    for _ in range(3):
+        state = step(method, state, hyper, F2)
+        coords = [getattr(state, name) for name in ("params", "velocity", "grad_sq_sum", "weighted_grad_sq")]
+        assert all(c.__class__ is float for slot in coords for c in (slot.w, slot.b)), state
