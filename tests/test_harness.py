@@ -1,6 +1,10 @@
 """Training runs, the fallback contract, and the convergence comparison."""
 
+import hashlib
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,3 +334,41 @@ def test_zero_divisor_ends_a_run_as_diverged():
     assert trace.diverged
     assert len(trace.records) == 2
     assert math.isinf(trace.records[-1].params.w)
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def _trace_digest(trace):
+    # perfbench.workloads.trace_digest's byte layout: every record field, floats bit for bit
+    h = hashlib.sha256()
+    nan = float("nan")
+    for rec in trace.records:
+        p, hy, f = rec.params, rec.hyper_used, rec.hyper_flags
+        h.update(
+            struct.pack(
+                "<q7d", rec.epoch, p.w, nan if p.b is None else p.b, rec.loss,
+                hy.eta, hy.alpha, hy.beta, hy.epsilon,
+            )
+        )
+        h.update(f"{f.eta},{f.alpha},{f.beta};".encode())
+    h.update(repr((trace.converged_epoch, trace.final_loss, trace.diverged)).encode())
+    return h.hexdigest()
+
+
+def test_table2_runs_replay_the_golden_train_traces():
+    # per init seed: the 24 table2 runs (cell by cell, optimal arm then fixed)
+    # under the halved f3 gradient, then the 24 under the standard one
+    golden = json.loads(GOLDEN.read_text())["train"]
+    assert len(golden) == 32
+    wrong = []
+    for seed, expected in golden.items():
+        digests = [
+            _trace_digest(trace)
+            for half in (True, False)
+            for cell in reproduce_table2(init=RandomInit(seed=int(seed)), f3_half_gradient=half).cells
+            for trace in (cell.optimal, cell.fixed)
+        ]
+        assert len(digests) == len(expected) == 48
+        wrong += [f"{seed}/{i}" for i, (a, b) in enumerate(zip(digests, expected)) if a != b]
+    assert wrong == []
