@@ -6,6 +6,10 @@ forms for the requested hyperparameters and applies the fallback contract:
 an undefined value keeps the previous one, an infeasible value is clamped to
 [0, 1], and every choice is flagged in the trace.
 
+``RunConfig`` and ``resolve_init`` check config, sample and arity once per run, so
+``run_training`` loops over unchecked cores. Per epoch it checks only that the gradient,
+whose finiteness defines divergence, the params and the method's one state slot are finite.
+
 ``reproduce_table2`` assembles the 4x3 convergence comparison between the
 per-epoch-optimal arm and a fixed-default arm, next to the published
 reference numbers this harness is meant to be compared against.
@@ -17,17 +21,13 @@ import math
 import operator
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .objectives import ObjectiveId, ParamPoint, RegressionSample, evaluate
+from .objectives import ObjectiveId, ParamPoint, RegressionSample, _gradient, _residual
 from .optimizers import (
-    HyperParams,
-    Method,
-    NonFiniteGradientError,
-    OptimizerState,
-    adagrad_post_view,
-    step,
+    _RULES, HyperParams, Method, NonFiniteGradientError, OptimizerState,
+    _apply_rule, _require_finite, _unchecked_hyper, adagrad_post_view,
 )
 from . import hyperopt
 from .hyperopt import OPTIMIZED_HYPERS
@@ -137,7 +137,13 @@ class RunConfig:
     f3_half_gradient: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_epochs < 1:
+        try:
+            index = None if self.max_epochs.__class__ is bool else operator.index(self.max_epochs)
+        except TypeError:
+            index = None
+        if index is None:
+            raise ValueError(f"max_epochs must be an integer, got {self.max_epochs!r}")
+        if index < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
@@ -270,13 +276,12 @@ def _resolve_optimal(
             f3_half_gradient=cfg.f3_half_gradient,
         )
         value, flags[target] = _apply_feasible(fv, getattr(h, target))
-        h = replace(h, **{target: value})
+        h = _unchecked_hyper({**h.__dict__, target: value})
     return h, HyperFlags(**flags)
 
 
-def _finite_state(state: OptimizerState) -> bool:
-    slots = (state.params, state.velocity, state.grad_sq_sum, state.weighted_grad_sq)
-    return all(math.isfinite(c) for slot in slots for c in (slot.w, slot.b) if c is not None)
+def _finite(coords) -> bool:
+    return math.isfinite(coords.w) and (coords.b is None or math.isfinite(coords.b))
 
 
 def _quiet_numpy(cfg: RunConfig):
@@ -299,31 +304,35 @@ def run_training(cfg: RunConfig) -> Trace:
     Deterministic: the same config (and seed, for random inits) reproduces
     the trace bit for bit.
     """
+    method, obj, sample, half = cfg.method, cfg.objective, cfg.sample, cfg.f3_half_gradient
+    tolerance, max_epochs = cfg.tolerance, cfg.max_epochs
+    optimal = cfg.policy.kind is PolicyKind.OPTIMAL_PER_EPOCH
+    slot = _RULES[method][0]  # the state slot the method moves; the others stay at zero
     params = resolve_init(cfg)
     state = OptimizerState.initial(params)
-    loss = float(evaluate(cfg.objective, params, cfg.sample))
+    r = _residual(obj, params, sample)
+    loss = float(r * r)
     records = [EpochRecord(1, params, loss, cfg.policy.base, _INITIAL_FLAGS)]
-    hypers = cfg.policy.base
+    hypers, flags = cfg.policy.base, _FIXED_FLAGS
     diverged = not math.isfinite(loss)
 
     with _quiet_numpy(cfg):
-        while not diverged and records[-1].loss > cfg.tolerance and state.epoch < cfg.max_epochs:
-            if cfg.policy.kind is PolicyKind.OPTIMAL_PER_EPOCH:
+        while not diverged and loss > tolerance and state.epoch < max_epochs:
+            if optimal:
                 hypers, flags = _resolve_optimal(cfg, state, hypers)
-            else:
-                flags = _FIXED_FLAGS
+            g = _gradient(obj, r, sample, half)
             try:
-                state = step(
-                    cfg.method, state, hypers, cfg.objective, cfg.sample,
-                    f3_half_gradient=cfg.f3_half_gradient,
-                )
+                _require_finite(g)
             except NonFiniteGradientError:
                 diverged = True
                 break
-            loss = float(evaluate(cfg.objective, state.params, cfg.sample))
+            state = _apply_rule(method, state, hypers, g)
+            r = _residual(obj, state.params, sample)
+            loss = float(r * r)
             records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
             # an overflowed accumulator would freeze the run with a finite loss
-            diverged = not (math.isfinite(loss) and _finite_state(state))
+            finite = math.isfinite(loss) and _finite(state.params)
+            diverged = not (finite and (slot is None or _finite(getattr(state, slot))))
 
     recs = tuple(records)
     return Trace(

@@ -4,6 +4,10 @@ Three convex benchmarks: a shifted parabola in one parameter, a coupled
 quadratic in two parameters, and a squared-error linear regression loss over
 a single (x, y) sample. Every loss is the square of a signed residual, which
 the update rules and the closed-form step sizes downstream exploit.
+
+``residual``, ``evaluate`` and ``gradient`` check arity and sample on every call, then
+run the unchecked cores ``_residual`` and ``_gradient``; ``harness.run_training`` checks
+once per run and calls the cores, one residual per epoch for the loss and the gradient.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ def residual(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | Non
     F1: w - 0.5, F2: w + b, F3: w * x + b - y.
     """
     _check_inputs(obj, point, sample)
+    return _residual(obj, point, sample)
+
+
+def _residual(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | None) -> float:
     if obj is ObjectiveId.F1:
         return point.w - 0.5
     if obj is ObjectiveId.F2:
@@ -98,7 +106,13 @@ def gradient(
     closed-form optimal step sizes for F3 are exact under the halved
     convention. F1 and F2 are unaffected by the flag.
     """
-    r = residual(obj, point, sample)
+    return _gradient(obj, residual(obj, point, sample), sample, f3_half_gradient)
+
+
+def _gradient(
+    obj: ObjectiveId, r: float, sample: RegressionSample | None, f3_half_gradient: bool
+) -> GradientVector:
+    """The gradient at a point whose residual is ``r``."""
     if obj is ObjectiveId.F1:
         return GradientVector(d_w=2.0 * r)
     if obj is ObjectiveId.F2:

@@ -1,12 +1,13 @@
 """One-step update rules for four gradient descent variants.
 
 ``step`` is the one update path, two parts run in sequence.
-``_checked_gradient`` checks the state against the objective and refuses a
-non-finite gradient; ``_apply_rule`` applies the method's per-coordinate rule
-``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b.
-``_RULES`` maps each method to that rule and to the state slot it advances.
-A direct search, whose state does not move, takes the first part once and
-the second at every curve point.
+``_checked_gradient`` checks the state's arity against the objective on every call
+and refuses a non-finite gradient; ``_apply_rule`` applies the method's per-coordinate
+rule ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES``
+maps each method to that rule and to the state slot it advances. ``_apply_rule`` has
+two more callers: a direct search, whose state does not move, takes the first part
+once and the second at every curve point; ``harness.run_training``, which checked the
+arity once per run, applies it to each epoch's gradient after ``_require_finite``.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, except where adagrad's or
 rmsprop's divisor is zero or NaN: numpy gives its IEEE result (inf or NaN)

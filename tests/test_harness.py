@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from hyperstep import (
     DEFAULT_HYPERS,
@@ -26,9 +27,13 @@ from hyperstep import (
     RegressionSample,
     RunConfig,
     Trace,
+    NonFiniteGradientError,
+    OptimizerState,
     detect_convergence,
+    evaluate,
     reproduce_table2,
     run_training,
+    step,
 )
 from hyperstep.harness import resolve_init
 
@@ -250,6 +255,18 @@ def test_run_config_validation():
         )
 
 
+@pytest.mark.parametrize("max_epochs", [2.5, math.inf, True, np.float64(3.0), "3"], ids=repr)
+def test_run_config_rejects_an_epoch_budget_that_is_not_an_integer(max_epochs):
+    # 2.5 would record 3 epochs and inf would never stop a run that plateaus
+    with pytest.raises(ValueError, match=f"max_epochs must be an integer, got {re.escape(repr(max_epochs))}"):
+        RunConfig(method=Method.GD, objective=F1, policy=HyperPolicy.fixed(DEFAULT_HYPERS), max_epochs=max_epochs)
+
+
+def test_run_config_takes_a_numpy_integer_epoch_budget():
+    cfg = RunConfig(method=Method.GD, objective=F1, policy=HyperPolicy.fixed(DEFAULT_HYPERS), max_epochs=np.int64(3))
+    assert len(run_training(cfg).records) == 3
+
+
 def test_table2_published_reference_values_are_quoted_verbatim():
     matrix = reproduce_table2()
     cell = matrix.cell(Method.RMSPROP, F1)
@@ -372,3 +389,74 @@ def test_table2_runs_replay_the_golden_train_traces():
         assert len(digests) == len(expected) == 48
         wrong += [f"{seed}/{i}" for i, (a, b) in enumerate(zip(digests, expected)) if a != b]
     assert wrong == []
+
+
+def _same(a, b):
+    """Bit for bit, with any NaN matching any NaN."""
+    if a is None or b is None:
+        return a is b
+    return (a != a and b != b) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _finite_state(state):
+    coords = (state.params, state.velocity, state.grad_sq_sum, state.weighted_grad_sq)
+    return all(math.isfinite(c) for slot in coords for c in (slot.w, slot.b) if c is not None)
+
+
+_coord = strategies.one_of(
+    strategies.floats(-2.0, 2.0),
+    strategies.floats(-1e200, 1e200),
+    strategies.sampled_from([0.0, 5e-324, -1e-310, 2.2e-308, 1e154, -1e200]),
+)
+_unit = strategies.one_of(strategies.floats(0.0, 1.0), strategies.sampled_from([0.0, 1.0]))
+
+
+# one pinned example per divergence route: a non-finite gradient (x * r overflows
+# while r * r does not), a non-finite loss (a zero rmsprop divisor at epsilon = 0
+# and beta = 1), and a non-finite state (adagrad's g * g overflows, the loss stays finite)
+@example(Method.GD, F3, False, True, 0.0, 1e150, 1e200, 0.0, 0.1, 0.5, 0.5, 1e-8, 10)
+@example(Method.RMSPROP, F1, False, False, 0.3, None, 0.0, 0.0, 0.1, 0.5, 1.0, 0.0, 10)
+@example(Method.ADAGRAD, F3, False, True, 1e-100, 1.0, 1e160, 0.0, 0.1, 0.5, 0.5, 1e-8, 10)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    method=strategies.sampled_from(list(Method)),
+    obj=strategies.sampled_from([F1, F2, F3]),
+    optimal=strategies.booleans(),
+    half=strategies.booleans(),
+    w=_coord,
+    b=_coord,
+    x=_coord,
+    y=_coord,
+    eta=strategies.one_of(strategies.floats(0.0, 2.0), strategies.sampled_from([0.0, 1e150])),
+    alpha=_unit,
+    beta=_unit,
+    epsilon=strategies.one_of(strategies.floats(0.0, 1.0), strategies.sampled_from([0.0, 1e-8, 5e-324])),
+    max_epochs=strategies.integers(1, 40),
+)
+def test_runs_replay_through_the_public_checked_step(
+    method, obj, optimal, half, w, b, x, y, eta, alpha, beta, epsilon, max_epochs
+):
+    # run_training steps through unchecked cores; the public step and evaluate,
+    # fed each record's own hyper_used, must rebuild every record bit for bit
+    base = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)
+    policy = HyperPolicy.optimal(base, OPTIMIZED_HYPERS[method]) if optimal else HyperPolicy.fixed(base)
+    sample = RegressionSample(x=x, y=y) if obj is F3 else None
+    init = ParamPoint(w=w, b=None if obj is F1 else b)
+    cfg = RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs, f3_half_gradient=half)
+    trace = run_training(cfg)
+    state = OptimizerState.initial(init)
+    with np.errstate(all="ignore"):  # a zero divisor at epsilon = 0 divides through numpy
+        for i, rec in enumerate(trace.records):
+            if i:
+                state = step(method, state, rec.hyper_used, obj, sample, f3_half_gradient=half)
+            assert rec.epoch == state.epoch
+            assert _same(rec.params.w, state.params.w) and _same(rec.params.b, state.params.b), (i, rec)
+            assert _same(rec.loss, evaluate(obj, state.params, sample)), (i, rec)
+        finite = math.isfinite(trace.final_loss) and _finite_state(state)
+        if not trace.diverged:
+            assert finite
+            assert trace.final_loss <= cfg.tolerance or len(trace.records) == max_epochs
+            return
+        if finite:
+            with pytest.raises(NonFiniteGradientError):
+                step(method, state, trace.records[-1].hyper_used, obj, sample, f3_half_gradient=half)
