@@ -138,10 +138,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         try:
-            index = None if self.max_epochs.__class__ is bool else operator.index(self.max_epochs)
+            index = operator.index(self.max_epochs)
         except TypeError:
             index = None
-        if index is None:
+        if index is None or self.max_epochs.__class__ is bool:
             raise ValueError(f"max_epochs must be an integer, got {self.max_epochs!r}")
         if index < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")

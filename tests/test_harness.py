@@ -20,15 +20,15 @@ from hyperstep import (
     HyperParams,
     HyperPolicy,
     Method,
+    NonFiniteGradientError,
     ObjectiveId,
+    OptimizerState,
     ParamPoint,
     PolicyKind,
     RandomInit,
     RegressionSample,
     RunConfig,
     Trace,
-    NonFiniteGradientError,
-    OptimizerState,
     detect_convergence,
     evaluate,
     reproduce_table2,
