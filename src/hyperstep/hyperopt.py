@@ -22,6 +22,12 @@ Conventions the formulas rely on:
   use the halved regression gradient (x*r, r); see objectives.gradient.
 - The rmsprop beta rule for F2/F3 assumes a common accumulator and a common
   gradient across both coordinates; for F3 that holds at x = 1.
+
+Public names take and return floats. Each form is written once for floats
+and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
+no row divides by zero), but arrays enter only through the private table
+``_FORMS``, which binds the rules themselves: a wrapper bound to a public
+name, as perfbench's tracer binds, may read ``bool(result.defined)``.
 """
 
 from __future__ import annotations
@@ -51,15 +57,25 @@ class FeasibleValue:
     defined: bool
 
 
-def _undefined() -> FeasibleValue:
-    return FeasibleValue(value=_NAN, raw=_NAN, feasible=False, defined=False)
+def _from_raw(raw, singular=False) -> FeasibleValue:
+    """``raw`` clamped and flagged, a float or elementwise; undefined where singular or not finite."""
+    if isinstance(raw, float):
+        if singular or not math.isfinite(raw):
+            return FeasibleValue(value=_NAN, raw=_NAN, feasible=False, defined=False)
+        return FeasibleValue(value=min(max(raw, 0.0), 1.0), raw=raw, feasible=0.0 <= raw <= 1.0, defined=True)
+    import numpy as np
+
+    defined = np.isfinite(raw) & np.logical_not(singular)
+    raw = np.where(defined, raw, np.nan)
+    return FeasibleValue(value=np.clip(raw, 0.0, 1.0), raw=raw, feasible=(0.0 <= raw) & (raw <= 1.0), defined=defined)
 
 
-def _from_raw(raw: float) -> FeasibleValue:
-    if not math.isfinite(raw):
-        return _undefined()
-    feasible = 0.0 <= raw <= 1.0
-    return FeasibleValue(value=min(max(raw, 0.0), 1.0), raw=raw, feasible=feasible, defined=True)
+def _sqrt(x):
+    if isinstance(x, float):
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
 
 
 def _need_sample(obj: ObjectiveId, sample: RegressionSample | None) -> RegressionSample:
@@ -115,15 +131,13 @@ def optimal_lr_momentum(
     """
     if obj is not ObjectiveId.F3:
         r = residual(obj, state.params)
-        if abs(r) < SINGULAR_TOL:
-            return _undefined()
-        return _from_raw((alpha * _velocity_sum(obj, state) + r) / (2.0 * obj.arity * r))
+        singular = abs(r) < SINGULAR_TOL
+        return _from_raw((alpha * _velocity_sum(obj, state) + r) / (2.0 * obj.arity * r + singular), singular)
     s = _need_sample(obj, sample)
     delta = residual(obj, state.params, s)
-    if abs(delta) < SINGULAR_TOL:
-        return _undefined()
+    singular = abs(delta) < SINGULAR_TOL
     m = state.velocity.w * s.x + _need_b(state.velocity.b, "velocity", obj)
-    return _from_raw(_f3_base_lr(s.x) + alpha * m / (delta * (s.x * s.x + 1.0)))
+    return _from_raw(_f3_base_lr(s.x) + alpha * m / (delta * (s.x * s.x + 1.0) + singular), singular)
 
 
 def optimal_momentum_coef(
@@ -140,16 +154,14 @@ def optimal_momentum_coef(
     """
     if obj is not ObjectiveId.F3:
         v = _velocity_sum(obj, state)
-        if abs(v) < SINGULAR_TOL:
-            return _undefined()
+        singular = abs(v) < SINGULAR_TOL
         r = residual(obj, state.params)
-        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / v)
+        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (v + singular), singular)
     s = _need_sample(obj, sample)
     m = state.velocity.w * s.x + _need_b(state.velocity.b, "velocity", obj)
-    if abs(m) < SINGULAR_TOL:
-        return _undefined()
+    singular = abs(m) < SINGULAR_TOL
     delta = residual(obj, state.params, s)
-    return _from_raw(delta * (eta * s.x * s.x + eta - 1.0) / m)
+    return _from_raw(delta * (eta * s.x * s.x + eta - 1.0) / (m + singular), singular)
 
 
 def _scaled_lr(
@@ -158,18 +170,17 @@ def _scaled_lr(
     """Learning rate that zeroes the residual when each coordinate's step is
     divided by sqrt(acc + epsilon), ``acc_w``/``acc_b`` being the accumulators
     (from state slot ``slot``) the pending step divides by."""
-    s_w = math.sqrt(acc_w + epsilon)
+    s_w = _sqrt(acc_w + epsilon)
     if obj is ObjectiveId.F1:
         return _from_raw(s_w / 2.0)
-    s_b = math.sqrt(_need_b(acc_b, slot, obj) + epsilon)
+    s_b = _sqrt(_need_b(acc_b, slot, obj) + epsilon)
     if obj is ObjectiveId.F2:
         denom = 2.0 * (s_w + s_b)
     else:
         x = _need_sample(obj, sample).x
         denom = x * x * s_b + s_w
-    if denom < SINGULAR_TOL:
-        return _undefined()
-    return _from_raw(s_w * s_b / denom)
+    singular = denom < SINGULAR_TOL
+    return _from_raw(s_w * s_b / (denom + singular), singular)
 
 
 def optimal_lr_adagrad(
@@ -230,28 +241,39 @@ def optimal_beta_rmsprop(
     if obj is ObjectiveId.F3:
         s = _need_sample(obj, sample)
         delta = residual(obj, state.params, s)
-        if abs(delta) < SINGULAR_TOL:
-            return _undefined()
+        flat = abs(delta) < SINGULAR_TOL
         g = gradient(obj, state.params, s, f3_half_gradient=f3_half_gradient).d_b
     else:
         g = gradient(obj, state.params).d_w
     g_sq = g * g
     denom = state.weighted_grad_sq.w - g_sq
-    if abs(denom) < SINGULAR_TOL:
-        return _undefined()
+    singular = abs(denom) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
-        return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / denom)
-    d_sq = delta * delta
+        return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular)
+    d_sq = delta * delta + flat
     x1 = s.x + 1.0
-    return _from_raw((eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / (denom * d_sq))
+    raw = (eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / ((denom + singular) * d_sq)
+    return _from_raw(raw, singular | flat)
 
 
-OPTIMIZED_HYPERS = {
-    Method.GD: frozenset({"eta"}),
-    Method.MOMENTUM: frozenset({"eta", "alpha"}),
-    Method.ADAGRAD: frozenset({"eta"}),
-    Method.RMSPROP: frozenset({"eta", "beta"}),
+# Each (method, target) pair once, called as (obj, state, sample, eta, alpha, beta,
+# epsilon, f3_half_gradient). Its rule is bound at import, so the arrays verify passes
+# never reach a wrapper later bound to the rule's public name.
+_FORMS = {
+    (Method.GD, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_gd: f(o, st, s),
+    (Method.MOMENTUM, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_momentum:
+        f(o, st, s, alpha=alpha),
+    (Method.MOMENTUM, "alpha"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_momentum_coef:
+        f(o, st, s, eta=eta),
+    (Method.ADAGRAD, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_adagrad:
+        f(o, st, s, epsilon=epsilon),
+    (Method.RMSPROP, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_rmsprop:
+        f(o, st, s, beta=beta, epsilon=epsilon, f3_half_gradient=f3_half_gradient),
+    (Method.RMSPROP, "beta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_beta_rmsprop:
+        f(o, st, s, eta=eta, epsilon=epsilon, f3_half_gradient=f3_half_gradient),
 }
+
+OPTIMIZED_HYPERS = {method: frozenset(t for m, t in _FORMS if m is method) for method in Method}
 
 # The groups of oracle checks ``verify.report`` runs against these forms; here,
 # where no numpy is imported, so the command line offers them without the oracles.
@@ -273,24 +295,15 @@ def solve(
 ) -> FeasibleValue:
     """Closed-form value of ``target`` for ``method`` at ``state``.
 
-    The one place that decides which rule solves which hyperparameter. Each
-    rule reads only the given values it needs; the others may be None. For
-    adagrad ``state`` must be the post-accumulation view
-    (optimizers.adagrad_post_view).
+    The rule comes from ``_FORMS``, the one table of which rule solves which
+    hyperparameter. Each rule reads only the given values it needs; the
+    others may be None. For adagrad ``state`` must be the post-accumulation
+    view (optimizers.adagrad_post_view).
 
     Raises:
         ValueError: if the pair is not in OPTIMIZED_HYPERS.
     """
-    if method is Method.GD and target == "eta":
-        return optimal_lr_gd(obj, state, sample)
-    if method is Method.MOMENTUM and target == "eta":
-        return optimal_lr_momentum(obj, state, sample, alpha=alpha)
-    if method is Method.MOMENTUM and target == "alpha":
-        return optimal_momentum_coef(obj, state, sample, eta=eta)
-    if method is Method.ADAGRAD and target == "eta":
-        return optimal_lr_adagrad(obj, state, sample, epsilon=epsilon)
-    if method is Method.RMSPROP and target == "eta":
-        return optimal_lr_rmsprop(obj, state, sample, beta=beta, epsilon=epsilon, f3_half_gradient=f3_half_gradient)
-    if method is Method.RMSPROP and target == "beta":
-        return optimal_beta_rmsprop(obj, state, sample, eta=eta, epsilon=epsilon, f3_half_gradient=f3_half_gradient)
-    raise ValueError(f"no closed form for {target!r} under {method.value}")
+    form = _FORMS.get((method, target))
+    if form is None:
+        raise ValueError(f"no closed form for {target!r} under {method.value}")
+    return form(obj, state, sample, eta, alpha, beta, epsilon, f3_half_gradient)

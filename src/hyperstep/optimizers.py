@@ -148,17 +148,19 @@ def _heavy_ball(c, v, g, hyper):
     return c + v, v
 
 
-def _scaled(c, acc, g, hyper):
-    # adagrad's and rmsprop's tail: divide by the freshly updated accumulator.
-    # Where acc + epsilon is 0 and so is g * g (g = 0, or a subnormal g whose
-    # square underflows), the divisor is 1: the coordinate takes the plain
-    # descent step -eta * g, nothing or a subnormal one. A gradient whose square
-    # registers still divides by a zero divisor. A positive float divisor takes
+def _scaled(c, acc, g, hyper, read):
+    # adagrad's and rmsprop's tail: divide by the freshly updated accumulator;
+    # ``read`` says whether it took in g * g (rmsprop's does only at beta < 1).
+    # Where acc + epsilon is 0 and g * g is 0 (g = 0, or a subnormal g whose
+    # square underflows) or was read (so its share underflowed), the divisor
+    # is 1: the coordinate takes the plain descent step -eta * g, nothing or a
+    # tiny one. A registering g * g the accumulator never read (rmsprop at
+    # beta = 1) still divides by a zero divisor. A positive float divisor takes
     # math.sqrt, which rounds as numpy's does; arrays, numpy scalars and a zero
     # or NaN divisor take numpy, whose division gives inf or NaN where Python's
     # would raise ZeroDivisionError.
     s = acc + hyper.epsilon
-    d = s + (s + g * g == 0)
+    d = s + ((s == 0) & (read | (g * g == 0)))
     if d.__class__ is float and d > 0.0:
         return c - hyper.eta * g / math.sqrt(d), acc
     import numpy as np
@@ -167,11 +169,11 @@ def _scaled(c, acc, g, hyper):
 
 
 def _accumulated(c, phi, g, hyper):
-    return _scaled(c, _grad_sq_sum(phi, g), g, hyper)
+    return _scaled(c, _grad_sq_sum(phi, g), g, hyper, True)
 
 
 def _weighted(c, u, g, hyper):
-    return _scaled(c, _weighted_grad_sq(u, g, hyper.beta), g, hyper)
+    return _scaled(c, _weighted_grad_sq(u, g, hyper.beta), g, hyper, hyper.beta < 1.0)
 
 
 _RULES = {

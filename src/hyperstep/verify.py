@@ -7,9 +7,10 @@ values one draw after another would give. So a report is a pure function
 of its arguments; the acceptance tests draw through the same sampler, one
 row at a time. ``_state`` reads a state from a row (floats) or from the
 columns (arrays). ``_obj_sample`` picks each objective's regression sample,
-the beta rule's included, and ``_row`` writes every report row. The
-closed forms are solved row by row; the argmin, one-step and gradient
-checks then search, step or evaluate all kept rows as arrays. Hyperstep
+the beta rule's included, and ``_row`` writes every report row. Each
+table is solved in one call on its columns, through ``hyperopt._FORMS``
+(public hyperopt names take floats only); the argmin, one-step and gradient
+checks then search, step or evaluate its defined, feasible rows. Hyperstep
 functions are looked up as module attributes at call time
 (``optimizers.step``, ...), so a wrapper bound in their home module also
 sees the calls made from here.
@@ -141,28 +142,19 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
         for target in sorted(OPTIMIZED_HYPERS[method]):
             sample = _obj_sample(obj, target)
             common = target == "beta"
-            table = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target))
-            defined = 0
-            kept, solved = [], []
-            for i, row in enumerate(table.tolist()):
-                # adagrad's state is read as the post-accumulation view on both sides
-                eta, alpha, beta = row[-3:]
-                fv = hyperopt.solve(
-                    method, target, obj, _state(obj, row, common), sample,
-                    eta=eta, alpha=alpha, beta=beta, epsilon=_EPSILON, f3_half_gradient=half,
-                )
-                defined += int(fv.defined)
-                if fv.defined and fv.feasible:
-                    kept.append(i)
-                    solved.append(fv.value)
-            min_defined = min(min_defined, defined / states)
-            if not kept:
+            columns = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target)).T
+            # adagrad's state is read as the post-accumulation view on both sides
+            form = hyperopt._FORMS[method, target]
+            fv = form(obj, _state(obj, columns, common), sample, *columns[-3:], _EPSILON, half)
+            min_defined = min(min_defined, np.count_nonzero(fv.defined) / states)
+            keep = fv.defined & fv.feasible
+            if not keep.any():
                 continue
-            columns = table[kept].T[..., None]  # each a (rows, 1) array
-            fixed = HyperParams(*columns[-3:], epsilon=_EPSILON)
-            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, _state(obj, columns, common), half)
-            worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, solved)))
-            compared += len(kept)
+            kept = columns[:, keep, None]  # each a (rows, 1) array
+            fixed = HyperParams(*kept[-3:], epsilon=_EPSILON)
+            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, _state(obj, kept, common), half)
+            worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, fv.value[keep].tolist())))
+            compared += len(found)
     return _row(
         f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95,
         compared=compared, min_defined_fraction=min_defined,
@@ -189,36 +181,29 @@ def _one_step_draw(obj: ObjectiveId, values, coefficient: str | None, target: st
 
 def _check_one_step(method: Method, samples: int, seed: int) -> dict:
     """Worst post-step loss using closed-form values, over defined+feasible draws;
-    each value is solved per draw, then all kept draws take one array step."""
+    each table is solved in one call, then all kept draws take one array step."""
     coefficient = next(iter(OPTIMIZED_HYPERS[method] - {"eta"}), None)
     targets = ("eta",) if coefficient is None else ("eta", coefficient)
     worst = 0.0
     tested = 0
     for obj in ObjectiveId:
         half = obj is ObjectiveId.F3
-        table = _draw(np.random.default_rng(seed), samples, _one_step_columns(obj, coefficient))
-        rows = table.tolist()
+        columns = _draw(np.random.default_rng(seed), samples, _one_step_columns(obj, coefficient)).T
         for target in targets:
             sample = _obj_sample(obj, target)
-            kept, solved = [], []
-            for i, row in enumerate(rows):
-                at, given = _one_step_draw(obj, row, coefficient, target)
-                view = at
-                if method is Method.ADAGRAD:
-                    view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=half)
-                fv = hyperopt.solve(
-                    method, target, obj, view, sample, **given, epsilon=_EPSILON, f3_half_gradient=half
-                )
-                if fv.defined and fv.feasible:
-                    kept.append(i)
-                    solved.append(fv.value)
-            if not kept:
+            at, given = _one_step_draw(obj, columns, coefficient, target)
+            view = at
+            if method is Method.ADAGRAD:
+                view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=half)
+            fv = hyperopt._FORMS[method, target](obj, view, sample, **given, epsilon=_EPSILON, f3_half_gradient=half)
+            keep = np.broadcast_to(fv.defined & fv.feasible, samples)  # plain descent's rate is one float
+            if not keep.any():
                 continue
-            at, given = _one_step_draw(obj, table[kept].T, coefficient, target)
-            hyper = HyperParams(**{**given, target: np.array(solved)}, epsilon=_EPSILON)
+            at, given = _one_step_draw(obj, columns[:, keep], coefficient, target)
+            hyper = HyperParams(**{**given, target: np.broadcast_to(fv.value, samples)[keep]}, epsilon=_EPSILON)
             stepped = optimizers.step(method, at, hyper, obj, sample, f3_half_gradient=half)
             worst = max(worst, float(np.max(objectives.evaluate(obj, stepped.params, sample))))
-            tested += len(kept)
+            tested += int(np.count_nonzero(keep))
     return _row(f"one-step/{method.value}", _ONE_STEP_TOL, worst, tested > 0, tested=tested)
 
 

@@ -19,6 +19,7 @@ from hyperstep import (
     ParamPoint,
     PerCoord,
     RegressionSample,
+    gradient,
     harness,
     hyperopt,
     optimal_beta_rmsprop,
@@ -440,3 +441,89 @@ def test_f1_momentum_coefficient_equals_its_unmerged_form(eta, w, v):
     # the merged rule computes (2 * eta - 1) * r / v; F1's own form was 2 * (eta - 0.5) * r / v
     got = optimal_momentum_coef(F1, make_state(w, v_w=v), eta=eta)
     assert repr(got) == repr(hyperopt._from_raw(2.0 * (eta - 0.5) * (w - 0.5) / v))
+
+
+# Drawn rows for the array forms: coordinates, then accumulators >= 0 (they are sums of
+# squares: on a negative sum the float path raises math domain error where arrays give NaN),
+# then eta, alpha, beta (at the values where a factor 2 * arity * eta - 1 is 0) and epsilon.
+_COORD = strategies.one_of(strategies.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), strategies.floats(-10.0, 10.0))
+_ACC = strategies.one_of(
+    strategies.sampled_from([0.0, SINGULAR_TOL, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL]),
+    strategies.floats(0.0, 10.0),
+)
+_GIVEN = strategies.one_of(strategies.sampled_from([0.0, 0.25, 0.5, 1.0]), strategies.floats(0.0, 1.0))
+_EPS = strategies.one_of(strategies.sampled_from([0.0, 1e-8]), strategies.floats(0.0, 1.0))
+_FORM_ROW = strategies.tuples(*[_COORD] * 4, *[_ACC] * 4, *[_GIVEN] * 3, _EPS)
+
+# Every singular quantity is pinned, on a copy of the first drawn row, at exactly 0 and
+# either side of SINGULAR_TOL in both signs (accumulators at their magnitude, epsilon 0).
+_NEAR_TOL = (0.0, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL, -0.5 * SINGULAR_TOL, -2.0 * SINGULAR_TOL)
+
+
+def _pinned(row, obj, sample, half, quantity, t):
+    """``row`` with ``quantity`` (residual, velocity sum or F3's m, u - g**2, accumulators) set to ``t``."""
+    w, b, v_w, v_b, phi_w, phi_b, u_w, u_b, eta, alpha, beta, eps = row
+    if quantity == "residual":
+        if obj is F3:
+            w, b = 0.0, sample.y + t
+        else:
+            w = 0.5 + t if obj is F1 else t - b
+    elif quantity == "velocity":
+        if obj is F3:
+            v_b = t - v_w * sample.x
+        else:
+            v_w = t if obj is F1 else t - v_b
+    elif quantity == "u - g**2":
+        g = gradient(obj, ParamPoint(w, b if obj.arity == 2 else None), sample, f3_half_gradient=half)
+        g = g.d_b if obj is F3 else g.d_w
+        u_w = max(g * g + t, 0.0)
+    else:
+        phi_w = phi_b = u_w = u_b = abs(t)
+        eps = 0.0
+    return (w, b, v_w, v_b, phi_w, phi_b, u_w, u_b, eta, alpha, beta, eps)
+
+
+def _form_state(columns, obj):
+    w, b, v_w, v_b, phi_w, phi_b, u_w, u_b = columns[:8]
+    if obj.arity == 1:
+        return make_state(w, v_w=v_w, phi_w=phi_w, u_w=u_w)
+    return make_state(w, b, v_w, v_b, phi_w, phi_b, u_w, u_b)
+
+
+@pytest.mark.parametrize("obj", [F1, F2, F3], ids=lambda o: o.value)
+@pytest.mark.parametrize("pair", list(NAMED_RULES), ids=lambda p: f"{p[0].value}-{p[1]}")
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    rows=strategies.lists(_FORM_ROW, min_size=1, max_size=3),
+    x=strategies.one_of(strategies.just(0.0), strategies.floats(-10.0, 10.0)),
+    y=_COORD,
+)
+def test_array_forms_equal_per_row_scalar_solve(pair, obj, rows, x, y):
+    """One call of a form through ``hyperopt._FORMS`` on columns equals ``solve`` on
+    each row: value and raw bit for bit (NaN matching NaN), and both flags, at f3
+    under both gradient conventions and at x = 0. The forms are written once for
+    floats and arrays, so this guards where the two part: the singular masks
+    (dropping one divides a float by 0) and ``_from_raw``'s clamping; the pinned
+    values above guard the shared arithmetic. Arrays raise no warning."""
+    method, target = pair
+    f3_cases = itertools.product((RegressionSample(x, y), RegressionSample(0.0, y)), (False, True))
+    for sample, half in f3_cases if obj is F3 else [(None, False)]:
+        table = rows + [
+            _pinned(rows[0], obj, sample, half, quantity, t)
+            for quantity in ("residual", "velocity", "u - g**2", "accumulators")
+            for t in _NEAR_TOL
+        ]
+        columns = [np.array(c) for c in zip(*table)]
+        many = hyperopt._FORMS[pair](obj, _form_state(columns, obj), sample, *columns[8:], half)
+        n = len(table)
+        value, raw, defined, feasible = (
+            np.broadcast_to(getattr(many, f), n) for f in ("value", "raw", "defined", "feasible")
+        )
+        for i, row in enumerate(table):
+            eta, alpha, beta, eps = row[8:]
+            one = solve(
+                method, target, obj, _form_state(row, obj), sample,
+                eta=eta, alpha=alpha, beta=beta, epsilon=eps, f3_half_gradient=half,
+            )
+            assert (one.value.hex(), one.raw.hex()) == (float(value[i]).hex(), float(raw[i]).hex()), table[i]
+            assert (one.defined, one.feasible) == (bool(defined[i]), bool(feasible[i])), table[i]

@@ -113,6 +113,19 @@ def test_subnormal_gradient_at_zero_epsilon_takes_a_plain_descent_step(method, a
     assert np.all(getattr(out, name).b == 0.0)
 
 
+@pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+def test_rmsprop_gradient_share_underflow_at_zero_epsilon_takes_a_plain_descent_step(array):
+    # g * g = 4e-320 registers, but at beta = 1 - 2**-52 its share (1 - beta) * g * g
+    # underflows: the accumulator read the gradient and is still 0, so the divisor is 1
+    coord = (lambda v: np.array([v, v])) if array else (lambda v: v)
+    state = OptimizerState.initial(ParamPoint(coord(1e-160), coord(0.0)))
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        out = step(Method.RMSPROP, state, HyperParams(0.1, beta=1 - 2**-52, epsilon=0.0), F2)
+    assert np.all(out.params.w == 1e-160 - 0.1 * 2e-160)
+    assert np.all(out.params.b == 0.0 - 0.1 * 2e-160)
+    assert np.all(out.weighted_grad_sq.w == 0.0)
+
+
 def test_zero_divisor_with_a_gradient_still_diverges():
     # beta = 1 keeps u at 0, so the step divides a nonzero gradient by 0
     state = make_state(0.3, u_w=0.0)

@@ -5,13 +5,16 @@ oracle layer (``analyzer`` searches, ``verify`` samplers and rows) fails here.
 JSON floats round-trip exactly, so the comparison is bit for bit.
 """
 
+import contextlib
+import importlib.util
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperstep import Method, ObjectiveId, verify
+from hyperstep import Method, ObjectiveId, cli, harness, verify
 from hyperstep.cli import _json_text
 
 PINNED = json.loads(Path(__file__).with_name("oracle_reports.json").read_text())
@@ -73,3 +76,35 @@ def test_block_draw_equals_successive_single_row_draws(layout):
             1.0 - float(rng.random()) if c == verify._OPEN_UNIT else float(rng.uniform(*c)) for c in columns
         ]
         assert [x.hex() for x in row] == [x.hex() for x in scalar]
+
+
+def _load_tracer():
+    """perfbench's tracer module, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _verify_and_table2():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--seed", "0"])
+    return code, out.getvalue(), err.getvalue(), repr(harness.reproduce_table2())
+
+
+def test_the_tracer_sees_floats_at_every_public_hyperopt_name():
+    # The tracer wraps every public function wherever it is bound, and its hyperopt
+    # hook reads ``bool(result.defined)``: an array reaching or leaving a public
+    # hyperopt name would raise there and turn verify's exit code to 1.
+    tracer = _load_tracer().Tracer()
+    untraced = _verify_and_table2()
+    tracer.install()
+    try:
+        traced = _verify_and_table2()
+    finally:
+        tracer.uninstall()
+    assert untraced[0] == 0
+    assert traced == untraced
+    assert tracer.counts["hyperopt.results"] > 0
