@@ -6,8 +6,9 @@ forms for the requested hyperparameters and applies the fallback contract:
 an undefined value keeps the previous one, an infeasible value is clamped to
 [0, 1], and every choice is flagged in the trace.
 
-``RunConfig`` and ``resolve_init`` check config, sample and arity once per run, so
-``run_training`` loops over unchecked cores. Per epoch it checks only that the gradient,
+``RunConfig`` and ``resolve_init`` check a run's sample and initial point once, through
+the halves of ``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors);
+``run_training`` then loops over unchecked cores. Per epoch it checks only that the gradient,
 whose finiteness defines divergence, the params and the method's one state slot are finite.
 
 ``reproduce_table2`` assembles the 4x3 convergence comparison between the
@@ -24,7 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-from .objectives import ObjectiveId, ParamPoint, RegressionSample, _gradient, _residual
+from .objectives import ObjectiveId, ParamPoint, RegressionSample, _check_point, _check_sample, _gradient, _residual
 from .optimizers import (
     _RULES, HyperParams, Method, NonFiniteGradientError, OptimizerState,
     _apply_rule, _require_finite, _unchecked_hyper, adagrad_post_view,
@@ -78,6 +79,17 @@ class HyperPolicy:
         return cls(kind=PolicyKind.OPTIMAL_PER_EPOCH, base=base, optimize=frozenset(optimize))
 
 
+def _require_index(name: str, value) -> int:
+    """``value`` as an integer, through ``operator.index`` (numpy integers pass) but not a bool."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or value.__class__ is bool:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class RandomInit:
     """Seeded uniform draw of the initial parameters from [0, 1) (w first, then b):
@@ -86,7 +98,7 @@ class RandomInit:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
+        if _require_index("init seed", self.seed) < 0:
             raise ValueError(f"init seed must be non-negative, got {self.seed}")
 
 
@@ -137,20 +149,11 @@ class RunConfig:
     f3_half_gradient: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            index = operator.index(self.max_epochs)
-        except TypeError:
-            index = None
-        if index is None or self.max_epochs.__class__ is bool:
-            raise ValueError(f"max_epochs must be an integer, got {self.max_epochs!r}")
-        if index < 1:
+        if _require_index("max_epochs", self.max_epochs) < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.objective is ObjectiveId.F3 and self.sample is None:
-            raise ValueError("F3 runs need a regression sample")
-        if self.objective is not ObjectiveId.F3 and self.sample is not None:
-            raise ValueError(f"{self.objective.name} does not take a regression sample")
+        _check_sample(self.objective, self.sample)
         extra = self.policy.optimize - OPTIMIZED_HYPERS[self.method]
         if extra:
             raise ValueError(
@@ -228,12 +231,8 @@ def resolve_init(cfg: RunConfig) -> ParamPoint:
     if isinstance(cfg.init, RandomInit):
         w, b = _seeded_uniforms(cfg.init.seed, 2)
         return ParamPoint(w=w, b=b if two else None)
-    init = cfg.init
-    if two and init.b is None:
-        raise ValueError(f"{cfg.objective.name} needs an initial b")
-    if not two and init.b is not None:
-        raise ValueError(f"{cfg.objective.name} takes a single initial parameter w")
-    return init
+    _check_point(cfg.objective, cfg.init)
+    return cfg.init
 
 
 def detect_convergence(records: tuple[EpochRecord, ...] | list[EpochRecord], tolerance: float) -> int | None:

@@ -23,6 +23,10 @@ Conventions the formulas rely on:
 - The rmsprop beta rule for F2/F3 assumes a common accumulator and a common
   gradient across both coordinates; for F3 that holds at x = 1.
 
+Every rule first runs ``optimizers._check_state``, the check ``step`` runs, so a
+state, point or sample ``step`` refuses is refused here with the same error; it
+then computes on the unchecked cores ``objectives._residual`` and ``_gradient``.
+
 Public names take and return floats. Each form is written once for floats
 and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
 no row divides by zero), but arrays enter only through the private table
@@ -35,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .objectives import ObjectiveId, RegressionSample, gradient, residual
-from .optimizers import Method, OptimizerState, _weighted_grad_sq
+from .objectives import ObjectiveId, RegressionSample, _gradient, _residual
+from .optimizers import Method, OptimizerState, _check_state, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -78,18 +82,6 @@ def _sqrt(x):
     return np.sqrt(x)
 
 
-def _need_sample(obj: ObjectiveId, sample: RegressionSample | None) -> RegressionSample:
-    if sample is None:
-        raise ValueError("F3 requires a regression sample (x, y)")
-    return sample
-
-
-def _need_b(value: float | None, what: str, obj: ObjectiveId) -> float:
-    if value is None:
-        raise ValueError(f"{what} is missing its b component for {obj.name}")
-    return value
-
-
 def _f3_base_lr(x: float) -> float:
     # Single shared expression so reduction identities hold bit for bit.
     return 1.0 / (x * x + 1.0)
@@ -97,9 +89,8 @@ def _f3_base_lr(x: float) -> float:
 
 def _velocity_sum(obj: ObjectiveId, state: OptimizerState) -> float:
     """The velocity's pull on the F1/F2 residual: v_w, plus v_b on F2."""
-    if obj.arity == 1:
-        return state.velocity.w
-    return state.velocity.w + _need_b(state.velocity.b, "velocity", obj)
+    v = state.velocity
+    return v.w if obj.arity == 1 else v.w + v.b
 
 
 def optimal_lr_gd(
@@ -112,8 +103,9 @@ def optimal_lr_gd(
     State-independent: 0.5 for F1, 0.25 for F2, 1 / (x**2 + 1) for F3.
     Always defined.
     """
+    _check_state(state, obj, sample)
     if obj is ObjectiveId.F3:
-        return _from_raw(_f3_base_lr(_need_sample(obj, sample).x))
+        return _from_raw(_f3_base_lr(sample.x))
     return _from_raw(1.0 / (2.0 * obj.arity))
 
 
@@ -129,15 +121,13 @@ def optimal_lr_momentum(
     Undefined when the current residual is below SINGULAR_TOL: the carried
     velocity then has nothing to correct against.
     """
+    _check_state(state, obj, sample)
+    r = _residual(obj, state.params, sample)
+    singular = abs(r) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
-        r = residual(obj, state.params)
-        singular = abs(r) < SINGULAR_TOL
         return _from_raw((alpha * _velocity_sum(obj, state) + r) / (2.0 * obj.arity * r + singular), singular)
-    s = _need_sample(obj, sample)
-    delta = residual(obj, state.params, s)
-    singular = abs(delta) < SINGULAR_TOL
-    m = state.velocity.w * s.x + _need_b(state.velocity.b, "velocity", obj)
-    return _from_raw(_f3_base_lr(s.x) + alpha * m / (delta * (s.x * s.x + 1.0) + singular), singular)
+    m = state.velocity.w * sample.x + state.velocity.b
+    return _from_raw(_f3_base_lr(sample.x) + alpha * m / (r * (sample.x * sample.x + 1.0) + singular), singular)
 
 
 def optimal_momentum_coef(
@@ -152,32 +142,31 @@ def optimal_momentum_coef(
     Undefined when the velocity term it scales is below SINGULAR_TOL, in
     particular at the very first update where the velocity is still zero.
     """
+    _check_state(state, obj, sample)
+    r = _residual(obj, state.params, sample)
     if obj is not ObjectiveId.F3:
         v = _velocity_sum(obj, state)
         singular = abs(v) < SINGULAR_TOL
-        r = residual(obj, state.params)
         return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (v + singular), singular)
-    s = _need_sample(obj, sample)
-    m = state.velocity.w * s.x + _need_b(state.velocity.b, "velocity", obj)
+    m = state.velocity.w * sample.x + state.velocity.b
     singular = abs(m) < SINGULAR_TOL
-    delta = residual(obj, state.params, s)
-    return _from_raw(delta * (eta * s.x * s.x + eta - 1.0) / (m + singular), singular)
+    return _from_raw(r * (eta * sample.x * sample.x + eta - 1.0) / (m + singular), singular)
 
 
 def _scaled_lr(
-    obj: ObjectiveId, sample: RegressionSample | None, acc_w: float, acc_b: float | None, slot: str, epsilon: float
+    obj: ObjectiveId, sample: RegressionSample | None, acc_w: float, acc_b: float | None, epsilon: float
 ) -> FeasibleValue:
     """Learning rate that zeroes the residual when each coordinate's step is
     divided by sqrt(acc + epsilon), ``acc_w``/``acc_b`` being the accumulators
-    (from state slot ``slot``) the pending step divides by."""
+    the pending step divides by."""
     s_w = _sqrt(acc_w + epsilon)
     if obj is ObjectiveId.F1:
         return _from_raw(s_w / 2.0)
-    s_b = _sqrt(_need_b(acc_b, slot, obj) + epsilon)
+    s_b = _sqrt(acc_b + epsilon)
     if obj is ObjectiveId.F2:
         denom = 2.0 * (s_w + s_b)
     else:
-        x = _need_sample(obj, sample).x
+        x = sample.x
         denom = x * x * s_b + s_w
     singular = denom < SINGULAR_TOL
     return _from_raw(s_w * s_b / (denom + singular), singular)
@@ -197,7 +186,8 @@ def optimal_lr_adagrad(
     Defined whenever the scaled divisors are positive, which epsilon > 0
     guarantees.
     """
-    return _scaled_lr(obj, sample, state.grad_sq_sum.w, state.grad_sq_sum.b, "grad_sq_sum", epsilon)
+    _check_state(state, obj, sample)
+    return _scaled_lr(obj, sample, state.grad_sq_sum.w, state.grad_sq_sum.b, epsilon)
 
 
 def optimal_lr_rmsprop(
@@ -215,10 +205,11 @@ def optimal_lr_rmsprop(
     beta * u + (1 - beta) * g**2 from the state's current accumulators and
     gradient. ``f3_half_gradient`` must match the convention the step uses.
     """
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    _check_state(state, obj, sample)
+    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
     u = state.weighted_grad_sq
-    u_b = None if g.d_b is None else _weighted_grad_sq(_need_b(u.b, "weighted_grad_sq", obj), g.d_b, beta)
-    return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, "weighted_grad_sq", epsilon)
+    u_b = None if g.d_b is None else _weighted_grad_sq(u.b, g.d_b, beta)
+    return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, epsilon)
 
 
 def optimal_beta_rmsprop(
@@ -238,20 +229,18 @@ def optimal_beta_rmsprop(
     (the w slot is read) and one common gradient value; for F3 the common
     gradient holds at x = 1 and the b component is read.
     """
-    if obj is ObjectiveId.F3:
-        s = _need_sample(obj, sample)
-        delta = residual(obj, state.params, s)
-        flat = abs(delta) < SINGULAR_TOL
-        g = gradient(obj, state.params, s, f3_half_gradient=f3_half_gradient).d_b
-    else:
-        g = gradient(obj, state.params).d_w
+    _check_state(state, obj, sample)
+    r = _residual(obj, state.params, sample)
+    g = _gradient(obj, r, sample, f3_half_gradient)
+    g = g.d_b if obj is ObjectiveId.F3 else g.d_w
     g_sq = g * g
     denom = state.weighted_grad_sq.w - g_sq
     singular = abs(denom) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
         return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular)
-    d_sq = delta * delta + flat
-    x1 = s.x + 1.0
+    flat = abs(r) < SINGULAR_TOL
+    d_sq = r * r + flat
+    x1 = sample.x + 1.0
     raw = (eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / ((denom + singular) * d_sq)
     return _from_raw(raw, singular | flat)
 

@@ -5,9 +5,10 @@ quadratic in two parameters, and a squared-error linear regression loss over
 a single (x, y) sample. Every loss is the square of a signed residual, which
 the update rules and the closed-form step sizes downstream exploit.
 
-``residual``, ``evaluate`` and ``gradient`` check arity and sample on every call, then
-run the unchecked cores ``_residual`` and ``_gradient``; ``harness.run_training`` checks
-once per run and calls the cores, one residual per epoch for the loss and the gradient.
+``_check_inputs`` is the package's one test of a well-formed (objective, point, sample):
+the point's arity (``_check_point``), then the sample (``_check_sample``). ``residual``,
+``evaluate`` and ``gradient`` run it, then the unchecked cores ``_residual`` and ``_gradient``;
+``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
 """
 
 from __future__ import annotations
@@ -53,15 +54,25 @@ class GradientVector:
     d_b: float | None = None
 
 
+def _check_point(obj: ObjectiveId, point: ParamPoint) -> None:
+    if (point.b is None) is (obj.arity == 2):
+        raise ValueError(
+            f"{obj.name} needs both parameters w and b" if point.b is None
+            else f"{obj.name} takes a single parameter w, got b={point.b!r}"
+        )
+
+
+def _check_sample(obj: ObjectiveId, sample: RegressionSample | None) -> None:
+    if (sample is None) is (obj is ObjectiveId.F3):
+        raise ValueError(
+            "F3 requires a regression sample (x, y)" if sample is None
+            else f"{obj.name} does not take a regression sample"
+        )
+
+
 def _check_inputs(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | None) -> None:
-    if obj.arity == 1 and point.b is not None:
-        raise ValueError(f"{obj.name} takes a single parameter w, got b={point.b!r}")
-    if obj.arity == 2 and point.b is None:
-        raise ValueError(f"{obj.name} needs both parameters w and b")
-    if obj is ObjectiveId.F3 and sample is None:
-        raise ValueError("F3 requires a regression sample (x, y)")
-    if obj is not ObjectiveId.F3 and sample is not None:
-        raise ValueError(f"{obj.name} does not take a regression sample")
+    _check_point(obj, point)
+    _check_sample(obj, sample)
 
 
 def residual(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | None = None) -> float:

@@ -1,13 +1,15 @@
 """One-step update rules for four gradient descent variants.
 
-``step`` is the one update path, two parts run in sequence.
-``_checked_gradient`` checks the state's arity against the objective on every call
-and refuses a non-finite gradient; ``_apply_rule`` applies the method's per-coordinate
-rule ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES``
+``step`` is the one update path, two parts run in sequence. ``_checked_gradient`` runs
+``_check_state``, the one test of a well-formed (state, objective, sample): each slot's
+arity, then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
+and every ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
+non-finite gradient. ``_apply_rule`` applies the method's per-coordinate rule
+``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES``
 maps each method to that rule and to the state slot it advances. ``_apply_rule`` has
 two more callers: a direct search, whose state does not move, takes the first part
-once and the second at every curve point; ``harness.run_training``, which checked the
-arity once per run, applies it to each epoch's gradient after ``_require_finite``.
+once and the second at every curve point; ``harness.run_training``, which checked its
+inputs once per run, applies it to each epoch's gradient after ``_require_finite``.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, except where adagrad's or
 rmsprop's divisor is zero or NaN: numpy gives its IEEE result (inf or NaN)
@@ -28,13 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
-from .objectives import (
-    GradientVector,
-    ObjectiveId,
-    ParamPoint,
-    RegressionSample,
-    gradient,
-)
+from .objectives import GradientVector, ObjectiveId, ParamPoint, RegressionSample, _check_inputs, _gradient, _residual
 
 
 class Method(Enum):
@@ -116,14 +112,15 @@ def _require_finite(g: GradientVector) -> None:
         raise NonFiniteGradientError(f"gradient is not finite: {g!r}")
 
 
-def _check_arity(state: OptimizerState, obj: ObjectiveId) -> None:
+def _check_state(state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None) -> None:
     two = obj.arity == 2
     for name in ("velocity", "grad_sq_sum", "weighted_grad_sq"):
-        slot: PerCoord = getattr(state, name)
-        if two and slot.b is None:
-            raise ValueError(f"{name} is missing its b component for {obj.name}")
-        if not two and slot.b is not None:
-            raise ValueError(f"{name} has a b component but {obj.name} takes one parameter")
+        if (getattr(state, name).b is None) is two:
+            raise ValueError(
+                f"{name} is missing its b component for {obj.name}" if two
+                else f"{name} has a b component but {obj.name} takes one parameter"
+            )
+    _check_inputs(obj, state.params, sample)
 
 
 def _grad_sq_sum(phi, g):
@@ -189,9 +186,9 @@ _NO_SLOT = PerCoord()
 def _checked_gradient(
     state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, f3_half_gradient: bool
 ) -> GradientVector:
-    """The gradient ``step`` consumes at ``state``: arity checked, finite."""
-    _check_arity(state, obj)
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    """The gradient ``step`` consumes at ``state``: the state checked, finite."""
+    _check_state(state, obj, sample)
+    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
     _require_finite(g)
     return g
 
@@ -222,7 +219,7 @@ def step(
     """One update of ``method``: its per-coordinate rule applied to w and, if present, b.
 
     Raises:
-        ValueError: if a state slot's arity does not match ``obj``.
+        ValueError: if a state slot, the params or the sample does not fit ``obj``.
         NonFiniteGradientError: if the gradient at ``state`` is not finite.
     """
     return _apply_rule(method, state, hyper, _checked_gradient(state, obj, sample, f3_half_gradient))
@@ -255,6 +252,7 @@ def adagrad_post_view(
 ) -> OptimizerState:
     """``state`` with grad_sq_sum advanced by the current squared gradient: the
     sums the pending adagrad step divides by, which its closed form reads."""
-    g = gradient(obj, state.params, sample, f3_half_gradient=f3_half_gradient)
+    _check_state(state, obj, sample)
+    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
     post_b = None if g.d_b is None else _grad_sq_sum(state.grad_sq_sum.b, g.d_b)
     return replace(state, grad_sq_sum=PerCoord(w=_grad_sq_sum(state.grad_sq_sum.w, g.d_w), b=post_b))

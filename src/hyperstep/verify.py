@@ -110,14 +110,14 @@ _GD_ARGMIN_CASES = (
 )
 
 
-def check_argmin_gd(seed: int = 0) -> dict:
-    """The sampled-mean argmin of plain descent against its closed-form rate."""
+def check_argmin_gd() -> dict:
+    """The grid-sampled mean argmin of plain descent against its closed-form rate."""
     worst = 0.0
     for obj, s in _GD_ARGMIN_CASES:
         template = OptimizerState.initial(ParamPoint(w=0.0, b=0.0 if obj.arity == 2 else None))
         res = analyzer.argmin_hyper(
             Method.GD, obj, "eta", DEFAULT_HYPERS, s,
-            analyzer.default_sampling(obj, seed), template, f3_half_gradient=True,
+            analyzer.default_sampling(obj), template, f3_half_gradient=True,
         )
         fv = hyperopt.solve(
             Method.GD, "eta", obj, template, s, eta=None, alpha=None, beta=None, epsilon=_EPSILON
@@ -229,7 +229,7 @@ def report(scope: str, samples: int, seed: int, method: Method | None = None) ->
         checks.extend(_check_gradients(samples, seed))
     if scope in ("argmin", "all"):
         checks.extend(
-            check_argmin_gd(seed) if m is Method.GD else check_argmin_pointwise(m, seed) for m in methods
+            check_argmin_gd() if m is Method.GD else check_argmin_pointwise(m, seed) for m in methods
         )
     if scope in ("one-step", "all"):
         checks.extend(_check_one_step(m, samples, seed) for m in methods)

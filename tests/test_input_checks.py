@@ -1,0 +1,132 @@
+"""One definition of well-formed input: every layer refuses a state, point or
+sample with the error ``step`` gives for it, word for word."""
+
+from dataclasses import replace
+
+import pytest
+
+from hyperstep import (
+    HyperParams,
+    Method,
+    ObjectiveId,
+    OptimizerState,
+    ParamPoint,
+    PerCoord,
+    RegressionSample,
+    hyperopt,
+    optimal_beta_rmsprop,
+    optimal_lr_adagrad,
+    optimal_lr_gd,
+    optimal_lr_momentum,
+    optimal_lr_rmsprop,
+    optimal_momentum_coef,
+    solve,
+    step,
+)
+from hyperstep.harness import DEFAULT_HYPERS, HyperPolicy, RunConfig, resolve_init, run_training
+from hyperstep.optimizers import adagrad_post_view
+
+F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
+SAMPLE = RegressionSample(x=0.3, y=0.23)
+SLOTS = ("velocity", "grad_sq_sum", "weighted_grad_sq")
+GIVEN = {"eta": 0.1, "alpha": 0.5, "beta": 0.5, "epsilon": 1e-8}
+
+# Each public rule with the given values it reads, one per ``hyperopt._FORMS`` pair.
+RULES = {
+    (Method.GD, "eta"): (optimal_lr_gd, {}),
+    (Method.MOMENTUM, "eta"): (optimal_lr_momentum, {"alpha": 0.5}),
+    (Method.MOMENTUM, "alpha"): (optimal_momentum_coef, {"eta": 0.1}),
+    (Method.ADAGRAD, "eta"): (optimal_lr_adagrad, {"epsilon": 1e-8}),
+    (Method.RMSPROP, "eta"): (optimal_lr_rmsprop, {"beta": 0.5, "epsilon": 1e-8}),
+    (Method.RMSPROP, "beta"): (optimal_beta_rmsprop, {"eta": 0.1, "epsilon": 1e-8}),
+}
+
+
+def _well_formed(obj):
+    two = obj.arity == 2
+
+    def coords(w, b):
+        return PerCoord(w, b if two else None)
+
+    params = ParamPoint(0.3, 0.4 if two else None)
+    state = OptimizerState(params, coords(0.1, -0.2), coords(0.5, 0.6), coords(0.7, 0.8))
+    return state, SAMPLE if obj is F3 else None
+
+
+def _faults(obj):
+    """(id, state, sample, the text ``step`` refuses them with): each fault alone on a
+    well-formed state and sample for ``obj``, then faults together, where the slots
+    are checked first, in the state's order, then the params, then the sample."""
+    state, sample = _well_formed(obj)
+    n, two = obj.name, obj.arity == 2
+    wrong_sample = None if obj is F3 else SAMPLE
+    sample_text = "F3 requires a regression sample (x, y)" if obj is F3 else f"{n} does not take a regression sample"
+    params = ParamPoint(0.3) if two else ParamPoint(0.3, 0.4)
+    params_text = f"{n} needs both parameters w and b" if two else f"{n} takes a single parameter w, got b=0.4"
+    slot = PerCoord(0.1) if two else PerCoord(0.1, 0.2)
+
+    def slot_text(name):
+        if two:
+            return f"{name} is missing its b component for {n}"
+        return f"{name} has a b component but {n} takes one parameter"
+
+    yield "sample", state, wrong_sample, sample_text
+    yield "params", replace(state, params=params), sample, params_text
+    for name in SLOTS:
+        yield name, replace(state, **{name: slot}), sample, slot_text(name)
+    yield "params+sample", replace(state, params=params), wrong_sample, params_text
+    yield "accumulators+params", replace(state, params=params, grad_sq_sum=slot, weighted_grad_sq=slot), sample, (
+        slot_text("grad_sq_sum")
+    )
+    yield "all", replace(state, params=params, **dict.fromkeys(SLOTS, slot)), wrong_sample, slot_text("velocity")
+
+
+FAULTS = [
+    pytest.param(obj, state, sample, text, id=f"{obj.value}-{name}")
+    for obj in ObjectiveId
+    for name, state, sample, text in _faults(obj)
+]
+PAIRS = [pytest.param(pair, id=f"{pair[0].value}-{pair[1]}") for pair in RULES]
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+def test_the_rule_table_covers_every_closed_form():
+    # so the pairs below reach every method's step too
+    assert sorted(RULES, key=str) == sorted(hyperopt._FORMS, key=str)
+
+
+@pytest.mark.parametrize("obj, state, sample, text", FAULTS)
+@pytest.mark.parametrize("pair", PAIRS)
+def test_every_closed_form_refuses_each_fault_as_step_does(pair, obj, state, sample, text):
+    rule, given = RULES[pair]
+    by_step = _refusal(lambda: step(pair[0], state, HyperParams(eta=0.1), obj, sample))
+    by_rule = _refusal(lambda: rule(obj, state, sample, **given))
+    by_solve = _refusal(lambda: solve(*pair, obj, state, sample, **GIVEN))
+    assert by_rule == by_solve == by_step == text
+
+
+@pytest.mark.parametrize("obj, state, sample, text", FAULTS)
+def test_the_adagrad_post_view_refuses_each_fault_as_step_does(obj, state, sample, text):
+    assert _refusal(lambda: adagrad_post_view(state, obj, sample, f3_half_gradient=False)) == text
+
+
+@pytest.mark.parametrize("obj", list(ObjectiveId), ids=lambda o: o.value)
+def test_a_run_refuses_a_sample_or_initial_point_as_step_does(obj):
+    state, sample = _well_formed(obj)
+    wrong_sample = None if obj is F3 else SAMPLE
+    wrong_init = ParamPoint(0.3) if obj.arity == 2 else ParamPoint(0.3, 0.4)
+    fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
+
+    def config(**kw):
+        return RunConfig(method=Method.GD, objective=obj, policy=fixed, **{"sample": sample, **kw})
+
+    by_step = _refusal(lambda: step(Method.GD, state, DEFAULT_HYPERS, obj, wrong_sample))
+    assert _refusal(lambda: config(sample=wrong_sample)) == by_step
+    by_step = _refusal(lambda: step(Method.GD, replace(state, params=wrong_init), DEFAULT_HYPERS, obj, sample))
+    assert _refusal(lambda: resolve_init(config(init=wrong_init))) == by_step
+    assert _refusal(lambda: run_training(config(init=wrong_init))) == by_step

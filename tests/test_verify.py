@@ -34,7 +34,7 @@ CASES = {
         f"pointwise/{m.value}/0": (verify.check_argmin_pointwise, (m, 0), {})
         for m in (Method.MOMENTUM, Method.ADAGRAD, Method.RMSPROP)
     },
-    "gd": (verify.check_argmin_gd, (0,), {}),
+    "gd": (verify.check_argmin_gd, (), {}),
 }
 
 
