@@ -31,6 +31,7 @@ from .objectives import (
     ObjectiveId,
     ParamPoint,
     RegressionSample,
+    _require_index,
     evaluate,
 )
 from .optimizers import (
@@ -76,8 +77,9 @@ class SamplingSpec:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.resolution < 2:
+        if _require_index("resolution", self.resolution) < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
+        _require_index("seed", self.seed)
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"domain must be a finite non-empty interval, got {self.domain}")

@@ -10,6 +10,7 @@ an undefined value keeps the previous one, an infeasible value is clamped to
 the halves of ``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors);
 ``run_training`` then loops over unchecked cores. Per epoch it checks only that the gradient,
 whose finiteness defines divergence, the params and the method's one state slot are finite.
+A run on floats computes in plain floats, a zero divisor's inf or NaN included.
 
 ``reproduce_table2`` assembles the 4x3 convergence comparison between the
 per-epoch-optimal arm and a fixed-default arm, next to the published
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-from .objectives import ObjectiveId, ParamPoint, RegressionSample, _check_point, _check_sample, _gradient, _residual
+from .objectives import (
+    ObjectiveId, ParamPoint, RegressionSample, _check_point, _check_sample, _gradient, _require_index, _residual,
+)
 from .optimizers import (
     _RULES, HyperParams, Method, NonFiniteGradientError, OptimizerState,
     _apply_rule, _require_finite, _unchecked_hyper, adagrad_post_view,
@@ -77,17 +78,6 @@ class HyperPolicy:
     @classmethod
     def optimal(cls, base: HyperParams, optimize: frozenset[str] | set[str]) -> HyperPolicy:
         return cls(kind=PolicyKind.OPTIMAL_PER_EPOCH, base=base, optimize=frozenset(optimize))
-
-
-def _require_index(name: str, value) -> int:
-    """``value`` as an integer, through ``operator.index`` (numpy integers pass) but not a bool."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = None
-    if index is None or value.__class__ is bool:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return index
 
 
 @dataclass(frozen=True)
@@ -283,20 +273,6 @@ def _finite(coords) -> bool:
     return math.isfinite(coords.w) and (coords.b is None or math.isfinite(coords.b))
 
 
-def _quiet_numpy(cfg: RunConfig):
-    """numpy's overflow, invalid and divide warnings silenced, as a run records a
-    non-finite value as divergence, wherever the run can compute on numpy values:
-    numpy is loaded, so ``cfg`` may hold them, or an adagrad or rmsprop run at
-    epsilon = 0 can meet the zero divisor ``optimizers._scaled`` hands to numpy.
-    Any other run computes on plain floats and enters no context."""
-    zero_divisor = cfg.method in (Method.ADAGRAD, Method.RMSPROP) and cfg.policy.base.epsilon == 0.0
-    if "numpy" not in sys.modules and not zero_divisor:
-        return nullcontext()
-    import numpy as np
-
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def run_training(cfg: RunConfig) -> Trace:
     """Run until convergence, divergence, or ``max_epochs`` recorded epochs.
 
@@ -315,23 +291,22 @@ def run_training(cfg: RunConfig) -> Trace:
     hypers, flags = cfg.policy.base, _FIXED_FLAGS
     diverged = not math.isfinite(loss)
 
-    with _quiet_numpy(cfg):
-        while not diverged and loss > tolerance and state.epoch < max_epochs:
-            if optimal:
-                hypers, flags = _resolve_optimal(cfg, state, hypers)
-            g = _gradient(obj, r, sample, half)
-            try:
-                _require_finite(g)
-            except NonFiniteGradientError:
-                diverged = True
-                break
-            state = _apply_rule(method, state, hypers, g)
-            r = _residual(obj, state.params, sample)
-            loss = float(r * r)
-            records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
-            # an overflowed accumulator would freeze the run with a finite loss
-            finite = math.isfinite(loss) and _finite(state.params)
-            diverged = not (finite and (slot is None or _finite(getattr(state, slot))))
+    while not diverged and loss > tolerance and state.epoch < max_epochs:
+        if optimal:
+            hypers, flags = _resolve_optimal(cfg, state, hypers)
+        g = _gradient(obj, r, sample, half)
+        try:
+            _require_finite(g)
+        except NonFiniteGradientError:
+            diverged = True
+            break
+        state = _apply_rule(method, state, hypers, g)
+        r = _residual(obj, state.params, sample)
+        loss = float(r * r)
+        records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
+        # an overflowed accumulator would freeze the run with a finite loss
+        finite = math.isfinite(loss) and _finite(state.params)
+        diverged = not (finite and (slot is None or _finite(getattr(state, slot))))
 
     recs = tuple(records)
     return Trace(

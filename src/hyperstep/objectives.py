@@ -9,10 +9,12 @@ the update rules and the closed-form step sizes downstream exploit.
 the point's arity (``_check_point``), then the sample (``_check_sample``). ``residual``,
 ``evaluate`` and ``gradient`` run it, then the unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
+``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,10 +26,8 @@ class ObjectiveId(Enum):
     F2 = "f2"
     F3 = "f3"
 
-    @property
-    def arity(self) -> int:
-        """Number of parameters the objective takes (1 for F1, else 2)."""
-        return 1 if self is ObjectiveId.F1 else 2
+    def __init__(self, value: str) -> None:
+        self.arity = 1 if value == "f1" else 2  # number of parameters the objective takes
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,17 @@ def _check_sample(obj: ObjectiveId, sample: RegressionSample | None) -> None:
             "F3 requires a regression sample (x, y)" if sample is None
             else f"{obj.name} does not take a regression sample"
         )
+
+
+def _require_index(name: str, value) -> int:
+    """``value`` as an integer, through ``operator.index`` (numpy integers pass) but not a bool."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or value.__class__ is bool:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index
 
 
 def _check_inputs(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | None) -> None:

@@ -11,10 +11,9 @@ two more callers: a direct search, whose state does not move, takes the first pa
 once and the second at every curve point; ``harness.run_training``, which checked its
 inputs once per run, applies it to each epoch's gradient after ``_require_finite``.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
-stays in plain floats and imports no numpy, except where adagrad's or
-rmsprop's divisor is zero or NaN: numpy gives its IEEE result (inf or NaN)
-there without raising. A step never mutates its input and advances the
-epoch by exactly one.
+stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
+negative or NaN divisor included: each gets its IEEE result (inf or NaN).
+A step never mutates its input and advances the epoch by exactly one.
 
 The closed-form step sizes rely on the accumulator conventions: the
 gradient-square sum is updated before the division (adagrad), and the
@@ -152,14 +151,16 @@ def _scaled(c, acc, g, hyper, read):
     # square underflows) or was read (so its share underflowed), the divisor
     # is 1: the coordinate takes the plain descent step -eta * g, nothing or a
     # tiny one. A registering g * g the accumulator never read (rmsprop at
-    # beta = 1) still divides by a zero divisor. A positive float divisor takes
-    # math.sqrt, which rounds as numpy's does; arrays, numpy scalars and a zero
-    # or NaN divisor take numpy, whose division gives inf or NaN where Python's
-    # would raise ZeroDivisionError.
+    # beta = 1) still divides by a zero divisor. A positive or NaN float divisor
+    # takes math.sqrt, which rounds as numpy's does; where Python raises, at d = 0
+    # and d < 0, the step multiplies by IEEE's 1 / sqrt(d): inf, and the default
+    # NaN (inf * 0). Only arrays and numpy scalars take numpy.
     s = acc + hyper.epsilon
     d = s + ((s == 0) & (read | (g * g == 0)))
-    if d.__class__ is float and d > 0.0:
-        return c - hyper.eta * g / math.sqrt(d), acc
+    if d.__class__ is float:
+        if d > 0.0 or d != d:
+            return c - hyper.eta * g / math.sqrt(d), acc
+        return c - hyper.eta * g * (math.inf if d == 0.0 else math.inf * 0.0), acc
     import numpy as np
 
     return c - hyper.eta * g / np.sqrt(d), acc

@@ -23,7 +23,7 @@ import numpy as np
 from . import analyzer, hyperopt, objectives, optimizers
 from .harness import DEFAULT_HYPERS, DEFAULT_SAMPLE
 from .hyperopt import OPTIMIZED_HYPERS, SCOPES
-from .objectives import ObjectiveId, ParamPoint, RegressionSample
+from .objectives import ObjectiveId, ParamPoint, RegressionSample, _require_index
 from .optimizers import HyperParams, Method, OptimizerState, PerCoord
 
 _ARGMIN_TOL = 1e-6
@@ -133,7 +133,10 @@ def _pointwise_columns(obj: ObjectiveId, target: str) -> list[tuple[float, float
 
 def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict:
     """Single-state argmins against every closed form of ``method``, per objective;
-    one search per (objective, target) from all its defined, feasible states."""
+    one search per (objective, target) from all its defined, feasible states;
+    it passes only if some state was compared."""
+    if _require_index("states", states) < 1:
+        raise ValueError(f"states must be at least 1, got {states}")
     worst = 0.0
     min_defined = 1.0
     compared = 0
@@ -156,7 +159,7 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, fv.value[keep].tolist())))
             compared += len(found)
     return _row(
-        f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95,
+        f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95 and compared > 0,
         compared=compared, min_defined_fraction=min_defined,
     )
 
@@ -214,13 +217,14 @@ def report(scope: str, samples: int, seed: int, method: Method | None = None) ->
     checks; ``method`` restricts the argmin and one-step checks to one method.
 
     Raises:
-        ValueError: on an unknown scope, a sample count below 1 or a negative seed.
+        ValueError: on an unknown scope, a sample count or seed that is not an
+            integer, a sample count below 1 or a negative seed.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    if samples < 1:
+    if _require_index("samples", samples) < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if seed < 0:
+    if _require_index("seed", seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     methods = [method] if method is not None else list(OPTIMIZED_HYPERS)
 

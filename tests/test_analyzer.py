@@ -1,6 +1,7 @@
 """Numeric oracles: mean post-step error, argmin searches, gradient checks."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -140,11 +141,21 @@ def test_finite_diff_gradient_examples():
     assert fd.d_b == pytest.approx(2.0 * delta, abs=1e-8)
 
 
-def test_sampling_spec_validation():
-    with pytest.raises(ValueError):
-        SamplingSpec(SamplingMode.GRID, 1)
-    with pytest.raises(ValueError):
-        SamplingSpec(SamplingMode.GRID, 100, domain=(1.0, 0.0))
+@pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "resolution, seed, domain, message",
+    [
+        (1, 0, (0.0, 1.0), "resolution must be at least 2, got 1"),
+        (100, 0, (1.0, 0.0), "domain must be a finite non-empty interval, got (1.0, 0.0)"),
+        (2.5, 0, (0.0, 1.0), "resolution must be an integer, got 2.5"),
+        (True, 0, (0.0, 1.0), "resolution must be an integer, got True"),
+        (10, 1.5, (0.0, 1.0), "seed must be an integer, got 1.5"),
+        (10, "3", (0.0, 1.0), "seed must be an integer, got '3'"),
+    ],
+)
+def test_sampling_spec_validation(mode, resolution, seed, domain, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SamplingSpec(mode, resolution, seed, domain)
 
 
 def test_default_sampling_matches_arity():

@@ -408,8 +408,8 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.returncode == EXIT_USAGE
 
 
-# numpy stays unloaded through the scalar commands, then loads where it is needed:
-# at a zero divisor, at the first analyzer name, and in verify
+# numpy stays unloaded through the scalar commands, a zero divisor included, then
+# loads where it is needed: at the first analyzer name, and in verify
 _COLD_PATH = """
 import contextlib, io, json, sys
 import hyperstep
@@ -442,12 +442,62 @@ def test_numpy_stays_off_the_cold_path():
     assert seen["optimal"] == [EXIT_OK, False, ""]
     assert seen["run"] == [EXIT_OK, False, ""]
     assert seen["table2"] == [EXIT_OK, False, ""]
-    # numpy's inf, no warning and no ZeroDivisionError: the run ends as diverged
+    # IEEE's inf in plain floats, no warning and no ZeroDivisionError: the run ends as diverged
     code, loaded, err = seen["zero_divisor"]
-    assert (code, loaded) == (EXIT_USAGE, True)
+    assert (code, loaded) == (EXIT_USAGE, False)
     assert err.startswith("run diverged")
     assert seen["dir"] is seen["argmin_hyper"] is True
     assert seen["verify"] == EXIT_OK
+
+
+# each scalar command's exit code, stdout and stderr; with "blocked", numpy cannot be imported
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+from hyperstep import cli
+
+seen = {}
+for name, argv in json.loads(sys.argv[2]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        seen[name] = [cli.main(argv), out.getvalue(), err.getvalue()]
+print(json.dumps(seen))
+"""
+
+_SCALAR_COMMANDS = {
+    "optimal": ["optimal", "--method", "rmsprop", "--objective", "f1", "--w", "0.3", "--u-w", "0.2", "--eta", "0.1"],
+    "run": ["run", "--method", "adagrad", "--objective", "f3", "--init-seed", "3", "--format", "json"],
+    # rmsprop at beta = 1 and epsilon = 0 divides by 0: x / 0 gives inf, and 0 / 0 (at eta = 0) NaN
+    "x_over_zero": ["run", "--method", "rmsprop", "--objective", "f1", "--beta", "1", "--epsilon", "0"],
+    "zero_over_zero": [
+        "run", "--method", "rmsprop", "--objective", "f1", "--beta", "1", "--epsilon", "0", "--eta", "0",
+    ],
+    "table2": ["table2"],
+    "table2_json": ["table2", "--format", "json"],
+}
+
+
+def test_scalar_commands_run_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    commands = json.dumps(_SCALAR_COMMANDS)
+    blocked, loaded = (
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-W", "error", "-c", _WITHOUT_NUMPY, mode, commands],
+                capture_output=True, env=env, timeout=120, check=True,
+            ).stdout
+        )
+        for mode in ("blocked", "loaded")
+    )
+    assert blocked == loaded
+    diverged = {"x_over_zero": "inf", "zero_over_zero": "nan"}
+    assert {name: code for name, (code, _, _) in blocked.items()} == {
+        name: EXIT_USAGE if name in diverged else EXIT_OK for name in _SCALAR_COMMANDS
+    }
+    for name, w in diverged.items():
+        _, out, err = blocked[name]
+        assert err.startswith("run diverged"), name
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["0.29999999999999999", w]  # the w column
 
 
 def test_table2_is_byte_identical_across_invocations(capsys):

@@ -345,8 +345,10 @@ def test_seeded_init_takes_a_numpy_integer_seed():
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 @pytest.mark.parametrize("optimal", [False, True], ids=["fixed", "optimal"])
-def test_float_runs_record_plain_floats(method, optimal):
-    base = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=1e-8)
+@pytest.mark.parametrize("beta, epsilon", [(0.5, 1e-8), (1.0, 0.0)], ids=["eps", "eps0-beta1"])
+def test_float_runs_record_plain_floats(method, optimal, beta, epsilon):
+    # at epsilon = 0 and beta = 1 the fixed rmsprop run divides by 0 and diverges, in plain floats
+    base = HyperParams(eta=0.1, alpha=0.5, beta=beta, epsilon=epsilon)
     policy = HyperPolicy.optimal(base, OPTIMIZED_HYPERS[method]) if optimal else HyperPolicy.fixed(base)
     cfg = RunConfig(method, F3, policy, sample=DEFAULT_SAMPLE, init=RandomInit(seed=3), max_epochs=20)
     trace = run_training(cfg)
@@ -359,7 +361,7 @@ def test_float_runs_record_plain_floats(method, optimal):
 
 def test_zero_divisor_ends_a_run_as_diverged():
     # beta = 1 keeps u at 0, so at epsilon = 0 the first step divides a nonzero
-    # gradient by 0: numpy's inf, recorded as divergence, with no warning raised
+    # gradient by 0: IEEE's inf, recorded as divergence, with no warning raised
     hyper = HyperParams(eta=0.1, beta=1.0, epsilon=0.0)
     trace = run_training(RunConfig(Method.RMSPROP, F1, HyperPolicy.fixed(hyper)))
     assert trace.diverged
@@ -459,18 +461,17 @@ def test_runs_replay_through_the_public_checked_step(
     cfg = RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs, f3_half_gradient=half)
     trace = run_training(cfg)
     state = OptimizerState.initial(init)
-    with np.errstate(all="ignore"):  # a zero divisor at epsilon = 0 divides through numpy
-        for i, rec in enumerate(trace.records):
-            if i:
-                state = step(method, state, rec.hyper_used, obj, sample, f3_half_gradient=half)
-            assert rec.epoch == state.epoch
-            assert _same(rec.params.w, state.params.w) and _same(rec.params.b, state.params.b), (i, rec)
-            assert _same(rec.loss, evaluate(obj, state.params, sample)), (i, rec)
-        finite = math.isfinite(trace.final_loss) and _finite_state(state)
-        if not trace.diverged:
-            assert finite
-            assert trace.final_loss <= cfg.tolerance or len(trace.records) == max_epochs
-            return
-        if finite:
-            with pytest.raises(NonFiniteGradientError):
-                step(method, state, trace.records[-1].hyper_used, obj, sample, f3_half_gradient=half)
+    for i, rec in enumerate(trace.records):
+        if i:
+            state = step(method, state, rec.hyper_used, obj, sample, f3_half_gradient=half)
+        assert rec.epoch == state.epoch
+        assert _same(rec.params.w, state.params.w) and _same(rec.params.b, state.params.b), (i, rec)
+        assert _same(rec.loss, evaluate(obj, state.params, sample)), (i, rec)
+    finite = math.isfinite(trace.final_loss) and _finite_state(state)
+    if not trace.diverged:
+        assert finite
+        assert trace.final_loss <= cfg.tolerance or len(trace.records) == max_epochs
+        return
+    if finite:
+        with pytest.raises(NonFiniteGradientError):
+            step(method, state, trace.records[-1].hyper_used, obj, sample, f3_half_gradient=half)

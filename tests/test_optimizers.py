@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from hyperstep import (
     HyperParams,
@@ -129,8 +129,7 @@ def test_rmsprop_gradient_share_underflow_at_zero_epsilon_takes_a_plain_descent_
 def test_zero_divisor_with_a_gradient_still_diverges():
     # beta = 1 keeps u at 0, so the step divides a nonzero gradient by 0
     state = make_state(0.3, u_w=0.0)
-    with np.errstate(divide="ignore"):
-        out = rmsprop_step(state, HyperParams(eta=0.1, beta=1.0, epsilon=0.0), F1)
+    out = rmsprop_step(state, HyperParams(eta=0.1, beta=1.0, epsilon=0.0), F1)
     assert math.isinf(out.params.w)
 
 
@@ -283,9 +282,7 @@ _UNIT = strategies.floats(0.0, 1.0)
 
 
 def _same_bits(a, b):
-    """Equal bit for bit (signed zeros told apart), any NaN matching any NaN."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
+    """Equal bit for bit: signed zeros and the signs and payloads of NaNs told apart."""
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
@@ -303,11 +300,22 @@ def _row_state(columns, obj, i=None):
     )
 
 
+# the divisors Python refuses or passes through, at (0.3, 0.3) with x = 0.3, y = 0.23
+# and epsilon = 0, where every gradient is nonzero: rmsprop's x / 0 (beta = 1 keeps u
+# at 0) and 0 / 0 (eta = 0 too), then a negative (below -g * g) and a NaN accumulator
+_EDGE = dict(x=0.3, y=0.23)
+_ZERO_U = (0.3, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "method, obj, half",
     [(m, o, h) for m, o, h in itertools.product(Method, (F1, F2, F3), (False, True)) if o is F3 or not h],
     ids=lambda v: v.value if hasattr(v, "value") else ("half" if v else "std"),
 )
+@example(rows=[_ZERO_U], **_EDGE, hyper=HyperParams(0.1, beta=1.0, epsilon=0.0))
+@example(rows=[_ZERO_U], **_EDGE, hyper=HyperParams(0.0, beta=1.0, epsilon=0.0))
+@example(rows=[(0.3, 0.3, 0.0, 0.0, *[-1.0] * 4)], **_EDGE, hyper=HyperParams(0.1, beta=1.0, epsilon=0.0))
+@example(rows=[(0.3, 0.3, 0.0, 0.0, *[math.nan] * 4)], **_EDGE, hyper=HyperParams(0.1, epsilon=0.0))
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     rows=strategies.lists(_ROW, min_size=1, max_size=5),
@@ -321,26 +329,33 @@ def _row_state(columns, obj, i=None):
 def test_array_step_equals_per_row_scalar_steps(method, obj, half, rows, x, y, hyper):
     columns = list(zip(*rows))
     sample = RegressionSample(x=x, y=y) if obj is F3 else None
-    with np.errstate(divide="ignore", invalid="ignore"):  # beta = 1 with u = 0 at epsilon = 0 divides by 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # numpy warns at a zero, negative or NaN divisor
         batched = step(method, _row_state(columns, obj), hyper, obj, sample, f3_half_gradient=half)
-        for i in range(len(rows)):
-            single = step(method, _row_state(columns, obj, i), hyper, obj, sample, f3_half_gradient=half)
-            assert single.epoch == batched.epoch
-            for name in _SLOTS:
-                one, many = getattr(single, name), getattr(batched, name)
-                assert _same_bits(one.w, many.w[i]), (name, "w")
-                if obj.arity == 2:
-                    assert _same_bits(one.b, many.b[i]), (name, "b")
+    for i in range(len(rows)):
+        # a float step computes the same edges in plain floats, so no numpy warning can arise
+        single = step(method, _row_state(columns, obj, i), hyper, obj, sample, f3_half_gradient=half)
+        assert single.epoch == batched.epoch
+        for name in _SLOTS:
+            one, many = getattr(single, name), getattr(batched, name)
+            assert _same_bits(one.w, many.w[i]), (name, "w")
+            if obj.arity == 2:
+                assert _same_bits(one.b, many.b[i]), (name, "b")
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-@pytest.mark.parametrize("epsilon", [1e-8, 0.0])
-def test_float_steps_stay_plain_floats(method, epsilon):
-    # numpy's scalars are for arrays and a zero divisor; at epsilon = 0 the first
-    # step meets f2's zero gradient at (0.3, -0.3), whose divisor is 1, not 0
-    state = make_state(0.3, -0.3) if epsilon == 0.0 else make_state(0.3, 0.4)
-    hyper = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=epsilon)
+@pytest.mark.parametrize(
+    "b, beta, epsilon", [(0.4, 0.5, 1e-8), (-0.3, 0.5, 0.0), (0.4, 1.0, 0.0)], ids=["eps", "eps0", "eps0-beta1"]
+)
+def test_float_steps_stay_plain_floats(method, b, beta, epsilon):
+    # numpy's scalars are for arrays alone. At epsilon = 0 the first step meets f2's
+    # zero gradient at (0.3, -0.3), whose divisor is 1; at beta = 1 too, rmsprop's
+    # divisor at (0.3, 0.4) is 0, and the step goes to inf in plain floats
+    state = make_state(0.3, b)
+    hyper = HyperParams(eta=0.1, alpha=0.5, beta=beta, epsilon=epsilon)
     for _ in range(3):
         state = step(method, state, hyper, F2)
         coords = [getattr(state, name) for name in ("params", "velocity", "grad_sq_sum", "weighted_grad_sq")]
         assert all(c.__class__ is float for slot in coords for c in (slot.w, slot.b)), state
+        if math.isinf(state.params.w):  # the next step would refuse the infinite gradient
+            assert (method, beta) == (Method.RMSPROP, 1.0)
+            break

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperstep import Method, ObjectiveId, cli, harness, verify
+from hyperstep import Method, ObjectiveId, cli, harness, hyperopt, verify
 from hyperstep.cli import _json_text
 
 PINNED = json.loads(Path(__file__).with_name("oracle_reports.json").read_text())
@@ -46,6 +46,38 @@ def test_every_pinned_report_has_a_case():
 def test_oracle_report_is_pinned(key):
     fn, args, kwargs = CASES[key]
     assert _json_text(fn(*args, **kwargs)) == _json_text(PINNED[key])
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (2.5, 0, "samples must be an integer, got 2.5"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (10, True, "seed must be an integer, got True"),
+        (True, 0, "samples must be an integer, got True"),
+    ],
+)
+def test_report_takes_integer_samples_and_seed(samples, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.report("gradients", samples, seed)
+
+
+@pytest.mark.parametrize(
+    "states, message", [(0, "at least 1, got 0"), (1.5, "an integer, got 1.5"), (True, "an integer, got True")]
+)
+def test_pointwise_check_takes_a_positive_integer_state_count(states, message):
+    with pytest.raises(ValueError, match=f"^states must be {message}$"):
+        verify.check_argmin_pointwise(Method.ADAGRAD, 0, states)
+
+
+def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
+    # every state defined but infeasible: no search runs, so the check cannot pass
+    def infeasible(obj, state, *_):
+        return hyperopt._from_raw(np.full_like(state.params.w, 2.0))
+
+    monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
+    row = verify.check_argmin_pointwise(Method.ADAGRAD, 0, 3)
+    assert (row["compared"], row["min_defined_fraction"], row["passed"]) == (0, 1.0, False)
 
 
 # every column layout the checks draw: gradients, pointwise per target, one-step per coefficient
