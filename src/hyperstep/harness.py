@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .objectives import (
-    ObjectiveId, ParamPoint, RegressionSample, _check_point, _check_sample, _gradient, _require_index, _residual,
+    ObjectiveId, ParamPoint, RegressionSample,
+    _check_point, _check_sample, _gradient, _require_index, _require_seed, _residual,
 )
 from .optimizers import (
     _RULES, HyperParams, Method, NonFiniteGradientError, OptimizerState,
@@ -88,8 +89,7 @@ class RandomInit:
     seed: int
 
     def __post_init__(self) -> None:
-        if _require_index("init seed", self.seed) < 0:
-            raise ValueError(f"init seed must be non-negative, got {self.seed}")
+        _require_seed("init seed", self.seed)
 
 
 @dataclass(frozen=True)

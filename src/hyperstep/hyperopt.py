@@ -75,11 +75,14 @@ def _from_raw(raw, singular=False) -> FeasibleValue:
 
 
 def _sqrt(x):
+    """The square root of an accumulator plus epsilon; NaN, with no error or warning,
+    where that is negative, so the rule comes out undefined on floats and arrays alike."""
     if isinstance(x, float):
-        return math.sqrt(x)
+        return math.sqrt(x) if x >= 0.0 else _NAN
     import numpy as np
 
-    return np.sqrt(x)
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(x)
 
 
 def _f3_base_lr(x: float) -> float:

@@ -9,7 +9,8 @@ the update rules and the closed-form step sizes downstream exploit.
 the point's arity (``_check_point``), then the sample (``_check_sample``). ``residual``,
 ``evaluate`` and ``gradient`` run it, then the unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
-``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify).
+``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
+``_require_seed`` adds a seed's sign to it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def _require_index(name: str, value) -> int:
         index = None
     if index is None or value.__class__ is bool:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index
+
+
+def _require_seed(name: str, value) -> int:
+    """``value`` as a non-negative integer: ``_require_index``, then the sign."""
+    index = _require_index(name, value)
+    if index < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
     return index
 
 

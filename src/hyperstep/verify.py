@@ -23,7 +23,7 @@ import numpy as np
 from . import analyzer, hyperopt, objectives, optimizers
 from .harness import DEFAULT_HYPERS, DEFAULT_SAMPLE
 from .hyperopt import OPTIMIZED_HYPERS, SCOPES
-from .objectives import ObjectiveId, ParamPoint, RegressionSample, _require_index
+from .objectives import ObjectiveId, ParamPoint, RegressionSample, _require_index, _require_seed
 from .optimizers import HyperParams, Method, OptimizerState, PerCoord
 
 _ARGMIN_TOL = 1e-6
@@ -135,6 +135,7 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
     """Single-state argmins against every closed form of ``method``, per objective;
     one search per (objective, target) from all its defined, feasible states;
     it passes only if some state was compared."""
+    _require_seed("seed", seed)
     if _require_index("states", states) < 1:
         raise ValueError(f"states must be at least 1, got {states}")
     worst = 0.0
@@ -224,8 +225,7 @@ def report(scope: str, samples: int, seed: int, method: Method | None = None) ->
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if _require_index("samples", samples) < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if _require_index("seed", seed) < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _require_seed("seed", seed)
     methods = [method] if method is not None else list(OPTIMIZED_HYPERS)
 
     checks: list[dict] = []

@@ -151,6 +151,7 @@ def test_finite_diff_gradient_examples():
         (True, 0, (0.0, 1.0), "resolution must be an integer, got True"),
         (10, 1.5, (0.0, 1.0), "seed must be an integer, got 1.5"),
         (10, "3", (0.0, 1.0), "seed must be an integer, got '3'"),
+        (10, -1, (0.0, 1.0), "seed must be non-negative, got -1"),
     ],
 )
 def test_sampling_spec_validation(mode, resolution, seed, domain, message):
@@ -233,7 +234,7 @@ def test_one_lockstep_search_reproduces_every_single_curve_result():
     # flat and multimodal curves and minima at either end, all in one search;
     # a numpy scalar leaking into a result would change its repr
     curves = [f for f, _ in SYNTHETIC_CURVES.values()]
-    results = analyzer._search(lambda t: np.array([f(x) for f, x in zip(curves, t)]), len(curves))
+    results = analyzer._search(lambda t: np.array([[f(x) for x in row] for f, row in zip(curves, t)]), len(curves))
     assert [repr(r) for r in results] == [want for _, want in SYNTHETIC_CURVES.values()]
     # the interior curve is flat to rounding near 0.3, where the best point can
     # lie outside the last golden-section interval; the bracket still holds it
@@ -266,6 +267,92 @@ def test_batched_pointwise_search_equals_per_state_searches(method, target):
     ]
     assert batched[2].flat
     assert [repr(r) for r in batched] == [repr(r) for r in single]
+
+
+# A search batches its scan, steps big grids in slabs and writes them into one loss
+# buffer; the reference search asks for one point per call through the public update.
+SLAB = analyzer._SLAB_BUDGET
+METHOD_TARGETS = [(GD, "eta"), (Method.MOMENTUM, "alpha"), (Method.ADAGRAD, "eta"), (Method.RMSPROP, "beta")]
+TEMPLATE_SLOTS = {"velocity": 0.3, "grad_sq_sum": 0.2, "weighted_grad_sq": 0.1}
+
+
+def _one_point_per_call(loss_at):
+    """A curve for ``_search`` that asks ``loss_at(curve, point)`` for each point alone."""
+    return lambda t: np.array([[loss_at(i, x) for x in row] for i, row in enumerate(t.tolist())])
+
+
+def _template(obj):
+    b = None if obj.arity == 1 else 0.0
+    slots = {name: PerCoord(v, None if b is None else v / 2.0) for name, v in TEMPLATE_SLOTS.items()}
+    return OptimizerState(ParamPoint(0.0, b), **slots)
+
+
+@pytest.mark.parametrize("points", [SLAB - 1, SLAB, SLAB + 1, 2 * SLAB + 7])
+@pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
+def test_a_sampled_search_equals_one_point_per_call(method, target, points):
+    # Monte Carlo sampling gives exactly ``points`` grid points at any arity
+    obj = (F1, F2, F3)[points % 3]
+    sample, half = (RegressionSample(x=1.5, y=0.2), True) if obj is F3 else (None, False)
+    spec = SamplingSpec(SamplingMode.MONTE_CARLO, points, seed=points)
+    batched, reference = _sampled_routes(method, target, obj, sample, half, spec)
+    assert [repr(batched())] == [repr(r) for r in reference()]
+
+
+def _sampled_routes(method, target, obj, sample, half, spec):
+    """The search over ``spec``'s points, and the one-point-per-call reference."""
+    template = _template(obj)
+
+    def mean_error(_, x):
+        at = replace(BASE, **{target: x})
+        return mean_post_step_error(method, obj, at, sample, spec, template, f3_half_gradient=half)
+
+    return (
+        lambda: argmin_hyper(method, obj, target, BASE, sample, spec, template, f3_half_gradient=half),
+        lambda: analyzer._search(_one_point_per_call(mean_error), 1),
+    )
+
+
+def _pointwise_routes(method, target, obj, table):
+    """The search from the states in the rows of ``table``, and the one-point-per-call reference."""
+    sample, half = verify._obj_sample(obj, target), obj is F3
+    state = verify._state(obj, table.T[..., None], common_u=target == "beta")
+    g = analyzer._gradient_at(state, obj, sample, half)
+    fixed = HyperParams(*table.T[-3:, :, None])
+
+    def loss(i, x):
+        row = table[i].tolist()
+        at = replace(HyperParams(*row[-3:]), **{target: x})
+        out = step(method, verify._state(obj, row, common_u=target == "beta"), at, obj, sample, f3_half_gradient=half)
+        value = evaluate(obj, out.params, sample)
+        if not math.isfinite(value):
+            raise ValueError("non-finite loss at a sample point")
+        return value
+
+    return (
+        lambda: analyzer._argmin(method, obj, target, fixed, sample, state, g),
+        lambda: analyzer._search(_one_point_per_call(loss), len(table)),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 100])
+@pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
+def test_a_pointwise_search_equals_one_point_per_call(method, target, rows):
+    obj = (F1, F2, F3)[rows % 3]
+    table = verify._draw(np.random.default_rng(rows), rows, verify._pointwise_columns(obj, target))
+    batched, reference = _pointwise_routes(method, target, obj, table)
+    assert [repr(r) for r in batched()] == [repr(r) for r in reference()]
+
+
+@pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
+def test_a_non_finite_loss_raises_alike_on_both_routes(method, target):
+    # the middle state's loss overflows at every point; so do the far grid points'
+    table = verify._draw(np.random.default_rng(0), 3, verify._pointwise_columns(F1, target))
+    table[1, 0] = 1e200
+    huge = SamplingSpec(SamplingMode.MONTE_CARLO, SLAB + 1, domain=(0.0, 1e300))
+    routes = [*_pointwise_routes(method, target, F1, table), *_sampled_routes(method, target, F1, None, False, huge)]
+    for route in routes:
+        with pytest.raises(ValueError, match="^non-finite loss at a sample point$"):
+            route()
 
 
 # Two routes to the same number: a search steps every curve point with the

@@ -443,13 +443,13 @@ def test_f1_momentum_coefficient_equals_its_unmerged_form(eta, w, v):
     assert repr(got) == repr(hyperopt._from_raw(2.0 * (eta - 0.5) * (w - 0.5) / v))
 
 
-# Drawn rows for the array forms: coordinates, then accumulators >= 0 (they are sums of
-# squares: on a negative sum the float path raises math domain error where arrays give NaN),
+# Drawn rows for the array forms: coordinates, then accumulators (negative ones too: the
+# update rule accepts them, and a rule whose root is then NaN is undefined on both paths),
 # then eta, alpha, beta (at the values where a factor 2 * arity * eta - 1 is 0) and epsilon.
 _COORD = strategies.one_of(strategies.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), strategies.floats(-10.0, 10.0))
 _ACC = strategies.one_of(
-    strategies.sampled_from([0.0, SINGULAR_TOL, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL]),
-    strategies.floats(0.0, 10.0),
+    strategies.sampled_from([0.0, SINGULAR_TOL, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL, -1.0]),
+    strategies.floats(-10.0, 10.0),
 )
 _GIVEN = strategies.one_of(strategies.sampled_from([0.0, 0.25, 0.5, 1.0]), strategies.floats(0.0, 1.0))
 _EPS = strategies.one_of(strategies.sampled_from([0.0, 1e-8]), strategies.floats(0.0, 1.0))
@@ -458,6 +458,17 @@ _FORM_ROW = strategies.tuples(*[_COORD] * 4, *[_ACC] * 4, *[_GIVEN] * 3, _EPS)
 # Every singular quantity is pinned, on a copy of the first drawn row, at exactly 0 and
 # either side of SINGULAR_TOL in both signs (accumulators at their magnitude, epsilon 0).
 _NEAR_TOL = (0.0, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL, -0.5 * SINGULAR_TOL, -2.0 * SINGULAR_TOL)
+
+
+def test_a_negative_accumulator_is_undefined_on_floats_and_arrays():
+    # sqrt(-1.0 + 0) has no real root: NaN, with no math domain error and no warning
+    one = solve(Method.ADAGRAD, "eta", F1, make_state(0.3, phi_w=-1.0), eta=None, alpha=None, beta=None, epsilon=0.0)
+    assert (one.defined, one.feasible, one.raw.hex(), one.value.hex()) == (False, False, "nan", "nan")
+    many = hyperopt._FORMS[Method.ADAGRAD, "eta"](
+        F1, make_state(np.array([0.3, 0.3]), phi_w=np.array([-1.0, 0.16])), None, None, None, None, 0.0, False
+    )
+    assert many.defined.tolist() == [False, True]
+    assert [x.hex() for x in many.raw.tolist()] == ["nan", (0.4 / 2.0).hex()]
 
 
 def _pinned(row, obj, sample, half, quantity, t):

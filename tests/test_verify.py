@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperstep import Method, ObjectiveId, cli, harness, hyperopt, verify
+from hyperstep import Method, ObjectiveId, analyzer, cli, harness, hyperopt, verify
 from hyperstep.cli import _json_text
 
 PINNED = json.loads(Path(__file__).with_name("oracle_reports.json").read_text())
@@ -68,6 +68,31 @@ def test_report_takes_integer_samples_and_seed(samples, seed, message):
 def test_pointwise_check_takes_a_positive_integer_state_count(states, message):
     with pytest.raises(ValueError, match=f"^states must be {message}$"):
         verify.check_argmin_pointwise(Method.ADAGRAD, 0, states)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(1.5, "an integer, got 1.5"), (True, "an integer, got True"), (-1, "non-negative, got -1")],
+)
+def test_pointwise_check_takes_a_non_negative_integer_seed(seed, message):
+    with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+        verify.check_argmin_pointwise(Method.ADAGRAD, seed)
+
+
+def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
+    # Each scan asks for its 64 points in as few calls as the budget allows and a
+    # 40,000-point grid steps in three slabs; one call per point, or one step per
+    # curve point over a whole grid, changes this count (the unbatched search took 2040).
+    steps = []
+    real = analyzer._post_step_losses
+
+    def counted(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analyzer, "_post_step_losses", counted)
+    assert verify.report("argmin", 1000, 0)["passed"]
+    assert len(steps) == 1831
 
 
 def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
