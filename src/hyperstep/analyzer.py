@@ -96,6 +96,8 @@ class SamplingSpec:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, SamplingMode):
+            raise ValueError(f"mode must be a SamplingMode, got {self.mode!r}")
         if _require_index("resolution", self.resolution) < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
         _require_seed("seed", self.seed)

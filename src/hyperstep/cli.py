@@ -3,7 +3,8 @@ and the convergence comparison report.
 
 Exit codes: 0 success, 1 usage or input error (including divergence) or a
 closed stdout pipe (quietly, nothing on stderr), 2 a run hit its epoch budget
-without converging, 3 an internal check failed.
+without converging, 3 an internal check failed. ``hyperstep optimal`` reads its
+state flags through ``optimizers._flat_state`` and solves ``OPTIMIZED_HYPERS``' pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from .objectives import ObjectiveId, ParamPoint, RegressionSample
-from .optimizers import HyperParams, Method, OptimizerState, PerCoord
+from .optimizers import HyperParams, Method, _flat_state
 from . import hyperopt
 from .harness import (
     DEFAULT_HYPERS,
@@ -322,37 +323,21 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
         raise _UsageError(f"the formula needs {', '.join(missing)}")
 
 
-def _build_state(args: argparse.Namespace, obj: ObjectiveId) -> OptimizerState:
-    # one-parameter objectives have no b (_cmd_optimal rejects the b flags there)
-    two = obj.arity == 2
-    return OptimizerState(
-        params=ParamPoint(w=args.w, b=args.b if two else None),
-        velocity=PerCoord(w=args.v_w, b=args.v_b if two else None),
-        grad_sq_sum=PerCoord(w=args.phi_w, b=args.phi_b if two else None),
-        weighted_grad_sq=PerCoord(w=args.u_w, b=args.u_b if two else None),
-    )
-
-
-# Per method: the state flags its rules read (any objective, then two-parameter
-# ones only) and one (solved, given flag) row per rule; rows lacking the flag skip.
-_OPTIMAL_ROWS = {
-    Method.GD: ([], [], [("eta", None)]),
-    Method.MOMENTUM: (["w"], ["b"], [("eta", "alpha"), ("alpha", "eta")]),
-    Method.ADAGRAD: (["phi_w"], ["phi_b"], [("eta", None)]),
-    Method.RMSPROP: (["w", "u_w"], ["b", "u_b"], [("eta", "beta"), ("beta", "eta")]),
-}
+# Per method: the state flags its rules read; two-parameter objectives also read each one's b.
+_OPTIMAL_NEEDS = {Method.GD: [], Method.MOMENTUM: ["w"], Method.ADAGRAD: ["phi_w"], Method.RMSPROP: ["w", "u_w"]}
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
     method: Method = args.method
     obj: ObjectiveId = args.objective
+    flags = _STATE_FLAGS.split()  # the flat layout: w then b of each slot
     unused = [] if obj is ObjectiveId.F3 else ["x", "y"]
     if obj.arity == 1:
-        unused += ["b", "v_b", "phi_b", "u_b"]
+        unused += flags[1::2]
     stray = [_flag(n) for n in unused if n in args.given]
     if stray:
         raise _UsageError(f"{obj.value} does not use {', '.join(stray)}")
-    for name in ("phi_w", "phi_b", "u_w", "u_b"):
+    for name in flags[4:]:  # the accumulators
         if not getattr(args, name) >= 0.0:
             raise _UsageError(f"{_flag(name)} must be non-negative, got {getattr(args, name)!r}")
     # run's ranges and error texts; alpha stays free, as momentum's rules read it
@@ -363,9 +348,12 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         _require(args, ["x", "y"])
         sample = RegressionSample(x=args.x, y=args.y)
 
-    needs, needs_two, rows = _OPTIMAL_ROWS[method]
-    _require(args, needs + (needs_two if obj.arity == 2 else []))
-    state = _build_state(args, obj)
+    needs = _OPTIMAL_NEEDS[method]
+    _require(args, needs + ([flags[flags.index(n) + 1] for n in needs] if obj.arity == 2 else []))
+    state = _flat_state(obj, [getattr(args, n) for n in flags if n not in unused])
+    # eta first, each rule given the method's other tunable hyperparameter, as a run pairs them
+    tunable = OPTIMIZED_HYPERS[method]
+    rows = [(target, next(iter(tunable - {target}), None)) for target in sorted(tunable, key="eta".__ne__)]
     wanted = [target for target, given in rows if given is None or given in args.given]
     if not wanted:
         choices = ", ".join(f"--{given} to solve {target}" for target, given in rows)

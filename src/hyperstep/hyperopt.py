@@ -297,5 +297,5 @@ def solve(
     """
     form = _FORMS.get((method, target))
     if form is None:
-        raise ValueError(f"no closed form for {target!r} under {method.value}")
+        raise ValueError(f"no closed form for {target!r} under {getattr(method, 'value', repr(method))}")
     return form(obj, state, sample, eta, alpha, beta, epsilon, f3_half_gradient)

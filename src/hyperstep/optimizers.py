@@ -14,6 +14,8 @@ Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
 A step never mutates its input and advances the epoch by exactly one.
+``_flat_state`` reads a state laid out flat (verify's drawn tables, the state
+flags of ``hyperstep optimal``); no other module reads that layout.
 
 The closed-form step sizes rely on the accumulator conventions: the
 gradient-square sum is updated before the division (adagrad), and the
@@ -104,6 +106,19 @@ class OptimizerState:
         """Fresh state at ``params``: zero velocity and zero accumulators."""
         zero = PerCoord(w=0.0, b=None if params.b is None else 0.0)
         return cls(params=params, velocity=zero, grad_sq_sum=zero, weighted_grad_sq=zero)
+
+
+def _flat_state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerState:
+    """The one reader of the flat state layout: the state at the head of ``values``,
+    w then b (on two-parameter objectives) of params, velocity, grad_sq_sum and
+    weighted_grad_sq; ``common_u`` reads one weighted_grad_sq for both coordinates,
+    as the rmsprop beta rule assumes. Floats (a table row) or arrays (its columns)."""
+    if obj.arity == 1:
+        w, v, phi, u = values[:4]
+        return OptimizerState(ParamPoint(w), PerCoord(v), PerCoord(phi), PerCoord(u))
+    w, b, v_w, v_b, phi_w, phi_b, u_w = values[:7]
+    u_b = u_w if common_u else values[7]
+    return OptimizerState(ParamPoint(w, b), PerCoord(v_w, v_b), PerCoord(phi_w, phi_b), PerCoord(u_w, u_b))
 
 
 def _require_finite(g: GradientVector) -> None:

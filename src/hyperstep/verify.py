@@ -5,9 +5,9 @@ table of draws per (objective, target) as one block, each column laid out
 by ``_state_columns`` and the check's extra columns, and each row the
 values one draw after another would give. So a report is a pure function
 of its arguments; the acceptance tests draw through the same sampler, one
-row at a time. ``_state`` reads a state from a row (floats) or from the
-columns (arrays). ``_obj_sample`` picks each objective's regression sample,
-the beta rule's included, and ``_row`` writes every report row. Each
+row at a time. ``optimizers._flat_state`` reads a state from a row (floats) or
+from the columns (arrays). ``_obj_sample`` picks each objective's regression
+sample, the beta rule's included, and ``_row`` writes every report row. Each
 table is solved in one call on its columns, through ``hyperopt._FORMS``
 (public hyperopt names take floats only); the argmin, one-step and gradient
 checks then search, step or evaluate its defined, feasible rows. Hyperstep
@@ -24,7 +24,7 @@ from . import analyzer, hyperopt, objectives, optimizers
 from .harness import DEFAULT_HYPERS, DEFAULT_SAMPLE
 from .hyperopt import OPTIMIZED_HYPERS, SCOPES
 from .objectives import ObjectiveId, ParamPoint, RegressionSample, _require_index, _require_seed
-from .optimizers import HyperParams, Method, OptimizerState, PerCoord
+from .optimizers import HyperParams, Method, OptimizerState, _flat_state
 
 _ARGMIN_TOL = 1e-6
 _ONE_STEP_TOL = 1e-20
@@ -53,21 +53,6 @@ def _state_columns(obj: ObjectiveId, common_u: bool = False) -> list[tuple[float
     both coordinates, as the rmsprop beta rule assumes."""
     a = obj.arity
     return [_UNIT] * a + [_VELOCITY] * a + [_OPEN_UNIT] * (a + (1 if common_u else a))
-
-
-def _common_u(obj: ObjectiveId, u) -> PerCoord:
-    return PerCoord(w=u, b=None if obj.arity == 1 else u)
-
-
-def _state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerState:
-    """The state laid out by ``_state_columns(obj, common_u)`` at the head of
-    ``values``: one row of a table (floats) or its columns (arrays)."""
-    if obj.arity == 1:
-        w, v, phi, u = values[:4]
-        return OptimizerState(ParamPoint(w), PerCoord(v), PerCoord(phi), PerCoord(u))
-    w, b, v_w, v_b, phi_w, phi_b, u_w = values[:7]
-    u_b = u_w if common_u else values[7]
-    return OptimizerState(ParamPoint(w, b), PerCoord(v_w, v_b), PerCoord(phi_w, phi_b), PerCoord(u_w, u_b))
 
 
 def _obj_sample(obj: ObjectiveId, target: str = "eta") -> RegressionSample | None:
@@ -126,6 +111,12 @@ def check_argmin_gd() -> dict:
     return _row("argmin/gd", _ARGMIN_TOL, worst, True)
 
 
+def _require_method(method) -> Method:
+    if not isinstance(method, Method):
+        raise ValueError(f"method must be a Method ({', '.join(m.name for m in Method)}), got {method!r}")
+    return method
+
+
 def _pointwise_columns(obj: ObjectiveId, target: str) -> list[tuple[float, float]]:
     # per draw: the state, then the fixed eta, alpha and beta
     return _state_columns(obj, common_u=target == "beta") + [_UNIT] * 3
@@ -135,6 +126,7 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
     """Single-state argmins against every closed form of ``method``, per objective;
     one search per (objective, target) from all its defined, feasible states;
     it passes only if some state was compared."""
+    _require_method(method)
     _require_seed("seed", seed)
     if _require_index("states", states) < 1:
         raise ValueError(f"states must be at least 1, got {states}")
@@ -149,15 +141,17 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             columns = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target)).T
             # adagrad's state is read as the post-accumulation view on both sides
             form = hyperopt._FORMS[method, target]
-            fv = form(obj, _state(obj, columns, common), sample, *columns[-3:], _EPSILON, half)
-            min_defined = min(min_defined, np.count_nonzero(fv.defined) / states)
-            keep = fv.defined & fv.feasible
+            fv = form(obj, _flat_state(obj, columns, common), sample, *columns[-3:], _EPSILON, half)
+            # plain descent's rate is one float for the whole table
+            defined, feasible, value = (np.broadcast_to(a, states) for a in (fv.defined, fv.feasible, fv.value))
+            min_defined = min(min_defined, np.count_nonzero(defined) / states)
+            keep = defined & feasible
             if not keep.any():
                 continue
             kept = columns[:, keep, None]  # each a (rows, 1) array
             fixed = HyperParams(*kept[-3:], epsilon=_EPSILON)
-            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, _state(obj, kept, common), half)
-            worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, fv.value[keep].tolist())))
+            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, _flat_state(obj, kept, common), half)
+            worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, value[keep].tolist())))
             compared += len(found)
     return _row(
         f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95 and compared > 0,
@@ -172,13 +166,13 @@ def _one_step_columns(obj: ObjectiveId, coefficient: str | None) -> list[tuple[f
 
 
 def _one_step_draw(obj: ObjectiveId, values, coefficient: str | None, target: str) -> tuple[OptimizerState, dict]:
-    """The state a one-step draw steps from for ``target``, and its given hyperparameters."""
-    at = _state(obj, values)
-    if target == "beta":
-        at = OptimizerState(at.params, at.velocity, at.grad_sq_sum, _common_u(obj, values[-1]))
+    """The state a one-step draw steps from for ``target`` (for beta, the trailing common
+    accumulator is its weighted_grad_sq), and its given hyperparameters."""
+    k = 4 * obj.arity  # past the state's columns
+    head = [*values[:3 * obj.arity], values[-1]] if target == "beta" else values
+    at = _flat_state(obj, head, target == "beta")
     given = {"eta": 0.0, "alpha": 0.0, "beta": 0.0}
     if coefficient is not None:
-        k = 4 * obj.arity  # past the state's columns
         given[coefficient], given["eta"] = values[k], values[k + 1]
     return at, given
 
@@ -218,15 +212,15 @@ def report(scope: str, samples: int, seed: int, method: Method | None = None) ->
     checks; ``method`` restricts the argmin and one-step checks to one method.
 
     Raises:
-        ValueError: on an unknown scope, a sample count or seed that is not an
-            integer, a sample count below 1 or a negative seed.
+        ValueError: on an unknown scope or method, a sample count or seed that
+            is not an integer, a sample count below 1 or a negative seed.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if _require_index("samples", samples) < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     _require_seed("seed", seed)
-    methods = [method] if method is not None else list(OPTIMIZED_HYPERS)
+    methods = [_require_method(method)] if method is not None else list(OPTIMIZED_HYPERS)
 
     checks: list[dict] = []
     if scope in ("gradients", "all"):

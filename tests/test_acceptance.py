@@ -38,7 +38,7 @@ from hyperstep import (
     verify,
 )
 from hyperstep.cli import main
-from hyperstep.optimizers import adagrad_post_view
+from hyperstep.optimizers import _flat_state, adagrad_post_view
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 OBJECTIVES = (F1, F2, F3)
@@ -120,11 +120,11 @@ def test_criterion_3_closed_forms_are_one_step_exact():
                 # one row: the state, then for the beta rule a common accumulator
                 columns = verify._state_columns(obj) + ([verify._OPEN_UNIT] if beta_path else [])
                 drawn = verify._draw(rng, 1, columns)[0].tolist()
-                state = verify._state(obj, drawn)
+                state = _flat_state(obj, drawn)
                 if beta_path:
                     # the beta rule needs a common accumulator, and at f3 the
                     # common gradient holds only at x = 1
-                    state = replace(state, weighted_grad_sq=verify._common_u(obj, drawn[-1]))
+                    state = _flat_state(obj, [*drawn[:3 * obj.arity], drawn[-1]], common_u=True)
                     if obj is F3:
                         sample = RegressionSample(x=1.0, y=float(rng.uniform(0, 1)))
                 for hyper in _one_step_trials(method, obj, state, sample, rng):
@@ -246,7 +246,7 @@ def test_criterion_7_scaled_rules_reduce_to_plain_descent_exactly():
     for obj in OBJECTIVES:
         sample = DEFAULT_SAMPLE if obj is F3 else None
         for row in verify._draw(np.random.default_rng(400), 100, verify._state_columns(obj)).tolist():
-            state = verify._state(obj, row)
+            state = _flat_state(obj, row)
             base = optimal_lr_gd(obj, state, sample).raw
             checked += 1
 

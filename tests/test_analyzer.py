@@ -28,6 +28,7 @@ from hyperstep import (
     step,
     verify,
 )
+from hyperstep.optimizers import _flat_state
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 GD = Method.GD
@@ -159,6 +160,13 @@ def test_sampling_spec_validation(mode, resolution, seed, domain, message):
         SamplingSpec(mode, resolution, seed, domain)
 
 
+@pytest.mark.parametrize("mode", ["grid", "monte_carlo", None])
+def test_sampling_spec_takes_only_a_sampling_mode(mode):
+    # a mode given by its value would otherwise sample Monte Carlo, whatever it names
+    with pytest.raises(ValueError, match=f"^mode must be a SamplingMode, got {re.escape(repr(mode))}$"):
+        SamplingSpec(mode, 4)
+
+
 def test_default_sampling_matches_arity():
     assert default_sampling(F1).resolution == 1000
     assert default_sampling(F2).resolution == 200
@@ -259,10 +267,10 @@ def test_batched_pointwise_search_equals_per_state_searches(method, target):
     states[2, :2] = (0.3, -0.3)
     hypers = verify._draw(rng, 6, [verify._UNIT] * 3)
     batched = analyzer._pointwise_argmins(
-        method, F2, target, HyperParams(*hypers.T[..., None]), None, verify._state(F2, states.T[..., None]), False
+        method, F2, target, HyperParams(*hypers.T[..., None]), None, _flat_state(F2, states.T[..., None]), False
     )
     single = [
-        pointwise_argmin_hyper(method, F2, target, HyperParams(*h), None, verify._state(F2, s))
+        pointwise_argmin_hyper(method, F2, target, HyperParams(*h), None, _flat_state(F2, s))
         for h, s in zip(hypers.tolist(), states.tolist())
     ]
     assert batched[2].flat
@@ -315,14 +323,14 @@ def _sampled_routes(method, target, obj, sample, half, spec):
 def _pointwise_routes(method, target, obj, table):
     """The search from the states in the rows of ``table``, and the one-point-per-call reference."""
     sample, half = verify._obj_sample(obj, target), obj is F3
-    state = verify._state(obj, table.T[..., None], common_u=target == "beta")
+    state = _flat_state(obj, table.T[..., None], common_u=target == "beta")
     g = analyzer._gradient_at(state, obj, sample, half)
     fixed = HyperParams(*table.T[-3:, :, None])
 
     def loss(i, x):
         row = table[i].tolist()
         at = replace(HyperParams(*row[-3:]), **{target: x})
-        out = step(method, verify._state(obj, row, common_u=target == "beta"), at, obj, sample, f3_half_gradient=half)
+        out = step(method, _flat_state(obj, row, common_u=target == "beta"), at, obj, sample, f3_half_gradient=half)
         value = evaluate(obj, out.params, sample)
         if not math.isfinite(value):
             raise ValueError("non-finite loss at a sample point")
@@ -377,7 +385,7 @@ def test_gd_argmin_min_value_is_the_mean_error_at_its_argmin(obj, sample):
 def test_pointwise_min_value_is_the_loss_after_a_step_at_its_argmin(method, target, obj):
     sample, half = verify._obj_sample(obj, target), obj is F3
     for row in verify._draw(np.random.default_rng(0), 4, verify._pointwise_columns(obj, target)).tolist():
-        state = verify._state(obj, row, common_u=target == "beta")
+        state = _flat_state(obj, row, common_u=target == "beta")
         fixed = HyperParams(*row[-3:])
         res = pointwise_argmin_hyper(method, obj, target, fixed, sample, state, f3_half_gradient=half)
         out = step(method, state, replace(fixed, **{target: res.argmin}), obj, sample, f3_half_gradient=half)
@@ -396,7 +404,7 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
         replace(fixed)
     evaluated = []
     monkeypatch.setattr(analyzer, "_post_step_losses", lambda *args: evaluated.append(args))
-    state = verify._state(F2, verify._draw(np.random.default_rng(0), rows, verify._state_columns(F2)).T[..., None])
+    state = _flat_state(F2, verify._draw(np.random.default_rng(0), rows, verify._state_columns(F2)).T[..., None])
     with pytest.raises(ValueError) as searched:
         analyzer._pointwise_argmins(Method.MOMENTUM, F2, "eta", fixed, None, state, False)
     assert str(searched.value) == str(direct.value)

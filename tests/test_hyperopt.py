@@ -280,6 +280,16 @@ def test_solve_accepts_exactly_the_optimized_pairs():
     assert harness.OPTIMIZED_HYPERS is hyperopt.OPTIMIZED_HYPERS
 
 
+@pytest.mark.parametrize(
+    "method, target, text",
+    [(Method.GD, "beta", "under gd"), ("gd", "eta", "under 'gd'"), (None, "eta", "under None")],
+)
+def test_solve_names_a_pair_it_has_no_form_for(method, target, text):
+    st = make_state(0.3)
+    with pytest.raises(ValueError, match=f"^no closed form for '{target}' {text}$"):
+        solve(method, target, F1, st, eta=0.3, alpha=0.5, beta=0.5, epsilon=1e-8)
+
+
 # Fixed states for the pinned values below: (objective, sample, state).
 PINNED_STATES = (
     (F1, None, make_state(0.3, v_w=0.1, phi_w=0.05, u_w=0.2)),

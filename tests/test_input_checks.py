@@ -1,11 +1,13 @@
 """One definition of well-formed input: every layer refuses a state, point or
 sample with the error ``step`` gives for it, word for word."""
 
+import inspect
 from dataclasses import replace
 
 import pytest
 
 from hyperstep import (
+    OPTIMIZED_HYPERS,
     HyperParams,
     Method,
     ObjectiveId,
@@ -98,6 +100,16 @@ def _refusal(call) -> str:
 def test_the_rule_table_covers_every_closed_form():
     # so the pairs below reach every method's step too
     assert sorted(RULES, key=str) == sorted(hyperopt._FORMS, key=str)
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_each_rule_is_given_its_methods_other_tunable_hyperparameter(pair):
+    # ``hyperstep optimal`` and a run pair each solved value with the rest of
+    # OPTIMIZED_HYPERS[method]; a rule reading another given value breaks that
+    method, target = pair
+    rule, given = RULES[pair]
+    reads = set(inspect.signature(rule).parameters) & {"eta", "alpha", "beta"}
+    assert reads == set(given) - {"epsilon"} == OPTIMIZED_HYPERS[method] - {target}
 
 
 @pytest.mark.parametrize("obj, state, sample, text", FAULTS)

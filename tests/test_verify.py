@@ -79,6 +79,28 @@ def test_pointwise_check_takes_a_non_negative_integer_seed(seed, message):
         verify.check_argmin_pointwise(Method.ADAGRAD, seed)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify.report("one-step", 5, 0, "gd"),
+        lambda: verify.report("argmin", 5, 0, Method.GD.value),
+        lambda: verify.check_argmin_pointwise("gd", 0),
+    ],
+    ids=["report/one-step", "report/argmin", "pointwise"],
+)
+def test_a_method_that_is_not_a_method_member_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"^method must be a Method \(GD, MOMENTUM, ADAGRAD, RMSPROP\), got 'gd'$"):
+        call()
+
+
+@pytest.mark.parametrize("states, compared", [(5, 15), (100, 300)])
+def test_the_pointwise_check_takes_plain_descent_whose_rate_is_one_float(states, compared):
+    # the one gd rate stands for every row of the table; ``report`` sends gd to check_argmin_gd
+    row = verify.check_argmin_pointwise(Method.GD, 0, states)
+    assert (row["passed"], row["compared"], row["min_defined_fraction"]) == (True, compared, 1.0)
+    assert row["max_deviation"] == 1.7958157183528556e-10
+
+
 def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
     # Each scan asks for its 64 points in as few calls as the budget allows and a
     # 40,000-point grid steps in three slabs; one call per point, or one step per
