@@ -22,10 +22,17 @@ k points along the middle axis make a (curves, k, grid) loss volume. The
 scan asks for its 64 points in as few calls as ``_SCAN_BUDGET`` loss
 elements allow: all 64 for a batch of pointwise states, one for a
 40,000-point grid. Golden-section asks for one point per curve. Each call
-steps the grid in slabs of at most ``_SLAB_BUDGET`` elements, writes them
-into one loss buffer per search and takes its mean along the grid: the same
-values in the same contiguous layout, so the same pairwise sum, bit for bit,
-as one step over the whole grid. The slabs are there for the allocator. A
+steps the grid in slabs of at most ``_SLAB_BUDGET`` elements. A slab only
+runs the rule, takes the residual and squares it straight into one loss
+buffer per search: the same values in the same contiguous layout, so the
+same pairwise sum, bit for bit, as one step over the whole grid. The call
+holds numpy's overflow warnings off once around its slabs, then takes each
+curve's mean along the grid and tests the means for finiteness once. That
+one test is exact: every loss is a square, so a mean is finite only if all
+its losses are. Only a non-finite mean looks at the losses one by one, to
+tell a non-finite loss (an error) from finite ones whose sum overflows (a
+numpy warning and an inf mean). ``mean_post_step_error`` takes the same
+path over its one step. The slabs are there for the allocator. A
 whole-grid step over 40,000 points makes four 320 KB temporaries, whose
 pages glibc hands back to the OS after every curve point and faults in at
 the next: ~84,000 minor page faults per ``verify`` report, against ~2,200
@@ -49,6 +56,7 @@ from .objectives import (
     RegressionSample,
     _require_index,
     _require_seed,
+    _residual,
     evaluate,
 )
 from .optimizers import (
@@ -101,8 +109,12 @@ class SamplingSpec:
         if _require_index("resolution", self.resolution) < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
         _require_seed("seed", self.seed)
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        try:  # a domain that is not two reals fails here too, not in the unpacking
+            lo, hi = self.domain
+            interval = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+        except (TypeError, ValueError):
+            interval = False
+        if not interval:
             raise ValueError(f"domain must be a finite non-empty interval, got {self.domain}")
 
 
@@ -162,15 +174,22 @@ def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerStat
 
 
 def _post_step_losses(
-    obj: ObjectiveId, sample: RegressionSample | None, advance: Callable[[], OptimizerState]
+    obj: ObjectiveId, sample: RegressionSample | None, advance: Callable[[], OptimizerState], out: np.ndarray | None
 ) -> np.ndarray:
-    """The loss at the state ``advance()`` steps to."""
-    # overflow surfaces as the ValueError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = np.asarray(evaluate(obj, advance().params, sample))
-    if not np.all(np.isfinite(losses)):
+    """The loss at the state ``advance()`` steps to, squared into ``out`` (a new array if None);
+    the caller holds numpy's overflow warnings off and checks the losses through ``_mean_losses``."""
+    r = _residual(obj, advance().params, sample)
+    return np.multiply(r, r, out=out)
+
+
+def _mean_losses(losses: np.ndarray) -> np.ndarray:
+    """The mean along the last axis, refusing a non-finite loss. Losses are squares, so a
+    mean is finite only if each of its losses is: only a non-finite mean needs the
+    elementwise test, and finite losses whose sum overflows still warn and give inf."""
+    means = losses.mean(axis=-1)
+    if not np.isfinite(means).all() and not np.isfinite(losses).all():
         raise ValueError("non-finite loss at a sample point")
-    return losses
+    return means
 
 
 def mean_post_step_error(
@@ -196,7 +215,9 @@ def mean_post_step_error(
     def advance() -> OptimizerState:
         return step(method, state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
 
-    return float(np.mean(_post_step_losses(obj, sample, advance)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = _post_step_losses(obj, sample, advance, None)
+    return float(_mean_losses(losses.ravel()))
 
 
 def _search(curve: Callable[[np.ndarray], np.ndarray], n: int, per_call: int = _SCAN_POINTS) -> list[ArgminResult]:
@@ -311,9 +332,10 @@ def _argmin(
         k = t.shape[1]
         hyper = _unchecked_hyper({**values, target: t[..., None]})
         out = losses[:, :k]
-        for part, at, g_at in slabs(max(1, _SLAB_BUDGET // (n * k))):
-            out[..., part] = _post_step_losses(obj, sample, lambda: _apply_rule(method, at, hyper, g_at))
-        return out.mean(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for part, at, g_at in slabs(max(1, _SLAB_BUDGET // (n * k))):
+                _post_step_losses(obj, sample, lambda: _apply_rule(method, at, hyper, g_at), out[..., part])
+        return _mean_losses(out)
 
     return _search(curve, n, per_call)
 

@@ -148,6 +148,9 @@ def test_finite_diff_gradient_examples():
     [
         (1, 0, (0.0, 1.0), "resolution must be at least 2, got 1"),
         (100, 0, (1.0, 0.0), "domain must be a finite non-empty interval, got (1.0, 0.0)"),
+        (100, 0, None, "domain must be a finite non-empty interval, got None"),
+        (100, 0, (0, 1, 2), "domain must be a finite non-empty interval, got (0, 1, 2)"),
+        (100, 0, ("a", "b"), "domain must be a finite non-empty interval, got ('a', 'b')"),
         (2.5, 0, (0.0, 1.0), "resolution must be an integer, got 2.5"),
         (True, 0, (0.0, 1.0), "resolution must be an integer, got True"),
         (10, 1.5, (0.0, 1.0), "seed must be an integer, got 1.5"),
@@ -361,6 +364,39 @@ def test_a_non_finite_loss_raises_alike_on_both_routes(method, target):
     for route in routes:
         with pytest.raises(ValueError, match="^non-finite loss at a sample point$"):
             route()
+
+
+# A call tests its curves' means for finiteness, and looks at the losses one by one
+# only when a mean is not finite: a non-finite loss raises, an overflowing sum warns.
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
+def test_one_non_finite_loss_at_either_end_of_a_sampled_grid_raises(method, target, at):
+    # the point's loss overflows at the first scan point, in the first or the last slab
+    state = analyzer._sampled_state(F1, SamplingSpec(SamplingMode.MONTE_CARLO, 2 * SLAB + 7), _template(F1))
+    state.params.w[at] = 1e200
+    g = analyzer._gradient_at(state, F1, None, False)
+    with pytest.raises(ValueError, match="^non-finite loss at a sample point$"):
+        analyzer._argmin(method, F1, target, BASE, None, state, g)
+
+
+@pytest.mark.parametrize("row", [0, 57, 99])
+@pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
+def test_one_non_finite_row_of_a_pointwise_batch_raises(method, target, row):
+    table = verify._draw(np.random.default_rng(row), 100, verify._pointwise_columns(F1, target))
+    table[row, 0] = 1e200
+    search, _ = _pointwise_routes(method, target, F1, table)
+    with pytest.raises(ValueError, match="^non-finite loss at a sample point$"):
+        search()
+
+
+def test_finite_losses_whose_sum_overflows_warn_and_give_an_infinite_mean():
+    # each loss, (w - 0.5) ** 2 near 1e308, is finite; their sum is not
+    spec = SamplingSpec(SamplingMode.MONTE_CARLO, 1000, domain=(1.0e154, 1.3e154))
+    with pytest.warns(RuntimeWarning, match="^overflow encountered in reduce$"):
+        mean = mean_post_step_error(GD, F1, HyperParams(eta=0.0), None, spec, TEMPLATE_1D)
+    assert mean == math.inf
 
 
 # Two routes to the same number: a search steps every curve point with the

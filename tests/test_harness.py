@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from hyperstep import (
     run_training,
     step,
 )
-from hyperstep.harness import resolve_init
+from hyperstep.harness import DEFAULT_INIT_COORD, DEFAULT_TOLERANCE, resolve_init
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 
@@ -93,6 +94,37 @@ def test_gd_f1_fixed_rate_follows_the_geometric_decay():
     assert trace.converged_epoch == predicted
     for k, rec in enumerate(trace.records):
         assert rec.loss == pytest.approx(0.04 * 0.64**k, rel=1e-9)
+
+
+def _exact_converged_epoch(method, obj, max_epochs=1000):
+    """The epoch a default fixed-arm table2 run converges at, with its residual recurrence
+    run in exact rationals from the binary values of the defaults' floats. One step at rate
+    eta scales the residual by 1 - k * eta, k the sum of the coordinates' gains: 2 on f1,
+    4 on f2, x * x + 1 on halved f3. Momentum adds its pull v' = alpha * v - k * eta * r."""
+    defaults = (DEFAULT_INIT_COORD, DEFAULT_HYPERS.eta, DEFAULT_HYPERS.alpha, DEFAULT_TOLERANCE)
+    c, eta, alpha, tol = map(Fraction, defaults)
+    x, y = Fraction(DEFAULT_SAMPLE.x), Fraction(DEFAULT_SAMPLE.y)
+    r, k = {F1: (c - Fraction(1, 2), 2), F2: (c + c, 4), F3: (c * x + c - y, x * x + 1)}[obj]
+    v = Fraction(0)
+    for epoch in range(1, max_epochs + 1):
+        if r * r <= tol:
+            return epoch
+        if method is Method.GD:
+            r *= 1 - k * eta
+        else:
+            v = alpha * v - k * eta * r
+            r += v
+    return None
+
+
+@pytest.mark.parametrize(
+    "method, epochs", [(Method.GD, (56, 28, 105)), (Method.MOMENTUM, (36, 36, 32))], ids=["gd", "momentum"]
+)
+def test_fixed_arms_converge_where_the_exact_residual_recurrence_does(method, epochs):
+    runs = reproduce_table2()
+    floats = tuple(runs.cell(method, obj).fixed.converged_epoch for obj in (F1, F2, F3))
+    exact = tuple(_exact_converged_epoch(method, obj) for obj in (F1, F2, F3))
+    assert floats == exact == epochs
 
 
 def test_starting_at_the_minimum_converges_at_epoch_one():
