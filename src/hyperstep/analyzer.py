@@ -174,11 +174,11 @@ def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerStat
 
 
 def _post_step_losses(
-    obj: ObjectiveId, sample: RegressionSample | None, advance: Callable[[], OptimizerState], out: np.ndarray | None
+    obj: ObjectiveId, sample: RegressionSample | None, stepped: OptimizerState, out: np.ndarray | None
 ) -> np.ndarray:
-    """The loss at the state ``advance()`` steps to, squared into ``out`` (a new array if None);
-    the caller holds numpy's overflow warnings off and checks the losses through ``_mean_losses``."""
-    r = _residual(obj, advance().params, sample)
+    """The loss at ``stepped``, squared into ``out`` (a new array if None); the caller steps and
+    squares with numpy's overflow warnings held off and checks the losses through ``_mean_losses``."""
+    r = _residual(obj, stepped.params, sample)
     return np.multiply(r, r, out=out)
 
 
@@ -211,12 +211,9 @@ def mean_post_step_error(
         ValueError: if any sampled point produces a non-finite loss.
     """
     state = _sampled_state(obj, spec, state_template)
-
-    def advance() -> OptimizerState:
-        return step(method, state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = _post_step_losses(obj, sample, advance, None)
+        stepped = step(method, state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
+        losses = _post_step_losses(obj, sample, stepped, None)
     return float(_mean_losses(losses.ravel()))
 
 
@@ -334,7 +331,7 @@ def _argmin(
         out = losses[:, :k]
         with np.errstate(over="ignore", invalid="ignore"):
             for part, at, g_at in slabs(max(1, _SLAB_BUDGET // (n * k))):
-                _post_step_losses(obj, sample, lambda: _apply_rule(method, at, hyper, g_at), out[..., part])
+                _post_step_losses(obj, sample, _apply_rule(method, at, hyper, g_at), out[..., part])
         return _mean_losses(out)
 
     return _search(curve, n, per_call)

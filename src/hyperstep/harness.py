@@ -8,8 +8,8 @@ an undefined value keeps the previous one, an infeasible value is clamped to
 
 ``RunConfig`` and ``resolve_init`` check a run's sample and initial point once, through
 the halves of ``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors);
-``run_training`` then loops over unchecked cores. Per epoch it checks only that the gradient,
-whose finiteness defines divergence, the params and the method's one state slot are finite.
+``run_training`` then loops over unchecked cores. Per epoch ``_finite`` checks only that the
+gradient, whose finiteness defines divergence, the params and the method's one state slot are finite.
 A run on floats computes in plain floats, a zero divisor's inf or NaN included.
 
 ``reproduce_table2`` assembles the 4x3 convergence comparison between the
@@ -29,8 +29,7 @@ from .objectives import (
     _check_point, _check_sample, _gradient, _require_index, _require_seed, _residual,
 )
 from .optimizers import (
-    _RULES, HyperParams, Method, NonFiniteGradientError, OptimizerState,
-    _apply_rule, _require_finite, _unchecked_hyper, adagrad_post_view,
+    _RULES, HyperParams, Method, OptimizerState, _apply_rule, _unchecked_hyper, adagrad_post_view,
 )
 from . import hyperopt
 from .hyperopt import OPTIMIZED_HYPERS
@@ -269,8 +268,9 @@ def _resolve_optimal(
     return h, HyperFlags(**flags)
 
 
-def _finite(coords) -> bool:
-    return math.isfinite(coords.w) and (coords.b is None or math.isfinite(coords.b))
+def _finite(w, b) -> bool:
+    """Whether a gradient's, params' or state slot's ``w`` and ``b`` (None on one parameter) are finite."""
+    return math.isfinite(w) and (b is None or math.isfinite(b))
 
 
 def run_training(cfg: RunConfig) -> Trace:
@@ -295,9 +295,7 @@ def run_training(cfg: RunConfig) -> Trace:
         if optimal:
             hypers, flags = _resolve_optimal(cfg, state, hypers)
         g = _gradient(obj, r, sample, half)
-        try:
-            _require_finite(g)
-        except NonFiniteGradientError:
+        if not _finite(g.d_w, g.d_b):
             diverged = True
             break
         state = _apply_rule(method, state, hypers, g)
@@ -305,8 +303,8 @@ def run_training(cfg: RunConfig) -> Trace:
         loss = float(r * r)
         records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
         # an overflowed accumulator would freeze the run with a finite loss
-        finite = math.isfinite(loss) and _finite(state.params)
-        diverged = not (finite and (slot is None or _finite(getattr(state, slot))))
+        p, s = state.params, getattr(state, slot) if slot else None
+        diverged = not (math.isfinite(loss) and _finite(p.w, p.b) and (s is None or _finite(s.w, s.b)))
 
     recs = tuple(records)
     return Trace(

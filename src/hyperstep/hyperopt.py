@@ -18,6 +18,8 @@ Conventions the formulas rely on:
   the state's ``weighted_grad_sq``, beta, and the current gradient.
 - F1 and F2 share one form per rule: every gradient coordinate is 2 * r, so
   a plain descent step maps the residual r to (1 - 2 * arity * eta) * r.
+- Plain descent's rate is the scaled rate ``_scaled_lr`` with unit divisors;
+  both momentum forms read the velocity's pull on the residual from ``_pull``.
 - F3: the learning-rate and momentum-coefficient forms are exact when steps
   use the halved regression gradient (x*r, r); see objectives.gradient.
 - The rmsprop beta rule for F2/F3 assumes a common accumulator and a common
@@ -85,15 +87,12 @@ def _sqrt(x):
         return np.sqrt(x)
 
 
-def _f3_base_lr(x: float) -> float:
-    # Single shared expression so reduction identities hold bit for bit.
-    return 1.0 / (x * x + 1.0)
-
-
-def _velocity_sum(obj: ObjectiveId, state: OptimizerState) -> float:
-    """The velocity's pull on the F1/F2 residual: v_w, plus v_b on F2."""
+def _pull(obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None):
+    """The velocity's pull on the residual: v_w on F1, v_w + v_b on F2, v_w * x + v_b on F3."""
     v = state.velocity
-    return v.w if obj.arity == 1 else v.w + v.b
+    if obj is ObjectiveId.F1:
+        return v.w
+    return v.w + v.b if obj is ObjectiveId.F2 else v.w * sample.x + v.b
 
 
 def optimal_lr_gd(
@@ -107,9 +106,7 @@ def optimal_lr_gd(
     Always defined.
     """
     _check_state(state, obj, sample)
-    if obj is ObjectiveId.F3:
-        return _from_raw(_f3_base_lr(sample.x))
-    return _from_raw(1.0 / (2.0 * obj.arity))
+    return _scaled_lr(obj, sample, 1.0, 1.0, 0.0)
 
 
 def optimal_lr_momentum(
@@ -126,11 +123,12 @@ def optimal_lr_momentum(
     """
     _check_state(state, obj, sample)
     r = _residual(obj, state.params, sample)
+    m = _pull(obj, state, sample)
     singular = abs(r) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
-        return _from_raw((alpha * _velocity_sum(obj, state) + r) / (2.0 * obj.arity * r + singular), singular)
-    m = state.velocity.w * sample.x + state.velocity.b
-    return _from_raw(_f3_base_lr(sample.x) + alpha * m / (r * (sample.x * sample.x + 1.0) + singular), singular)
+        return _from_raw((alpha * m + r) / (2.0 * obj.arity * r + singular), singular)
+    k = sample.x * sample.x + 1.0
+    return _from_raw(1.0 / k + alpha * m / (r * k + singular), singular)
 
 
 def optimal_momentum_coef(
@@ -147,12 +145,10 @@ def optimal_momentum_coef(
     """
     _check_state(state, obj, sample)
     r = _residual(obj, state.params, sample)
-    if obj is not ObjectiveId.F3:
-        v = _velocity_sum(obj, state)
-        singular = abs(v) < SINGULAR_TOL
-        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (v + singular), singular)
-    m = state.velocity.w * sample.x + state.velocity.b
+    m = _pull(obj, state, sample)
     singular = abs(m) < SINGULAR_TOL
+    if obj is not ObjectiveId.F3:
+        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (m + singular), singular)
     return _from_raw(r * (eta * sample.x * sample.x + eta - 1.0) / (m + singular), singular)
 
 

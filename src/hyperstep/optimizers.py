@@ -9,7 +9,7 @@ non-finite gradient. ``_apply_rule`` applies the method's per-coordinate rule
 maps each method to that rule and to the state slot it advances. ``_apply_rule`` has
 two more callers: a direct search, whose state does not move, takes the first part
 once and the second at every curve point; ``harness.run_training``, which checked its
-inputs once per run, applies it to each epoch's gradient after ``_require_finite``.
+inputs once per run, applies it to each epoch's gradient after its own ``_finite`` test.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
@@ -121,11 +121,6 @@ def _flat_state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerSt
     return OptimizerState(ParamPoint(w, b), PerCoord(v_w, v_b), PerCoord(phi_w, phi_b), PerCoord(u_w, u_b))
 
 
-def _require_finite(g: GradientVector) -> None:
-    if not (_all(abs(g.d_w) < math.inf) and (g.d_b is None or _all(abs(g.d_b) < math.inf))):
-        raise NonFiniteGradientError(f"gradient is not finite: {g!r}")
-
-
 def _check_state(state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None) -> None:
     two = obj.arity == 2
     for name in ("velocity", "grad_sq_sum", "weighted_grad_sq"):
@@ -205,7 +200,8 @@ def _checked_gradient(
     """The gradient ``step`` consumes at ``state``: the state checked, finite."""
     _check_state(state, obj, sample)
     g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
-    _require_finite(g)
+    if not (_all(abs(g.d_w) < math.inf) and (g.d_b is None or _all(abs(g.d_b) < math.inf))):
+        raise NonFiniteGradientError(f"gradient is not finite: {g!r}")
     return g
 
 

@@ -10,8 +10,9 @@ from the columns (arrays). ``_obj_sample`` picks each objective's regression
 sample, the beta rule's included, and ``_row`` writes every report row. Each
 table is solved in one call on its columns, through ``hyperopt._FORMS``
 (public hyperopt names take floats only); the argmin, one-step and gradient
-checks then search, step or evaluate its defined, feasible rows. Hyperstep
-functions are looked up as module attributes at call time
+checks then search, step or evaluate its defined, feasible rows. The argmin
+and one-step checks take one f3 gradient convention, ``_HALF``, on both sides.
+Hyperstep functions are looked up as module attributes at call time
 (``optimizers.step``, ...), so a wrapper bound in their home module also
 sees the calls made from here.
 """
@@ -32,6 +33,7 @@ _GRADIENT_TOL = 1e-6
 _EPSILON = 1e-8
 
 _BETA_SAMPLE = RegressionSample(x=1.0, y=0.3)  # common-gradient point for the beta rule
+_HALF = True  # f3's halved gradient (x*r, r) on both sides of a check: the f3 forms are exact under it
 
 
 # A column is the (lo, hi) its values lo + (hi - lo) * u take, u from [0, 1).
@@ -89,8 +91,8 @@ def _check_gradients(samples: int, seed: int) -> list[dict]:
 _GD_ARGMIN_CASES = (
     (ObjectiveId.F1, None),
     (ObjectiveId.F2, None),
-    (ObjectiveId.F3, RegressionSample(x=0.3, y=0.23)),
-    (ObjectiveId.F3, RegressionSample(x=1.0, y=0.3)),
+    (ObjectiveId.F3, DEFAULT_SAMPLE),
+    (ObjectiveId.F3, _BETA_SAMPLE),
     (ObjectiveId.F3, RegressionSample(x=2.0, y=0.4)),
 )
 
@@ -102,10 +104,11 @@ def check_argmin_gd() -> dict:
         template = OptimizerState.initial(ParamPoint(w=0.0, b=0.0 if obj.arity == 2 else None))
         res = analyzer.argmin_hyper(
             Method.GD, obj, "eta", DEFAULT_HYPERS, s,
-            analyzer.default_sampling(obj), template, f3_half_gradient=True,
+            analyzer.default_sampling(obj), template, f3_half_gradient=_HALF,
         )
         fv = hyperopt.solve(
-            Method.GD, "eta", obj, template, s, eta=None, alpha=None, beta=None, epsilon=_EPSILON
+            Method.GD, "eta", obj, template, s,
+            eta=None, alpha=None, beta=None, epsilon=_EPSILON, f3_half_gradient=_HALF,
         )
         worst = max(worst, abs(res.argmin - fv.value))
     return _row("argmin/gd", _ARGMIN_TOL, worst, True)
@@ -134,14 +137,13 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
     min_defined = 1.0
     compared = 0
     for obj in ObjectiveId:
-        half = obj is ObjectiveId.F3
         for target in sorted(OPTIMIZED_HYPERS[method]):
             sample = _obj_sample(obj, target)
             common = target == "beta"
             columns = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target)).T
             # adagrad's state is read as the post-accumulation view on both sides
             form = hyperopt._FORMS[method, target]
-            fv = form(obj, _flat_state(obj, columns, common), sample, *columns[-3:], _EPSILON, half)
+            fv = form(obj, _flat_state(obj, columns, common), sample, *columns[-3:], _EPSILON, _HALF)
             # plain descent's rate is one float for the whole table
             defined, feasible, value = (np.broadcast_to(a, states) for a in (fv.defined, fv.feasible, fv.value))
             min_defined = min(min_defined, np.count_nonzero(defined) / states)
@@ -150,7 +152,8 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
                 continue
             kept = columns[:, keep, None]  # each a (rows, 1) array
             fixed = HyperParams(*kept[-3:], epsilon=_EPSILON)
-            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, _flat_state(obj, kept, common), half)
+            at = _flat_state(obj, kept, common)
+            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, at, _HALF)
             worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, value[keep].tolist())))
             compared += len(found)
     return _row(
@@ -185,21 +188,20 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
     worst = 0.0
     tested = 0
     for obj in ObjectiveId:
-        half = obj is ObjectiveId.F3
         columns = _draw(np.random.default_rng(seed), samples, _one_step_columns(obj, coefficient)).T
         for target in targets:
             sample = _obj_sample(obj, target)
             at, given = _one_step_draw(obj, columns, coefficient, target)
             view = at
             if method is Method.ADAGRAD:
-                view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=half)
-            fv = hyperopt._FORMS[method, target](obj, view, sample, **given, epsilon=_EPSILON, f3_half_gradient=half)
+                view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=_HALF)
+            fv = hyperopt._FORMS[method, target](obj, view, sample, **given, epsilon=_EPSILON, f3_half_gradient=_HALF)
             keep = np.broadcast_to(fv.defined & fv.feasible, samples)  # plain descent's rate is one float
             if not keep.any():
                 continue
             at, given = _one_step_draw(obj, columns[:, keep], coefficient, target)
             hyper = HyperParams(**{**given, target: np.broadcast_to(fv.value, samples)[keep]}, epsilon=_EPSILON)
-            stepped = optimizers.step(method, at, hyper, obj, sample, f3_half_gradient=half)
+            stepped = optimizers.step(method, at, hyper, obj, sample, f3_half_gradient=_HALF)
             worst = max(worst, float(np.max(objectives.evaluate(obj, stepped.params, sample))))
             tested += int(np.count_nonzero(keep))
     return _row(f"one-step/{method.value}", _ONE_STEP_TOL, worst, tested > 0, tested=tested)

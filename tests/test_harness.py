@@ -6,6 +6,7 @@ import math
 import re
 import struct
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hyperstep import (
     DEFAULT_HYPERS,
     DEFAULT_SAMPLE,
     OPTIMIZED_HYPERS,
+    ComparisonMatrix,
     EpochRecord,
     HyperFlags,
     HyperParams,
@@ -96,25 +98,34 @@ def test_gd_f1_fixed_rate_follows_the_geometric_decay():
         assert rec.loss == pytest.approx(0.04 * 0.64**k, rel=1e-9)
 
 
-def _exact_converged_epoch(method, obj, max_epochs=1000):
-    """The epoch a default fixed-arm table2 run converges at, with its residual recurrence
-    run in exact rationals from the binary values of the defaults' floats. One step at rate
+def _exact_losses(method, obj, init, sample, eta, alpha, half):
+    """The losses at epochs 1, 2, ... of a fixed-rate gd or momentum run, from its residual
+    recurrence run in exact rationals on the binary values of its floats. One step at rate
     eta scales the residual by 1 - k * eta, k the sum of the coordinates' gains: 2 on f1,
-    4 on f2, x * x + 1 on halved f3. Momentum adds its pull v' = alpha * v - k * eta * r."""
-    defaults = (DEFAULT_INIT_COORD, DEFAULT_HYPERS.eta, DEFAULT_HYPERS.alpha, DEFAULT_TOLERANCE)
-    c, eta, alpha, tol = map(Fraction, defaults)
-    x, y = Fraction(DEFAULT_SAMPLE.x), Fraction(DEFAULT_SAMPLE.y)
-    r, k = {F1: (c - Fraction(1, 2), 2), F2: (c + c, 4), F3: (c * x + c - y, x * x + 1)}[obj]
-    v = Fraction(0)
-    for epoch in range(1, max_epochs + 1):
-        if r * r <= tol:
-            return epoch
+    4 on f2, x * x + 1 on halved f3 and 2 * (x * x + 1) on standard f3. Momentum adds its
+    pull v' = alpha * v - k * eta * r."""
+    w, b, eta, alpha = (Fraction(c) for c in (init.w, init.b or 0.0, eta, alpha))
+    if obj is F3:
+        x, y = Fraction(sample.x), Fraction(sample.y)
+        r, k = w * x + b - y, (x * x + 1) * (1 if half else 2)
+    else:
+        r, k = (w - Fraction(1, 2), 2) if obj is F1 else (w + b, 4)
+    k_eta, v = k * eta, Fraction(0)
+    while True:
+        yield r**2  # a power reduces nothing, where r * r would take a gcd of the growing terms
         if method is Method.GD:
-            r *= 1 - k * eta
+            r *= 1 - k_eta
         else:
-            v = alpha * v - k * eta * r
+            v = alpha * v - k_eta * r
             r += v
-    return None
+
+
+def _exact_converged_epoch(method, obj, max_epochs=1000):
+    """The epoch a default fixed-arm table2 run converges at, by ``_exact_losses``."""
+    init = ParamPoint(DEFAULT_INIT_COORD, DEFAULT_INIT_COORD)
+    losses = _exact_losses(method, obj, init, DEFAULT_SAMPLE, DEFAULT_HYPERS.eta, DEFAULT_HYPERS.alpha, True)
+    tol = Fraction(DEFAULT_TOLERANCE)
+    return next((epoch for epoch, loss in zip(range(1, max_epochs + 1), losses) if loss <= tol), None)
 
 
 @pytest.mark.parametrize(
@@ -125,6 +136,69 @@ def test_fixed_arms_converge_where_the_exact_residual_recurrence_does(method, ep
     floats = tuple(runs.cell(method, obj).fixed.converged_epoch for obj in (F1, F2, F3))
     exact = tuple(_exact_converged_epoch(method, obj) for obj in (F1, F2, F3))
     assert floats == exact == epochs
+
+
+# A float run and the exact recurrence may disagree on the converged epoch only where,
+# at the first epoch they disagree on, the exact loss lies within this relative band of
+# the tolerance: the float loss's own rounding error there (CHANGES.md gives the bound).
+_ROUNDING_BAND = 1e-3
+
+
+def _moderate(lo, hi):
+    # zero, or of magnitude at least 2**-10: a tiny x, share or alpha would add about a
+    # thousand bits to the exact terms at every epoch
+    return strategies.floats(lo, hi).filter(lambda v: v == 0.0 or abs(v) >= 2**-10)
+
+
+# one pinned example per side of the band: the exact loss at epoch 59 exceeds the
+# tolerance by 5e-16 of it and the float run converges there, one epoch early; the exact
+# loss at epoch 37 falls short of it by 1.8e-15 of it and the float run converges at 38
+@example(Method.GD, F1, True, 0.917619485951906, 0.0, 0.0, 0.0, 0.1, 0.5, 120)
+@example(Method.MOMENTUM, F1, True, 0.9433835613524939, 0.0, 0.0, 0.0, 0.1, 0.5, 120)
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    method=strategies.sampled_from([Method.GD, Method.MOMENTUM]),
+    obj=strategies.sampled_from([F1, F2, F3]),
+    half=strategies.booleans(),
+    w=strategies.floats(-1.0, 1.0),
+    b=strategies.floats(-1.0, 1.0),
+    x=_moderate(-2.0, 2.0),
+    y=strategies.floats(-1.0, 1.0),
+    share=_moderate(0.0, 1.05),
+    alpha=_moderate(0.0, 1.0),
+    max_epochs=strategies.integers(1, 120),
+)
+def test_drawn_fixed_runs_converge_where_the_exact_recurrence_does(
+    method, obj, half, w, b, x, y, share, alpha, max_epochs
+):
+    # eta is drawn as a share of the largest rate that still contracts the residual,
+    # 2 / k for gd and 2 * (1 + alpha) / k for momentum, so most draws converge
+    sample = RegressionSample(x=x, y=y) if obj is F3 else None
+    init = ParamPoint(w=w, b=None if obj is F1 else b)
+    k = {F1: 2.0, F2: 4.0, F3: (x * x + 1.0) * (1.0 if half else 2.0)}[obj]
+    eta = share * 2.0 * (1.0 + alpha if method is Method.MOMENTUM else 1.0) / k
+    policy = HyperPolicy.fixed(HyperParams(eta=eta, alpha=alpha))
+    cfg = RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs, f3_half_gradient=half)
+    trace = run_training(cfg)
+    assert not trace.diverged
+    exact = list(islice(_exact_losses(method, obj, init, sample, eta, alpha, half), len(trace.records)))
+    tol = Fraction(cfg.tolerance)
+    first = next((epoch for epoch, loss in enumerate(exact, 1) if loss <= tol), None)
+    if first != trace.converged_epoch:
+        boundary = min(e for e in (first, trace.converged_epoch) if e is not None)
+        assert abs(exact[boundary - 1] / tol - 1) <= _ROUNDING_BAND, (first, trace.converged_epoch)
+
+
+def test_comparison_matrix_finds_each_of_its_cells_and_refuses_a_pair_it_lacks():
+    matrix = reproduce_table2()
+    pairs = [(method, obj) for method in Method for obj in (F1, F2, F3)]
+    assert [matrix.cell(*pair) for pair in pairs] == list(matrix.cells)
+    assert [(c.method, c.objective) for c in matrix.cells] == pairs
+    without = ComparisonMatrix(cells=tuple(c for c in matrix.cells if c.objective is not F2))
+    for source, pair in [(without, (Method.ADAGRAD, F2)), (matrix, ("gd", F1)), (matrix, (Method.GD, "f1"))]:
+        with pytest.raises(KeyError) as missing:
+            source.cell(*pair)
+        assert missing.value.args == (pair,)
 
 
 def test_starting_at_the_minimum_converges_at_epoch_one():
@@ -399,6 +473,18 @@ def test_zero_divisor_ends_a_run_as_diverged():
     assert trace.diverged
     assert len(trace.records) == 2
     assert math.isinf(trace.records[-1].params.w)
+
+
+def test_an_overflowed_b_accumulator_alone_ends_a_run_as_diverged():
+    # standard f3 at a small x: the b gradient 2r squares past the largest float while
+    # the w gradient 2xr does not, and the loss r * r stays finite; the b step divides
+    # by sqrt(inf), so only the test of the slot's b coordinate stops the frozen run
+    sample = RegressionSample(x=1e-3, y=0.0)
+    cfg = RunConfig(Method.ADAGRAD, F3, HyperPolicy.fixed(DEFAULT_HYPERS), sample=sample, init=ParamPoint(0.0, 9e153))
+    trace = run_training(cfg)
+    assert trace.diverged
+    assert len(trace.records) == 2
+    assert math.isfinite(trace.final_loss) and trace.records[-1].params.b == 9e153
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
