@@ -6,10 +6,16 @@ forms for the requested hyperparameters and applies the fallback contract:
 an undefined value keeps the previous one, an infeasible value is clamped to
 [0, 1], and every choice is flagged in the trace.
 
-``RunConfig`` and ``resolve_init`` check a run's sample and initial point once, through
-the halves of ``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors);
-``run_training`` then loops over unchecked cores. Per epoch ``_finite`` checks only that the
-gradient, whose finiteness defines divergence, the params and the method's one state slot are finite.
+``HyperPolicy``, ``RunConfig`` and ``resolve_init`` are where a run is checked: the
+policy's kind and names, the method, objective, budget and tolerance, and the sample and
+initial point through the halves of ``objectives._check_inputs`` (``step``'s check, so with
+``step``'s errors). ``run_training`` then checks nothing per epoch but finiteness. It keeps
+the params and the method's one state slot as float locals and takes one gradient per
+epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (adagrad's through
+``optimizers._post_view``) and the method's per-coordinate rule from ``optimizers._RULES``;
+it builds an ``OptimizerState`` only for a core that reads one, and shares one
+``HyperFlags`` per combination of flags. ``_finite`` checks only that the gradient, whose
+finiteness defines divergence, the params and the slot are finite.
 A run on floats computes in plain floats, a zero divisor's inf or NaN included.
 
 ``reproduce_table2`` assembles the 4x3 convergence comparison between the
@@ -23,16 +29,16 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .objectives import (
     ObjectiveId, ParamPoint, RegressionSample,
-    _check_point, _check_sample, _gradient, _require_index, _require_seed, _residual,
+    _check_point, _check_sample, _gradient, _require_index, _require_objective, _require_seed, _residual,
 )
 from .optimizers import (
-    _RULES, HyperParams, Method, OptimizerState, _apply_rule, _unchecked_hyper, adagrad_post_view,
+    _RULES, HyperParams, Method, OptimizerState, PerCoord, _post_view, _require_method, _unchecked_hyper,
 )
-from . import hyperopt
-from .hyperopt import OPTIMIZED_HYPERS
+from .hyperopt import _FORMS, OPTIMIZED_HYPERS
 
 DEFAULT_HYPERS = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=1e-8)
 DEFAULT_SAMPLE = RegressionSample(x=0.3, y=0.23)
@@ -63,6 +69,10 @@ class HyperPolicy:
     optimize: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise ValueError(f"kind must be a PolicyKind, got {self.kind!r}")
+        if not isinstance(self.optimize, frozenset):
+            raise ValueError(f"optimize must be a frozenset of hyperparameter names, got {self.optimize!r}")
         unknown = self.optimize - {"eta", "alpha", "beta"}
         if unknown:
             raise ValueError(f"unknown hyperparameters to optimize: {sorted(unknown)}")
@@ -104,6 +114,12 @@ _INITIAL_FLAGS = HyperFlags(eta=FLAG_NONE, alpha=FLAG_NONE, beta=FLAG_NONE)
 _FIXED_FLAGS = HyperFlags()
 
 
+@cache
+def _flags(eta: str = FLAG_FIXED, alpha: str = FLAG_FIXED, beta: str = FLAG_FIXED) -> HyperFlags:
+    """One shared HyperFlags per combination of flags."""
+    return HyperFlags(eta, alpha, beta)
+
+
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -138,10 +154,11 @@ class RunConfig:
     f3_half_gradient: bool = False
 
     def __post_init__(self) -> None:
+        _require_method(self.method)
+        _require_objective(self.objective)
         if _require_index("max_epochs", self.max_epochs) < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        _require_tolerance(self.tolerance)
         _check_sample(self.objective, self.sample)
         extra = self.policy.optimize - OPTIMIZED_HYPERS[self.method]
         if extra:
@@ -224,48 +241,25 @@ def resolve_init(cfg: RunConfig) -> ParamPoint:
     return cfg.init
 
 
+def _require_tolerance(tolerance) -> None:
+    """A positive real: what cannot be compared with 0.0 (a string, None) or is a bool is refused."""
+    try:
+        positive = tolerance > 0.0
+    except TypeError:
+        positive = None
+    if positive is None or tolerance.__class__ is bool:
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
+    if not positive:
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+
+
 def detect_convergence(records: tuple[EpochRecord, ...] | list[EpochRecord], tolerance: float) -> int | None:
     """Smallest recorded epoch whose loss is at or below ``tolerance``, if any."""
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    _require_tolerance(tolerance)
     for rec in records:
         if rec.loss <= tolerance:
             return rec.epoch
     return None
-
-
-def _apply_feasible(fv: hyperopt.FeasibleValue, incumbent: float) -> tuple[float, str]:
-    if not fv.defined:
-        return incumbent, FLAG_FALLBACK
-    if fv.feasible:
-        return fv.value, FLAG_CLOSED_FORM
-    return fv.value, FLAG_CLAMPED
-
-
-def _resolve_optimal(
-    cfg: RunConfig, state: OptimizerState, incumbent: HyperParams
-) -> tuple[HyperParams, HyperFlags]:
-    """Per-epoch closed-form resolution with the fallback contract applied.
-
-    The coefficient (alpha or beta) is resolved first against the incumbent
-    eta, then eta against the resolved coefficient, so the step built from
-    the result zeroes the residual whenever the eta form is defined.
-    """
-    if cfg.method is Method.ADAGRAD:
-        state = adagrad_post_view(state, cfg.objective, cfg.sample, f3_half_gradient=cfg.f3_half_gradient)
-    h = incumbent
-    flags = {"eta": FLAG_FIXED, "alpha": FLAG_FIXED, "beta": FLAG_FIXED}
-    for target in ("alpha", "beta", "eta"):
-        if target not in cfg.policy.optimize:
-            continue
-        fv = hyperopt.solve(
-            cfg.method, target, cfg.objective, state, cfg.sample,
-            eta=h.eta, alpha=h.alpha, beta=h.beta, epsilon=h.epsilon,
-            f3_half_gradient=cfg.f3_half_gradient,
-        )
-        value, flags[target] = _apply_feasible(fv, getattr(h, target))
-        h = _unchecked_hyper({**h.__dict__, target: value})
-    return h, HyperFlags(**flags)
 
 
 def _finite(w, b) -> bool:
@@ -281,30 +275,53 @@ def run_training(cfg: RunConfig) -> Trace:
     """
     method, obj, sample, half = cfg.method, cfg.objective, cfg.sample, cfg.f3_half_gradient
     tolerance, max_epochs = cfg.tolerance, cfg.max_epochs
-    optimal = cfg.policy.kind is PolicyKind.OPTIMAL_PER_EPOCH
-    slot = _RULES[method][0]  # the state slot the method moves; the others stay at zero
+    slot, rule = _RULES[method]  # the state slot the method moves (the others stay at zero) and its rule
+    # The coefficient (alpha or beta) is resolved first against the incumbent eta, then eta
+    # against the resolved coefficient, so the step built from the result zeroes the
+    # residual whenever the eta form is defined.
+    forms = [(t, _FORMS[method, t]) for t in ("alpha", "beta", "eta") if t in cfg.policy.optimize]
     params = resolve_init(cfg)
-    state = OptimizerState.initial(params)
+    w, b = params.w, params.b
+    s_w, s_b = 0.0, None if b is None else 0.0  # the slot's coordinates
+    slots = dict.fromkeys(("velocity", "grad_sq_sum", "weighted_grad_sq"), PerCoord(s_w, s_b))  # zero but the method's
     r = _residual(obj, params, sample)
     loss = float(r * r)
     records = [EpochRecord(1, params, loss, cfg.policy.base, _INITIAL_FLAGS)]
     hypers, flags = cfg.policy.base, _FIXED_FLAGS
+    epoch = 1
     diverged = not math.isfinite(loss)
 
-    while not diverged and loss > tolerance and state.epoch < max_epochs:
-        if optimal:
-            hypers, flags = _resolve_optimal(cfg, state, hypers)
+    while not diverged and loss > tolerance and epoch < max_epochs:
         g = _gradient(obj, r, sample, half)
         if not _finite(g.d_w, g.d_b):
             diverged = True
             break
-        state = _apply_rule(method, state, hypers, g)
-        r = _residual(obj, state.params, sample)
+        if forms:
+            state = None  # plain descent's rate reads no state
+            if slot is not None:
+                slots[slot] = PerCoord(s_w, s_b)
+                state = OptimizerState(params, epoch=epoch, **slots)
+                if method is Method.ADAGRAD:  # its form reads the sums the pending step divides by
+                    state = _post_view(state, g)
+            chosen = {}
+            for target, form in forms:  # the fallback contract: an undefined value keeps the incumbent
+                fv = form(obj, state, sample, r, g, hypers)
+                if not fv.defined:
+                    chosen[target] = FLAG_FALLBACK
+                    continue
+                chosen[target] = FLAG_CLOSED_FORM if fv.feasible else FLAG_CLAMPED
+                hypers = _unchecked_hyper({**hypers.__dict__, target: fv.value})
+            flags = _flags(**chosen)
+        w, s_w = rule(w, s_w, g.d_w, hypers)
+        if b is not None:
+            b, s_b = rule(b, s_b, g.d_b, hypers)
+        epoch += 1
+        params = ParamPoint(w, b)
+        r = _residual(obj, params, sample)
         loss = float(r * r)
-        records.append(EpochRecord(state.epoch, state.params, loss, hypers, flags))
+        records.append(EpochRecord(epoch, params, loss, hypers, flags))
         # an overflowed accumulator would freeze the run with a finite loss
-        p, s = state.params, getattr(state, slot) if slot else None
-        diverged = not (math.isfinite(loss) and _finite(p.w, p.b) and (s is None or _finite(s.w, s.b)))
+        diverged = not (math.isfinite(loss) and _finite(w, b) and (slot is None or _finite(s_w, s_b)))
 
     recs = tuple(records)
     return Trace(

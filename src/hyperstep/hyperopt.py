@@ -25,15 +25,20 @@ Conventions the formulas rely on:
 - The rmsprop beta rule for F2/F3 assumes a common accumulator and a common
   gradient across both coordinates; for F3 that holds at x = 1.
 
-Every rule first runs ``optimizers._check_state``, the check ``step`` runs, so a
-state, point or sample ``step`` refuses is refused here with the same error; it
-then computes on the unchecked cores ``objectives._residual`` and ``_gradient``.
+Each public rule is ``_check_state`` (``step``'s check, so a state, point or
+sample ``step`` refuses is refused here with the same error) followed by an
+unchecked core. ``_solved`` runs the check, takes the residual and gradient
+once, and hands both to the core, which reads them instead of taking its own.
+``_FORMS`` maps each (method, target) pair to its core, called as
+``(obj, state, sample, r, g, hyper)``; ``solve`` indexes it, ``verify`` calls it
+on whole drawn tables, and ``harness.run_training`` calls it on each epoch's
+one gradient.
 
-Public names take and return floats. Each form is written once for floats
+Public names take and return floats. Each core is written once for floats
 and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
-no row divides by zero), but arrays enter only through the private table
-``_FORMS``, which binds the rules themselves: a wrapper bound to a public
-name, as perfbench's tracer binds, may read ``bool(result.defined)``.
+no row divides by zero), but arrays enter only through ``_FORMS``, whose cores
+are private: a wrapper bound to a public name, as perfbench's tracer binds,
+may read ``bool(result.defined)``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import ObjectiveId, RegressionSample, _gradient, _residual
-from .optimizers import Method, OptimizerState, _check_state, _weighted_grad_sq
+from .optimizers import Method, OptimizerState, _check_state, _unchecked_hyper, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -95,6 +100,25 @@ def _pull(obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | No
     return v.w + v.b if obj is ObjectiveId.F2 else v.w * sample.x + v.b
 
 
+def _solved(
+    core, obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None, f3_half_gradient: bool = False,
+    **given,
+) -> FeasibleValue:
+    """``core`` at ``state`` once ``_check_state`` passes, fed the residual and gradient taken
+    there once and the ``given`` values (None where not given) as one HyperParams."""
+    _check_state(state, obj, sample)
+    r = _residual(obj, state.params, sample)
+    hyper = _unchecked_hyper({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
+    return core(obj, state, sample, r, _gradient(obj, r, sample, f3_half_gradient), hyper)
+
+
+# The unchecked cores, each called as (obj, state, sample, r, g, hyper): r and g are the
+# residual and gradient at ``state``, and ``hyper`` holds the given values the core reads.
+
+def _lr_gd(obj, state, sample, r, g, hyper):
+    return _scaled_lr(obj, sample, 1.0, 1.0, 0.0)
+
+
 def optimal_lr_gd(
     obj: ObjectiveId,
     state: OptimizerState,
@@ -105,8 +129,16 @@ def optimal_lr_gd(
     State-independent: 0.5 for F1, 0.25 for F2, 1 / (x**2 + 1) for F3.
     Always defined.
     """
-    _check_state(state, obj, sample)
-    return _scaled_lr(obj, sample, 1.0, 1.0, 0.0)
+    return _solved(_lr_gd, obj, state, sample)
+
+
+def _lr_momentum(obj, state, sample, r, g, hyper):
+    m = _pull(obj, state, sample)
+    singular = abs(r) < SINGULAR_TOL
+    if obj is not ObjectiveId.F3:
+        return _from_raw((hyper.alpha * m + r) / (2.0 * obj.arity * r + singular), singular)
+    k = sample.x * sample.x + 1.0
+    return _from_raw(1.0 / k + hyper.alpha * m / (r * k + singular), singular)
 
 
 def optimal_lr_momentum(
@@ -121,14 +153,16 @@ def optimal_lr_momentum(
     Undefined when the current residual is below SINGULAR_TOL: the carried
     velocity then has nothing to correct against.
     """
-    _check_state(state, obj, sample)
-    r = _residual(obj, state.params, sample)
+    return _solved(_lr_momentum, obj, state, sample, alpha=alpha)
+
+
+def _momentum_coef(obj, state, sample, r, g, hyper):
     m = _pull(obj, state, sample)
-    singular = abs(r) < SINGULAR_TOL
+    singular = abs(m) < SINGULAR_TOL
+    eta = hyper.eta
     if obj is not ObjectiveId.F3:
-        return _from_raw((alpha * m + r) / (2.0 * obj.arity * r + singular), singular)
-    k = sample.x * sample.x + 1.0
-    return _from_raw(1.0 / k + alpha * m / (r * k + singular), singular)
+        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (m + singular), singular)
+    return _from_raw(r * (eta * sample.x * sample.x + eta - 1.0) / (m + singular), singular)
 
 
 def optimal_momentum_coef(
@@ -143,13 +177,7 @@ def optimal_momentum_coef(
     Undefined when the velocity term it scales is below SINGULAR_TOL, in
     particular at the very first update where the velocity is still zero.
     """
-    _check_state(state, obj, sample)
-    r = _residual(obj, state.params, sample)
-    m = _pull(obj, state, sample)
-    singular = abs(m) < SINGULAR_TOL
-    if obj is not ObjectiveId.F3:
-        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (m + singular), singular)
-    return _from_raw(r * (eta * sample.x * sample.x + eta - 1.0) / (m + singular), singular)
+    return _solved(_momentum_coef, obj, state, sample, eta=eta)
 
 
 def _scaled_lr(
@@ -171,6 +199,10 @@ def _scaled_lr(
     return _from_raw(s_w * s_b / (denom + singular), singular)
 
 
+def _lr_adagrad(obj, state, sample, r, g, hyper):
+    return _scaled_lr(obj, sample, state.grad_sq_sum.w, state.grad_sq_sum.b, hyper.epsilon)
+
+
 def optimal_lr_adagrad(
     obj: ObjectiveId,
     state: OptimizerState,
@@ -185,8 +217,13 @@ def optimal_lr_adagrad(
     Defined whenever the scaled divisors are positive, which epsilon > 0
     guarantees.
     """
-    _check_state(state, obj, sample)
-    return _scaled_lr(obj, sample, state.grad_sq_sum.w, state.grad_sq_sum.b, epsilon)
+    return _solved(_lr_adagrad, obj, state, sample, epsilon=epsilon)
+
+
+def _lr_rmsprop(obj, state, sample, r, g, hyper):
+    u, beta = state.weighted_grad_sq, hyper.beta
+    u_b = None if g.d_b is None else _weighted_grad_sq(u.b, g.d_b, beta)
+    return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, hyper.epsilon)
 
 
 def optimal_lr_rmsprop(
@@ -204,11 +241,22 @@ def optimal_lr_rmsprop(
     beta * u + (1 - beta) * g**2 from the state's current accumulators and
     gradient. ``f3_half_gradient`` must match the convention the step uses.
     """
-    _check_state(state, obj, sample)
-    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
-    u = state.weighted_grad_sq
-    u_b = None if g.d_b is None else _weighted_grad_sq(u.b, g.d_b, beta)
-    return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, epsilon)
+    return _solved(_lr_rmsprop, obj, state, sample, f3_half_gradient, beta=beta, epsilon=epsilon)
+
+
+def _beta_rmsprop(obj, state, sample, r, g, hyper):
+    eta, epsilon = hyper.eta, hyper.epsilon
+    g = g.d_b if obj is ObjectiveId.F3 else g.d_w
+    g_sq = g * g
+    denom = state.weighted_grad_sq.w - g_sq
+    singular = abs(denom) < SINGULAR_TOL
+    if obj is not ObjectiveId.F3:
+        return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular)
+    flat = abs(r) < SINGULAR_TOL
+    d_sq = r * r + flat
+    x1 = sample.x + 1.0
+    raw = (eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / ((denom + singular) * d_sq)
+    return _from_raw(raw, singular | flat)
 
 
 def optimal_beta_rmsprop(
@@ -228,37 +276,17 @@ def optimal_beta_rmsprop(
     (the w slot is read) and one common gradient value; for F3 the common
     gradient holds at x = 1 and the b component is read.
     """
-    _check_state(state, obj, sample)
-    r = _residual(obj, state.params, sample)
-    g = _gradient(obj, r, sample, f3_half_gradient)
-    g = g.d_b if obj is ObjectiveId.F3 else g.d_w
-    g_sq = g * g
-    denom = state.weighted_grad_sq.w - g_sq
-    singular = abs(denom) < SINGULAR_TOL
-    if obj is not ObjectiveId.F3:
-        return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular)
-    flat = abs(r) < SINGULAR_TOL
-    d_sq = r * r + flat
-    x1 = sample.x + 1.0
-    raw = (eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / ((denom + singular) * d_sq)
-    return _from_raw(raw, singular | flat)
+    return _solved(_beta_rmsprop, obj, state, sample, f3_half_gradient, eta=eta, epsilon=epsilon)
 
 
-# Each (method, target) pair once, called as (obj, state, sample, eta, alpha, beta,
-# epsilon, f3_half_gradient). Its rule is bound at import, so the arrays verify passes
-# never reach a wrapper later bound to the rule's public name.
+# Each (method, target) pair once, mapped to its unchecked core.
 _FORMS = {
-    (Method.GD, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_gd: f(o, st, s),
-    (Method.MOMENTUM, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_momentum:
-        f(o, st, s, alpha=alpha),
-    (Method.MOMENTUM, "alpha"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_momentum_coef:
-        f(o, st, s, eta=eta),
-    (Method.ADAGRAD, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_adagrad:
-        f(o, st, s, epsilon=epsilon),
-    (Method.RMSPROP, "eta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_lr_rmsprop:
-        f(o, st, s, beta=beta, epsilon=epsilon, f3_half_gradient=f3_half_gradient),
-    (Method.RMSPROP, "beta"): lambda o, st, s, eta, alpha, beta, epsilon, f3_half_gradient, f=optimal_beta_rmsprop:
-        f(o, st, s, eta=eta, epsilon=epsilon, f3_half_gradient=f3_half_gradient),
+    (Method.GD, "eta"): _lr_gd,
+    (Method.MOMENTUM, "eta"): _lr_momentum,
+    (Method.MOMENTUM, "alpha"): _momentum_coef,
+    (Method.ADAGRAD, "eta"): _lr_adagrad,
+    (Method.RMSPROP, "eta"): _lr_rmsprop,
+    (Method.RMSPROP, "beta"): _beta_rmsprop,
 }
 
 OPTIMIZED_HYPERS = {method: frozenset(t for m, t in _FORMS if m is method) for method in Method}
@@ -283,8 +311,8 @@ def solve(
 ) -> FeasibleValue:
     """Closed-form value of ``target`` for ``method`` at ``state``.
 
-    The rule comes from ``_FORMS``, the one table of which rule solves which
-    hyperparameter. Each rule reads only the given values it needs; the
+    The core comes from ``_FORMS``, the one table of which rule solves which
+    hyperparameter. Each core reads only the given values it needs; the
     others may be None. For adagrad ``state`` must be the post-accumulation
     view (optimizers.adagrad_post_view).
 
@@ -294,4 +322,4 @@ def solve(
     form = _FORMS.get((method, target))
     if form is None:
         raise ValueError(f"no closed form for {target!r} under {getattr(method, 'value', repr(method))}")
-    return form(obj, state, sample, eta, alpha, beta, epsilon, f3_half_gradient)
+    return _solved(form, obj, state, sample, f3_half_gradient, eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)

@@ -10,7 +10,8 @@ the point's arity (``_check_point``), then the sample (``_check_sample``). ``res
 ``evaluate`` and ``gradient`` run it, then the unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
 ``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
-``_require_seed`` adds a seed's sign to it.
+``_require_seed`` adds a seed's sign to it; ``_require_objective`` tests that an objective is an
+``ObjectiveId``, as ``optimizers._require_method`` does for a method.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ class ObjectiveId(Enum):
 
     def __init__(self, value: str) -> None:
         self.arity = 1 if value == "f1" else 2  # number of parameters the objective takes
+
+
+def _require_objective(obj) -> ObjectiveId:
+    if not isinstance(obj, ObjectiveId):
+        raise ValueError(f"objective must be an ObjectiveId ({', '.join(o.name for o in ObjectiveId)}), got {obj!r}")
+    return obj
 
 
 @dataclass(frozen=True)

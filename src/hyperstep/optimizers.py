@@ -3,13 +3,14 @@
 ``step`` is the one update path, two parts run in sequence. ``_checked_gradient`` runs
 ``_check_state``, the one test of a well-formed (state, objective, sample): each slot's
 arity, then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
-and every ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
+and every public ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
 non-finite gradient. ``_apply_rule`` applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES``
-maps each method to that rule and to the state slot it advances. ``_apply_rule`` has
-two more callers: a direct search, whose state does not move, takes the first part
-once and the second at every curve point; ``harness.run_training``, which checked its
-inputs once per run, applies it to each epoch's gradient after its own ``_finite`` test.
+maps each method to that rule and to the state slot it advances. A direct search,
+whose state does not move, takes the first part once and the second at every curve
+point. ``harness.run_training``, which checked its inputs once per run, calls the
+rules of ``_RULES`` itself on float coordinates, after its own ``_finite`` test of
+each epoch's gradient. ``_require_method`` is the one test that a method is a ``Method``.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
@@ -22,12 +23,14 @@ gradient-square sum is updated before the division (adagrad), and the
 weighted gradient-square mixes the current gradient into the incoming
 average before the division (rmsprop). Each is written once, in
 ``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt also calls.
+``adagrad_post_view`` is ``_check_state`` and the gradient, then the unchecked
+``_post_view``, which the run loop and verify call on a gradient they hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -39,6 +42,12 @@ class Method(Enum):
     MOMENTUM = "momentum"
     ADAGRAD = "adagrad"
     RMSPROP = "rmsprop"
+
+
+def _require_method(method) -> Method:
+    if not isinstance(method, Method):
+        raise ValueError(f"method must be a Method ({', '.join(m.name for m in Method)}), got {method!r}")
+    return method
 
 
 class NonFiniteGradientError(ValueError):
@@ -265,6 +274,11 @@ def adagrad_post_view(
     """``state`` with grad_sq_sum advanced by the current squared gradient: the
     sums the pending adagrad step divides by, which its closed form reads."""
     _check_state(state, obj, sample)
-    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
-    post_b = None if g.d_b is None else _grad_sq_sum(state.grad_sq_sum.b, g.d_b)
-    return replace(state, grad_sq_sum=PerCoord(w=_grad_sq_sum(state.grad_sq_sum.w, g.d_w), b=post_b))
+    return _post_view(state, _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient))
+
+
+def _post_view(state: OptimizerState, g: GradientVector) -> OptimizerState:
+    """``adagrad_post_view`` unchecked, on the gradient ``g`` at ``state``."""
+    phi = state.grad_sq_sum
+    post = PerCoord(_grad_sq_sum(phi.w, g.d_w), None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b))
+    return OptimizerState(state.params, state.velocity, post, state.weighted_grad_sq, state.epoch)

@@ -8,8 +8,9 @@ of its arguments; the acceptance tests draw through the same sampler, one
 row at a time. ``optimizers._flat_state`` reads a state from a row (floats) or
 from the columns (arrays). ``_obj_sample`` picks each objective's regression
 sample, the beta rule's included, and ``_row`` writes every report row. Each
-table is solved in one call on its columns, through ``hyperopt._FORMS``
-(public hyperopt names take floats only); the argmin, one-step and gradient
+table is solved in one call on its columns, by its core in ``hyperopt._FORMS``
+(public hyperopt names take floats only), fed the table's residual and gradient,
+taken once; the argmin, one-step and gradient
 checks then search, step or evaluate its defined, feasible rows. The argmin
 and one-step checks take one f3 gradient convention, ``_HALF``, on both sides.
 Hyperstep functions are looked up as module attributes at call time
@@ -25,7 +26,7 @@ from . import analyzer, hyperopt, objectives, optimizers
 from .harness import DEFAULT_HYPERS, DEFAULT_SAMPLE
 from .hyperopt import OPTIMIZED_HYPERS, SCOPES
 from .objectives import ObjectiveId, ParamPoint, RegressionSample, _require_index, _require_seed
-from .optimizers import HyperParams, Method, OptimizerState, _flat_state
+from .optimizers import HyperParams, Method, OptimizerState, _flat_state, _require_method
 
 _ARGMIN_TOL = 1e-6
 _ONE_STEP_TOL = 1e-20
@@ -114,12 +115,6 @@ def check_argmin_gd() -> dict:
     return _row("argmin/gd", _ARGMIN_TOL, worst, True)
 
 
-def _require_method(method) -> Method:
-    if not isinstance(method, Method):
-        raise ValueError(f"method must be a Method ({', '.join(m.name for m in Method)}), got {method!r}")
-    return method
-
-
 def _pointwise_columns(obj: ObjectiveId, target: str) -> list[tuple[float, float]]:
     # per draw: the state, then the fixed eta, alpha and beta
     return _state_columns(obj, common_u=target == "beta") + [_UNIT] * 3
@@ -142,8 +137,11 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             common = target == "beta"
             columns = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target)).T
             # adagrad's state is read as the post-accumulation view on both sides
-            form = hyperopt._FORMS[method, target]
-            fv = form(obj, _flat_state(obj, columns, common), sample, *columns[-3:], _EPSILON, _HALF)
+            at = _flat_state(obj, columns, common)
+            r = objectives._residual(obj, at.params, sample)
+            g = objectives._gradient(obj, r, sample, _HALF)
+            given = HyperParams(*columns[-3:], epsilon=_EPSILON)
+            fv = hyperopt._FORMS[method, target](obj, at, sample, r, g, given)
             # plain descent's rate is one float for the whole table
             defined, feasible, value = (np.broadcast_to(a, states) for a in (fv.defined, fv.feasible, fv.value))
             min_defined = min(min_defined, np.count_nonzero(defined) / states)
@@ -192,10 +190,10 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
         for target in targets:
             sample = _obj_sample(obj, target)
             at, given = _one_step_draw(obj, columns, coefficient, target)
-            view = at
-            if method is Method.ADAGRAD:
-                view = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=_HALF)
-            fv = hyperopt._FORMS[method, target](obj, view, sample, **given, epsilon=_EPSILON, f3_half_gradient=_HALF)
+            r = objectives._residual(obj, at.params, sample)
+            g = objectives._gradient(obj, r, sample, _HALF)
+            view = optimizers._post_view(at, g) if method is Method.ADAGRAD else at
+            fv = hyperopt._FORMS[method, target](obj, view, sample, r, g, HyperParams(**given, epsilon=_EPSILON))
             keep = np.broadcast_to(fv.defined & fv.feasible, samples)  # plain descent's rate is one float
             if not keep.any():
                 continue

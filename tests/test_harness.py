@@ -5,6 +5,8 @@ import json
 import math
 import re
 import struct
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -34,11 +36,15 @@ from hyperstep import (
     Trace,
     detect_convergence,
     evaluate,
+    objectives,
+    optimizers,
     reproduce_table2,
     run_training,
+    solve,
     step,
 )
 from hyperstep.harness import DEFAULT_INIT_COORD, DEFAULT_TOLERANCE, resolve_init
+from hyperstep.optimizers import adagrad_post_view
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 
@@ -338,6 +344,33 @@ def test_policy_validation():
         HyperPolicy.optimal(DEFAULT_HYPERS, {"gamma"})
 
 
+@pytest.mark.parametrize("kind, optimize, text", [
+    ("optimal_per_epoch", frozenset({"eta"}), "kind must be a PolicyKind, got 'optimal_per_epoch'"),
+    ("fixed", frozenset(), "kind must be a PolicyKind, got 'fixed'"),
+    (PolicyKind.OPTIMAL_PER_EPOCH, ["eta"], "optimize must be a frozenset of hyperparameter names, got ['eta']"),
+], ids=["optimal-string", "fixed-string", "optimize-list"])
+def test_policy_refuses_a_kind_or_optimize_of_the_wrong_type(kind, optimize, text):
+    # a string kind used to construct and run as fixed; a list used to escape as a TypeError
+    with pytest.raises(ValueError) as err:
+        HyperPolicy(kind, DEFAULT_HYPERS, optimize)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("method", "gd", "method must be a Method (GD, MOMENTUM, ADAGRAD, RMSPROP), got 'gd'"),
+    ("objective", "f1", "objective must be an ObjectiveId (F1, F2, F3), got 'f1'"),
+    ("tolerance", "1e-3", "tolerance must be a real number, got '1e-3'"),
+    ("tolerance", None, "tolerance must be a real number, got None"),
+    ("tolerance", True, "tolerance must be a real number, got True"),
+], ids=["method", "objective", "tolerance-str", "tolerance-none", "tolerance-bool"])
+def test_run_config_refuses_a_method_objective_or_tolerance_of_the_wrong_type(field, value, text):
+    # each used to leak a KeyError, AttributeError or TypeError
+    given_fields = {"method": Method.GD, "objective": F1, "policy": HyperPolicy.fixed(DEFAULT_HYPERS), field: value}
+    with pytest.raises(ValueError) as err:
+        RunConfig(**given_fields)
+    assert str(err.value) == text
+
+
 def test_run_config_validation():
     fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
     with pytest.raises(ValueError):
@@ -593,3 +626,100 @@ def test_runs_replay_through_the_public_checked_step(
     if finite:
         with pytest.raises(NonFiniteGradientError):
             step(method, state, trace.records[-1].hyper_used, obj, sample, f3_half_gradient=half)
+
+
+# momentum's first update, where the zero velocity leaves alpha undefined (it falls back),
+# and standard-f3 rmsprop from the default point, whose third epoch clamps beta
+RESOLUTION_EXAMPLES = (
+    (Method.MOMENTUM, F1, False, 0.3, 0.0, 0.0, 0.0, 0.1, 0.5, 0.5, 1e-8, 2),
+    (Method.RMSPROP, F3, False, 0.3, 0.3, 0.3, 0.23, 0.1, 0.5, 0.5, 1e-8, 4),
+)
+
+
+def _optimal_run(method, obj, half, w, b, x, y, eta, alpha, beta, epsilon, max_epochs):
+    base = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)
+    sample = RegressionSample(x=x, y=y) if obj is F3 else None
+    init = ParamPoint(w=w, b=None if obj is F1 else b)
+    policy = HyperPolicy.optimal(base, OPTIMIZED_HYPERS[method])
+    cfg = RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs, f3_half_gradient=half)
+    return run_training(cfg), sample, init
+
+
+@example(*RESOLUTION_EXAMPLES[0])
+@example(*RESOLUTION_EXAMPLES[1])
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    method=strategies.sampled_from(list(Method)),
+    obj=strategies.sampled_from([F1, F2, F3]),
+    half=strategies.booleans(),
+    w=_coord,
+    b=_coord,
+    x=_coord,
+    y=_coord,
+    eta=strategies.one_of(strategies.floats(0.0, 2.0), strategies.sampled_from([0.0, 1e150])),
+    alpha=_unit,
+    beta=_unit,
+    epsilon=strategies.one_of(strategies.floats(0.0, 1.0), strategies.sampled_from([0.0, 1e-8, 5e-324])),
+    max_epochs=strategies.integers(1, 40),
+)
+def test_optimal_runs_resolve_through_the_public_checked_forms(
+    method, obj, half, w, b, x, y, eta, alpha, beta, epsilon, max_epochs
+):
+    # run_training feeds its one gradient per epoch to the unchecked cores; the public
+    # adagrad_post_view and solve, at the state the public step rebuilds, must give every
+    # record's hyper_used and hyper_flags bit for bit under the fallback contract
+    trace, sample, init = _optimal_run(method, obj, half, w, b, x, y, eta, alpha, beta, epsilon, max_epochs)
+    state = OptimizerState.initial(init)
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        view = state
+        if method is Method.ADAGRAD:
+            view = adagrad_post_view(state, obj, sample, f3_half_gradient=half)
+        h, flags = prev.hyper_used, dict.fromkeys(("eta", "alpha", "beta"), "fixed")
+        for target in ("alpha", "beta", "eta"):
+            if target not in OPTIMIZED_HYPERS[method]:
+                continue
+            fv = solve(
+                method, target, obj, view, sample,
+                eta=h.eta, alpha=h.alpha, beta=h.beta, epsilon=h.epsilon, f3_half_gradient=half,
+            )
+            if not fv.defined:
+                value, flags[target] = getattr(h, target), "fallback"
+            else:
+                value, flags[target] = fv.value, "closed_form" if fv.feasible else "clamped"
+            h = replace(h, **{target: value})
+        got = [float.hex(getattr(rec.hyper_used, f)) for f in ("eta", "alpha", "beta", "epsilon")]
+        assert got == [float.hex(getattr(h, f)) for f in ("eta", "alpha", "beta", "epsilon")], rec
+        assert rec.hyper_flags == HyperFlags(**flags), rec
+        state = step(method, state, rec.hyper_used, obj, sample, f3_half_gradient=half)
+
+
+def test_the_pinned_rmsprop_example_clamps_beta():
+    # the momentum example is test_momentum_first_update_flags' run, whose alpha falls back
+    trace, _, _ = _optimal_run(*RESOLUTION_EXAMPLES[1])
+    assert trace.records[2].hyper_flags.beta == "clamped"
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_an_optimal_run_checks_no_state_and_takes_one_gradient_per_epoch(monkeypatch, method):
+    # standard f3, where the gd, momentum and rmsprop arms use the whole budget: the
+    # config is checked once, so the loop runs no _check_state, and each stepped epoch's
+    # one gradient feeds the closed forms, adagrad's post-accumulation view and the step
+    calls = {"_check_state": 0, "_gradient": 0}
+    originals = {"_check_state": optimizers._check_state, "_gradient": objectives._gradient}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    for module in [m for n, m in sys.modules.items() if n == "hyperstep" or n.startswith("hyperstep.")]:
+        for name, original in originals.items():
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted(name))
+    cfg = RunConfig(
+        method, F3, HyperPolicy.optimal(DEFAULT_HYPERS, OPTIMIZED_HYPERS[method]),
+        sample=DEFAULT_SAMPLE, max_epochs=1000,
+    )
+    trace = run_training(cfg)
+    assert calls == {"_check_state": 0, "_gradient": len(trace.records) - 1}

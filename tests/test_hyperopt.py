@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies
 from hyperstep import (
     OPTIMIZED_HYPERS,
     SINGULAR_TOL,
+    HyperParams,
     Method,
     ObjectiveId,
     OptimizerState,
@@ -22,6 +23,7 @@ from hyperstep import (
     gradient,
     harness,
     hyperopt,
+    objectives,
     optimal_beta_rmsprop,
     optimal_lr_adagrad,
     optimal_lr_gd,
@@ -470,12 +472,20 @@ _FORM_ROW = strategies.tuples(*[_COORD] * 4, *[_ACC] * 4, *[_GIVEN] * 3, _EPS)
 _NEAR_TOL = (0.0, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL, -0.5 * SINGULAR_TOL, -2.0 * SINGULAR_TOL)
 
 
+def _array_form(pair, obj, state, sample, half, eta, alpha, beta, epsilon):
+    """The core ``hyperopt._FORMS`` maps ``pair`` to, fed the residual and gradient at ``state``."""
+    r = objectives._residual(obj, state.params, sample)
+    g = objectives._gradient(obj, r, sample, half)
+    return hyperopt._FORMS[pair](obj, state, sample, r, g, HyperParams(eta, alpha, beta, epsilon))
+
+
 def test_a_negative_accumulator_is_undefined_on_floats_and_arrays():
     # sqrt(-1.0 + 0) has no real root: NaN, with no math domain error and no warning
     one = solve(Method.ADAGRAD, "eta", F1, make_state(0.3, phi_w=-1.0), eta=None, alpha=None, beta=None, epsilon=0.0)
     assert (one.defined, one.feasible, one.raw.hex(), one.value.hex()) == (False, False, "nan", "nan")
-    many = hyperopt._FORMS[Method.ADAGRAD, "eta"](
-        F1, make_state(np.array([0.3, 0.3]), phi_w=np.array([-1.0, 0.16])), None, None, None, None, 0.0, False
+    many = _array_form(
+        (Method.ADAGRAD, "eta"), F1, make_state(np.array([0.3, 0.3]), phi_w=np.array([-1.0, 0.16])), None, False,
+        0.0, 0.0, 0.0, 0.0,
     )
     assert many.defined.tolist() == [False, True]
     assert [x.hex() for x in many.raw.tolist()] == ["nan", (0.4 / 2.0).hex()]
@@ -535,7 +545,7 @@ def test_array_forms_equal_per_row_scalar_solve(pair, obj, rows, x, y):
             for t in _NEAR_TOL
         ]
         columns = [np.array(c) for c in zip(*table)]
-        many = hyperopt._FORMS[pair](obj, _form_state(columns, obj), sample, *columns[8:], half)
+        many = _array_form(pair, obj, _form_state(columns, obj), sample, half, *columns[8:])
         n = len(table)
         value, raw, defined, feasible = (
             np.broadcast_to(getattr(many, f), n) for f in ("value", "raw", "defined", "feasible")
