@@ -4,35 +4,43 @@ Two independent checks live here. ``mean_post_step_error`` estimates the
 average one-step loss over a sampled region of parameter space and
 ``argmin_hyper`` / ``pointwise_argmin_hyper`` locate the hyperparameter that
 minimizes it by direct search, with no knowledge of the closed forms they
-are used to verify. Both run through one routine, ``_argmin``: the mean
-one-step loss along each row of a state (the sampled grid, or one state) is
-one curve, and ``_search`` drives all the curves in lockstep, a uniform scan
-then golden-section refinement, each to the result it gets searched alone.
+are used to verify. Every search runs through one routine: ``_curve`` makes
+the mean one-step loss along each row of a state (the sampled grid, or one
+state) one curve, and ``_lockstep`` hands the curves of one or more states to
+one ``_search``, which drives them all in lockstep, a uniform scan then
+golden-section refinement, each to the result it gets searched alone. The
+pointwise check of a method (``verify.check_argmin_pointwise``) searches all
+its tables at once; ``_argmin`` and ``_pointwise_argmins`` search one.
 ``finite_diff_gradient`` plays the same role for the analytic gradients.
 
-Evaluation threads numpy arrays through the real update, so the dynamics
-being minimized are exactly the ones a training run would take. The state
-does not move during a search, so ``_argmin`` takes its checked gradient
-once and applies the method's rule to it at each curve point: the two parts
-``optimizers.step`` runs in sequence.
+Evaluation threads numpy arrays through the real update rules, so the
+dynamics being minimized are exactly the ones a training run would take. The
+state does not move during a search, so a curve takes the checked gradient
+once (``_gradient_at``, the first part ``optimizers.step`` runs) and at each
+curve point runs the method's per-coordinate rule from ``optimizers._RULES``
+on w and on b, as ``harness.run_training`` does (the second part).
 
 A curve maps points of shape (curves, k) to values of the same shape.
-``_argmin`` lays the state and gradient out as (curves, 1, grid) arrays, so
-k points along the middle axis make a (curves, k, grid) loss volume. The
-scan asks for its 64 points in as few calls as ``_SCAN_BUDGET`` loss
-elements allow: all 64 for a batch of pointwise states, one for a
-40,000-point grid. Golden-section asks for one point per curve. Each call
-steps the grid in slabs of at most ``_SLAB_BUDGET`` elements. A slab only
-runs the rule, takes the residual and squares it straight into one loss
-buffer per search: the same values in the same contiguous layout, so the
-same pairwise sum, bit for bit, as one step over the whole grid. The call
-holds numpy's overflow warnings off once around its slabs, then takes each
-curve's mean along the grid and tests the means for finiteness once. That
-one test is exact: every loss is a square, so a mean is finite only if all
-its losses are. Only a non-finite mean looks at the losses one by one, to
-tell a non-finite loss (an error) from finite ones whose sum overflows (a
-numpy warning and an inf mean). ``mean_post_step_error`` takes the same
-path over its one step. The slabs are there for the allocator. A
+``_curve`` lays w, b, the method's state slot and the gradient out as
+(curves, 1, grid) arrays, so k points along the middle axis make a
+(curves, k, grid) loss volume. The scan asks for its 64 points in as few
+calls as ``_SCAN_BUDGET`` loss elements allow: all 64 for a batch of
+pointwise states, one for a 40,000-point grid. Golden-section asks for one
+point per curve. Each call steps the grid in slabs of at most
+``_SLAB_BUDGET`` elements, whose coordinates are cut once per slab width. A
+slab runs the rule on each coordinate, takes ``objectives._residual`` on the
+stepped ``ParamPoint`` and squares it straight into one loss buffer per
+search: the same values in the same contiguous layout, so the same pairwise
+sum, bit for bit, as one step over the whole grid. The call holds numpy's
+overflow warnings off once around its slabs, then takes each curve's mean
+along the grid as ``np.add.reduce(losses, axis=-1) / grid``, the arithmetic
+of ``ndarray.mean`` without its Python wrapper, and tests the means for
+finiteness once. That one test is exact: every loss is a square, so a mean
+is finite only if all its losses are. Only a non-finite mean looks at the
+losses one by one, to tell a non-finite loss (an error) from finite ones
+whose sum overflows (a numpy warning and an inf mean).
+``mean_post_step_error`` takes one ``step`` and squares its residual, then
+takes the same mean and test. The slabs are there for the allocator. A
 whole-grid step over 40,000 points makes four 320 KB temporaries, whose
 pages glibc hands back to the OS after every curve point and faults in at
 the next: ~84,000 minor page faults per ``verify`` report, against ~2,200
@@ -64,7 +72,7 @@ from .optimizers import (
     Method,
     OptimizerState,
     PerCoord,
-    _apply_rule,
+    _RULES,
     _checked_gradient,
     _unchecked_hyper,
     step,
@@ -82,6 +90,9 @@ _SCAN_BUDGET = 2**16  # loss elements (curves x points x grid) one scan call cov
 _SLAB_BUDGET = 2**14  # loss elements one step of a curve call computes at a time
 _GOLDEN_WIDTH = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# what ``_search`` takes: a curve function, its number of curves, its points per scan call
+_Curve = tuple[Callable[[np.ndarray], np.ndarray], int, int]
 
 
 class SamplingMode(Enum):
@@ -173,20 +184,11 @@ def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerStat
     return replace(template, params=ParamPoint(*axes))
 
 
-def _post_step_losses(
-    obj: ObjectiveId, sample: RegressionSample | None, stepped: OptimizerState, out: np.ndarray | None
-) -> np.ndarray:
-    """The loss at ``stepped``, squared into ``out`` (a new array if None); the caller steps and
-    squares with numpy's overflow warnings held off and checks the losses through ``_mean_losses``."""
-    r = _residual(obj, stepped.params, sample)
-    return np.multiply(r, r, out=out)
-
-
 def _mean_losses(losses: np.ndarray) -> np.ndarray:
     """The mean along the last axis, refusing a non-finite loss. Losses are squares, so a
     mean is finite only if each of its losses is: only a non-finite mean needs the
     elementwise test, and finite losses whose sum overflows still warn and give inf."""
-    means = losses.mean(axis=-1)
+    means = np.add.reduce(losses, axis=-1) / losses.shape[-1]  # ndarray.mean's arithmetic, unwrapped
     if not np.isfinite(means).all() and not np.isfinite(losses).all():
         raise ValueError("non-finite loss at a sample point")
     return means
@@ -213,7 +215,8 @@ def mean_post_step_error(
     state = _sampled_state(obj, spec, state_template)
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = step(method, state, hyper, obj, sample, f3_half_gradient=f3_half_gradient)
-        losses = _post_step_losses(obj, sample, stepped, None)
+        r = _residual(obj, stepped.params, sample)
+        losses = r * r
     return float(_mean_losses(losses.ravel()))
 
 
@@ -240,28 +243,29 @@ def _search(curve: Callable[[np.ndarray], np.ndarray], n: int, per_call: int = _
     multimodal = (minima[:, 3:] & ~minima[:, 1:-2] & seen[:, :-3]).any(axis=1)
 
     k = vals.argmin(axis=1)
+    at_scan = xs[k]
     lo = np.where(flat, 0.0, xs[np.maximum(k - 1, 0)])
     hi = np.where(flat, 1.0, xs[np.minimum(k + 1, _SCAN_POINTS - 1)])
-    best_x, best_v = np.where(flat, 0.5, xs[k]), vmin
+    best_x, best_v = np.where(flat, 0.5, at_scan), vmin
     evals = np.full(n, _SCAN_POINTS)
     active = ~flat
 
     span = hi - lo
     c, d = hi - _INV_PHI * span, lo + _INV_PHI * span
-    yc, yd = curve(np.where(active[:, None], np.stack([c, d], axis=1), xs[k, None])).T
+    yc, yd = curve(np.where(active[:, None], np.stack([c, d], axis=1), at_scan[:, None])).T
     evals += 2 * active
     active &= span > _GOLDEN_WIDTH
     while active.any():
         # keep [lo, d] when c is lower, else [c, hi], and probe its other side;
         # only the bracket, best point and count of a finished curve are read
         left = yc < yd
-        hi, lo = np.where(active & left, d, hi), np.where(active & ~left, c, lo)
+        hi, lo = np.where(active & left, d, hi), np.where(active > left, c, lo)
         span = hi - lo
-        probe = np.where(left, hi - _INV_PHI * span, lo + _INV_PHI * span)
-        y = curve(np.where(active, probe, xs[k])[:, None])[:, 0]
-        kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
-        c, yc = np.where(left, probe, kept), np.where(left, y, y_kept)
-        d, yd = np.where(left, kept, probe), np.where(left, y_kept, y)
+        inset = _INV_PHI * span
+        probe = np.where(left, hi - inset, lo + inset)
+        y = curve(np.where(active, probe, at_scan)[:, None])[:, 0]
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
         evals += active
         for z, yz in ((c, yc), (d, yd)):
             better = active & (yz < best_v)
@@ -283,24 +287,14 @@ def _gradient_at(
         return _checked_gradient(state, obj, sample, f3_half_gradient)
 
 
-def _each(f: Callable, state: OptimizerState, g: GradientVector) -> tuple[OptimizerState, GradientVector]:
-    """``state`` and ``g`` with ``f`` applied to every coordinate."""
-
-    def coords(x):
-        return replace(x, **{name: f(v) for name, v in vars(x).items()})
-
-    slots = (coords(state.velocity), coords(state.grad_sq_sum), coords(state.weighted_grad_sq))
-    return OptimizerState(coords(state.params), *slots, state.epoch), coords(g)
-
-
-def _argmin(
+def _curve(
     method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
     sample: RegressionSample | None, state: OptimizerState, g: GradientVector,
-) -> list[ArgminResult]:
-    """Search [0, 1] for the ``target`` value minimizing the mean one-step loss
-    along each row of ``state``: one curve per row of a 2-D state, a single
-    curve for a 1-D (sampled grid) or scalar one. ``fixed`` holds floats or
-    (rows, 1) arrays; ``g`` is ``_gradient_at(state, ...)``."""
+) -> _Curve:
+    """The mean one-step loss along each row of ``state`` as a function of ``target``
+    in [0, 1]: one curve per row of a 2-D state, a single curve for a 1-D (sampled
+    grid) or scalar one.
+    ``fixed`` holds floats or (rows, 1) arrays; ``g`` is ``_gradient_at(state, ...)``."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
     # HyperParams' range checks, once per search, on the other values as ``fixed``
@@ -313,12 +307,14 @@ def _argmin(
         return a if np.ndim(a) == 0 else np.reshape(a, (n, 1, -1))
 
     values = {name: lay(v) for name, v in values.items()}
-    state, g = _each(lay, state, g)
+    name, rule = _RULES[method]
+    slot = PerCoord() if name is None else getattr(state, name)  # plain descent reads no slot
+    coords = [lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b)]
 
     @cache
-    def slabs(width: int) -> list[tuple[slice, OptimizerState, GradientVector]]:
+    def slabs(width: int) -> list[tuple]:
         parts = [slice(lo, lo + width) for lo in range(0, m, width)]
-        return [(p, *_each(lambda a: a if np.ndim(a) == 0 else a[..., p], state, g)) for p in parts]
+        return [(p, *(a if np.ndim(a) == 0 else a[..., p] for a in coords)) for p in parts]
 
     # the slabs of a call fill one buffer, so each curve's losses lie contiguous
     # along the grid and sum pairwise as one whole-grid step's would
@@ -330,11 +326,40 @@ def _argmin(
         hyper = _unchecked_hyper({**values, target: t[..., None]})
         out = losses[:, :k]
         with np.errstate(over="ignore", invalid="ignore"):
-            for part, at, g_at in slabs(max(1, _SLAB_BUDGET // (n * k))):
-                _post_step_losses(obj, sample, _apply_rule(method, at, hyper, g_at), out[..., part])
+            for part, w, s_w, g_w, b, s_b, g_b in slabs(max(1, _SLAB_BUDGET // (n * k))):
+                w = rule(w, s_w, g_w, hyper)[0]
+                if b is not None:
+                    b = rule(b, s_b, g_b, hyper)[0]
+                r = _residual(obj, ParamPoint(w, b), sample)
+                np.multiply(r, r, out=out[..., part])
         return _mean_losses(out)
 
-    return _search(curve, n, per_call)
+    return curve, n, per_call
+
+
+def _lockstep(curves: list[_Curve]) -> list[list[ArgminResult]]:
+    """Each ``_curve`` result's argmins, from one ``_search`` over the curves of them all,
+    each the result it gets searched alone; the scan takes the fewest points per call
+    any of them allows. A curve that has finished is stepped until they all have."""
+    if not curves:
+        return []
+    ends = np.cumsum([n for _, n, _ in curves]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+    def joint(t: np.ndarray) -> np.ndarray:
+        return np.concatenate([curve(t[part]) for (curve, _, _), part in zip(curves, rows)])
+
+    found = _search(joint, ends[-1], min(per_call for _, _, per_call in curves))
+    return [found[part] for part in rows]
+
+
+def _argmin(
+    method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
+    sample: RegressionSample | None, state: OptimizerState, g: GradientVector,
+) -> list[ArgminResult]:
+    """Search [0, 1] for the ``target`` value minimizing the mean one-step loss
+    along each row of ``state`` (see ``_curve``)."""
+    return _lockstep([_curve(method, obj, target, fixed, sample, state, g)])[0]
 
 
 def argmin_hyper(
@@ -378,14 +403,22 @@ def pointwise_argmin_hyper(
     return _pointwise_argmins(method, obj, target, fixed, sample, state, f3_half_gradient)[0]
 
 
-def _pointwise_argmins(
+def _pointwise_curve(
     method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
     sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
-) -> list[ArgminResult]:
-    """``pointwise_argmin_hyper`` from each row of a state of (rows, 1) arrays, in one search."""
+) -> _Curve:
+    """The ``_curve`` of ``pointwise_argmin_hyper`` from each row of a state of (rows, 1) arrays."""
     g = _gradient_at(state, obj, sample, f3_half_gradient)
     if method is Method.ADAGRAD:
         phi = state.grad_sq_sum
         pre_b = None if g.d_b is None else phi.b - g.d_b * g.d_b
         state = replace(state, grad_sq_sum=PerCoord(w=phi.w - g.d_w * g.d_w, b=pre_b))
-    return _argmin(method, obj, target, fixed, sample, state, g)
+    return _curve(method, obj, target, fixed, sample, state, g)
+
+
+def _pointwise_argmins(
+    method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
+    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
+) -> list[ArgminResult]:
+    """``pointwise_argmin_hyper`` from each row of a state of (rows, 1) arrays, in one search."""
+    return _lockstep([_pointwise_curve(method, obj, target, fixed, sample, state, f3_half_gradient)])[0]

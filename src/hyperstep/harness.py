@@ -6,10 +6,11 @@ forms for the requested hyperparameters and applies the fallback contract:
 an undefined value keeps the previous one, an infeasible value is clamped to
 [0, 1], and every choice is flagged in the trace.
 
-``HyperPolicy``, ``RunConfig`` and ``resolve_init`` are where a run is checked: the
-policy's kind and names, the method, objective, budget and tolerance, and the sample and
-initial point through the halves of ``objectives._check_inputs`` (``step``'s check, so with
-``step``'s errors). ``run_training`` then checks nothing per epoch but finiteness. It keeps
+``HyperPolicy`` and ``RunConfig`` are where a run is checked, each field by name: the
+policy's kind, base and names, the method, objective, policy, budget, tolerance and f3
+convention, and the sample and a given initial point through the halves of
+``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors). ``resolve_init``
+draws a seeded initial point. ``run_training`` then checks nothing per epoch but finiteness. It keeps
 the params and the method's one state slot as float locals and takes one gradient per
 epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (adagrad's through
 ``optimizers._post_view``) and the method's per-coordinate rule from ``optimizers._RULES``;
@@ -69,6 +70,8 @@ class HyperPolicy:
     optimize: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, HyperParams):
+            raise ValueError(f"base must be a HyperParams, got {self.base!r}")
         if not isinstance(self.kind, PolicyKind):
             raise ValueError(f"kind must be a PolicyKind, got {self.kind!r}")
         if not isinstance(self.optimize, frozenset):
@@ -158,8 +161,14 @@ class RunConfig:
         _require_objective(self.objective)
         if _require_index("max_epochs", self.max_epochs) < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if not isinstance(self.policy, HyperPolicy):
+            raise ValueError(f"policy must be a HyperPolicy, got {self.policy!r}")
         _require_tolerance(self.tolerance)
+        if self.f3_half_gradient.__class__ is not bool:
+            raise ValueError(f"f3_half_gradient must be a bool, got {self.f3_half_gradient!r}")
         _check_sample(self.objective, self.sample)
+        if not (self.init is None or isinstance(self.init, RandomInit)):
+            _check_point(self.objective, self.init, "init")
         extra = self.policy.optimize - OPTIMIZED_HYPERS[self.method]
         if extra:
             raise ValueError(
@@ -237,7 +246,6 @@ def resolve_init(cfg: RunConfig) -> ParamPoint:
     if isinstance(cfg.init, RandomInit):
         w, b = _seeded_uniforms(cfg.init.seed, 2)
         return ParamPoint(w=w, b=b if two else None)
-    _check_point(cfg.objective, cfg.init)
     return cfg.init
 
 

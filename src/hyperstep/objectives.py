@@ -6,8 +6,9 @@ a single (x, y) sample. Every loss is the square of a signed residual, which
 the update rules and the closed-form step sizes downstream exploit.
 
 ``_check_inputs`` is the package's one test of a well-formed (objective, point, sample):
-the point's arity (``_check_point``), then the sample (``_check_sample``). ``residual``,
-``evaluate`` and ``gradient`` run it, then the unchecked cores ``_residual`` and ``_gradient``;
+the point's type and arity (``_check_point``), then the sample's presence and type
+(``_check_sample``). ``residual``, ``evaluate`` and ``gradient`` run it, then the
+unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
 ``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
 ``_require_seed`` adds a seed's sign to it; ``_require_objective`` tests that an objective is an
@@ -62,7 +63,9 @@ class GradientVector:
     d_b: float | None = None
 
 
-def _check_point(obj: ObjectiveId, point: ParamPoint) -> None:
+def _check_point(obj: ObjectiveId, point: ParamPoint, name: str = "point") -> None:
+    if not isinstance(point, ParamPoint):
+        raise ValueError(f"{name} must be a ParamPoint, got {point!r}")
     if (point.b is None) is (obj.arity == 2):
         raise ValueError(
             f"{obj.name} needs both parameters w and b" if point.b is None
@@ -76,6 +79,8 @@ def _check_sample(obj: ObjectiveId, sample: RegressionSample | None) -> None:
             "F3 requires a regression sample (x, y)" if sample is None
             else f"{obj.name} does not take a regression sample"
         )
+    if sample is not None and not isinstance(sample, RegressionSample):
+        raise ValueError(f"sample must be a RegressionSample, got {sample!r}")
 
 
 def _require_index(name: str, value) -> int:

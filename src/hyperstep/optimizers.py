@@ -4,13 +4,15 @@
 ``_check_state``, the one test of a well-formed (state, objective, sample): each slot's
 arity, then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
 and every public ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
-non-finite gradient. ``_apply_rule`` applies the method's per-coordinate rule
+non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES``
-maps each method to that rule and to the state slot it advances. A direct search,
-whose state does not move, takes the first part once and the second at every curve
-point. ``harness.run_training``, which checked its inputs once per run, calls the
-rules of ``_RULES`` itself on float coordinates, after its own ``_finite`` test of
-each epoch's gradient. ``_require_method`` is the one test that a method is a ``Method``.
+maps each method to that rule and to the state slot it advances. The callers that
+hold a checked gradient call those rules themselves: ``harness.run_training``, which
+checked its inputs once per run, on float coordinates after its own ``_finite`` test
+of each epoch's gradient, and the analyzer's searches, whose state does not move, on
+array coordinates at every curve point. ``_require_method`` is the one test that a
+method is a ``Method``; ``HyperParams`` refuses a value that is not a number with the
+error, naming the field, that it gives a number out of range.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
@@ -59,6 +61,15 @@ def _all(ok) -> bool:
     return ok if ok.__class__ is bool else bool(ok.all())
 
 
+def _in_range(value, top: float) -> bool:
+    """Whether ``value`` (a float, or every element of an array) lies in [0, top], or in
+    [0, inf) for an infinite ``top``; a value that does not compare with floats does not."""
+    try:
+        return _all((0.0 <= value) & ((value <= top) if top < math.inf else (value < top)))
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Step hyperparameters (floats or arrays); alpha and beta are read only by the methods that use them."""
@@ -69,13 +80,13 @@ class HyperParams:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not _all((0.0 <= self.eta) & (self.eta < math.inf)):
+        if not _in_range(self.eta, math.inf):
             raise ValueError(f"eta must be a finite non-negative real, got {self.eta!r}")
-        if not _all((0.0 <= self.alpha) & (self.alpha <= 1.0)):
+        if not _in_range(self.alpha, 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not _all((0.0 <= self.beta) & (self.beta <= 1.0)):
+        if not _in_range(self.beta, 1.0):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if not _all((0.0 <= self.epsilon) & (self.epsilon < math.inf)):
+        if not _in_range(self.epsilon, math.inf):
             raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
 
 
@@ -214,20 +225,6 @@ def _checked_gradient(
     return g
 
 
-def _apply_rule(method: Method, state: OptimizerState, hyper: HyperParams, g: GradientVector) -> OptimizerState:
-    """``state`` advanced by ``method``'s rule on the checked gradient ``g``."""
-    name, rule = _RULES[method]
-    slots = {
-        "velocity": state.velocity, "grad_sq_sum": state.grad_sq_sum, "weighted_grad_sq": state.weighted_grad_sq
-    }
-    slot = _NO_SLOT if name is None else slots[name]
-    w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
-    b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
-    if name is not None:
-        slots[name] = PerCoord(slot_w, slot_b)
-    return OptimizerState(ParamPoint(w, b), epoch=state.epoch + 1, **slots)
-
-
 def step(
     method: Method,
     state: OptimizerState,
@@ -243,7 +240,17 @@ def step(
         ValueError: if a state slot, the params or the sample does not fit ``obj``.
         NonFiniteGradientError: if the gradient at ``state`` is not finite.
     """
-    return _apply_rule(method, state, hyper, _checked_gradient(state, obj, sample, f3_half_gradient))
+    g = _checked_gradient(state, obj, sample, f3_half_gradient)
+    name, rule = _RULES[method]
+    slots = {
+        "velocity": state.velocity, "grad_sq_sum": state.grad_sq_sum, "weighted_grad_sq": state.weighted_grad_sq
+    }
+    slot = _NO_SLOT if name is None else slots[name]
+    w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
+    b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
+    if name is not None:
+        slots[name] = PerCoord(slot_w, slot_b)
+    return OptimizerState(ParamPoint(w, b), epoch=state.epoch + 1, **slots)
 
 
 # The four rules by name: ``step`` with the method fixed.

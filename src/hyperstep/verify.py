@@ -121,16 +121,15 @@ def _pointwise_columns(obj: ObjectiveId, target: str) -> list[tuple[float, float
 
 
 def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict:
-    """Single-state argmins against every closed form of ``method``, per objective;
-    one search per (objective, target) from all its defined, feasible states;
-    it passes only if some state was compared."""
+    """Single-state argmins against every closed form of ``method``, per objective: one
+    curve per (objective, target) from all its defined, feasible states, and one lockstep
+    search over them all; it passes only if some state was compared."""
     _require_method(method)
     _require_seed("seed", seed)
     if _require_index("states", states) < 1:
         raise ValueError(f"states must be at least 1, got {states}")
-    worst = 0.0
     min_defined = 1.0
-    compared = 0
+    curves, values = [], []
     for obj in ObjectiveId:
         for target in sorted(OPTIMIZED_HYPERS[method]):
             sample = _obj_sample(obj, target)
@@ -151,9 +150,11 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             kept = columns[:, keep, None]  # each a (rows, 1) array
             fixed = HyperParams(*kept[-3:], epsilon=_EPSILON)
             at = _flat_state(obj, kept, common)
-            found = analyzer._pointwise_argmins(method, obj, target, fixed, sample, at, _HALF)
-            worst = max(worst, *(abs(r.argmin - v) for r, v in zip(found, value[keep].tolist())))
-            compared += len(found)
+            curves.append(analyzer._pointwise_curve(method, obj, target, fixed, sample, at, _HALF))
+            values.extend(value[keep].tolist())
+    found = [r for table in analyzer._lockstep(curves) for r in table]
+    worst = max([0.0, *(abs(r.argmin - v) for r, v in zip(found, values))])
+    compared = len(found)
     return _row(
         f"argmin/{method.value}", _ARGMIN_TOL, worst, min_defined >= 0.95 and compared > 0,
         compared=compared, min_defined_fraction=min_defined,

@@ -9,6 +9,7 @@ import pytest
 
 from hyperstep import (
     DEFAULT_HYPERS,
+    OPTIMIZED_HYPERS,
     HyperParams,
     Method,
     ObjectiveId,
@@ -280,6 +281,63 @@ def test_batched_pointwise_search_equals_per_state_searches(method, target):
     assert [repr(r) for r in batched] == [repr(r) for r in single]
 
 
+# Per method, where a drawn table's curves end at a scan end: gd's rate on halved f3 is
+# 1 / (1 + x * x), so 1 at x = 0; adagrad's exceeds 1 once its sums are scaled up; some
+# momentum alpha and rmsprop beta curves of the drawn tables fall or rise across [0, 1].
+SCAN_END = {
+    GD: (F3, "eta", RegressionSample(x=0.0, y=0.3), 1.0),
+    Method.MOMENTUM: (F2, "alpha", None, 1.0),
+    Method.ADAGRAD: (F1, "eta", None, 100.0),
+    Method.RMSPROP: (F1, "beta", None, 1.0),
+}
+
+
+def _pointwise_table(method, obj, target, sample, table):
+    """The ``_pointwise_curve`` of a verify-style table, and each row searched alone."""
+    common, eps = target == "beta", verify._EPSILON
+    cols = table.T[..., None]
+    fixed = HyperParams(*cols[-3:], epsilon=eps)
+    curve = analyzer._pointwise_curve(method, obj, target, fixed, sample, _flat_state(obj, cols, common), True)
+    alone = [
+        pointwise_argmin_hyper(
+            method, obj, target, HyperParams(*row[-3:], epsilon=eps), sample,
+            _flat_state(obj, row, common), f3_half_gradient=True,
+        )
+        for row in table.tolist()
+    ]
+    return curve, alone
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_a_joint_check_equals_its_per_table_searches(method):
+    # verify's tables of ``method``, each with a flat first row (zero gradient and
+    # velocity), then a table whose curves all have their minimum at a scan end and
+    # so finish one golden-section iteration before the interior ones
+    rng = np.random.default_rng(3)
+    tables = []
+    for obj in ObjectiveId:
+        for target in sorted(OPTIMIZED_HYPERS[method]):
+            sample = verify._obj_sample(obj, target)
+            table = verify._draw(rng, 12, verify._pointwise_columns(obj, target))
+            params = [0.5] if obj is F1 else [0.3, -0.3] if obj is F2 else [0.0, sample.y]
+            table[0, :2 * obj.arity] = params + [0.0] * obj.arity  # r = 0 and v = 0
+            tables.append((obj, target, sample, table))
+    obj, target, sample, scale = SCAN_END[method]
+    pool = verify._draw(rng, 40, verify._pointwise_columns(obj, target))
+    pool[:, 2 * obj.arity : 3 * obj.arity] *= scale  # the grad_sq_sum columns
+    _, alone = _pointwise_table(method, obj, target, sample, pool)
+    ends = pool[[r.argmin in (0.0, 1.0) for r in alone]]
+    assert len(ends) >= 10
+    tables.append((obj, target, sample, ends))
+
+    curves, expected = zip(*(_pointwise_table(method, *t) for t in tables))
+    joint = analyzer._lockstep(list(curves))
+    assert [[repr(r) for r in found] for found in joint] == [[repr(r) for r in found] for found in expected]
+    assert all(found[0].flat for found in joint[:-1])
+    assert {r.evaluations for r in joint[-1]} == {101}
+    assert max(r.evaluations for found in joint[:-1] for r in found) == 102
+
+
 # A search batches its scan, steps big grids in slabs and writes them into one loss
 # buffer; the reference search asks for one point per call through the public update.
 SLAB = analyzer._SLAB_BUDGET
@@ -352,6 +410,20 @@ def test_a_pointwise_search_equals_one_point_per_call(method, target, rows):
     table = verify._draw(np.random.default_rng(rows), rows, verify._pointwise_columns(obj, target))
     batched, reference = _pointwise_routes(method, target, obj, table)
     assert [repr(r) for r in batched()] == [repr(r) for r in reference()]
+
+
+def test_a_lockstep_search_asks_each_curve_for_no_more_points_than_its_budget():
+    # a sampled grid whose budget allows 3 scan points per call beside a pointwise
+    # table that allows all 64: the joint scan asks both for 3, and each keeps its result
+    spec = SamplingSpec(SamplingMode.MONTE_CARLO, SLAB + 1, seed=1)
+    state = analyzer._sampled_state(F2, spec, _template(F2))
+    grid = analyzer._curve(Method.MOMENTUM, F2, "eta", BASE, None, state, analyzer._gradient_at(state, F2, None, False))
+    table = verify._draw(np.random.default_rng(1), 20, verify._pointwise_columns(F2, "eta"))
+    pointwise, alone = _pointwise_table(Method.MOMENTUM, F2, "eta", None, table)
+    assert (grid[2], pointwise[2]) == (3, 64)
+    joint = analyzer._lockstep([grid, pointwise])
+    expected = [argmin_hyper(Method.MOMENTUM, F2, "eta", BASE, None, spec, _template(F2))], alone
+    assert [[repr(r) for r in found] for found in joint] == [[repr(r) for r in found] for found in expected]
 
 
 @pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
@@ -439,10 +511,15 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
     with pytest.raises(ValueError) as direct:
         replace(fixed)
     evaluated = []
-    monkeypatch.setattr(analyzer, "_post_step_losses", lambda *args: evaluated.append(args))
+    real = analyzer._residual
+    monkeypatch.setattr(analyzer, "_residual", lambda *args: evaluated.append(args) or real(*args))
     state = _flat_state(F2, verify._draw(np.random.default_rng(0), rows, verify._state_columns(F2)).T[..., None])
     with pytest.raises(ValueError) as searched:
         analyzer._pointwise_argmins(Method.MOMENTUM, F2, "eta", fixed, None, state, False)
     assert str(searched.value) == str(direct.value)
     assert str(direct.value).startswith("alpha must lie in [0, 1]")
     assert evaluated == []
+    # the patched residual is the one a curve point takes: with alpha back in range, it is called
+    alpha[1, 0] = 0.5
+    analyzer._pointwise_argmins(Method.MOMENTUM, F2, "eta", fixed, None, state, False)
+    assert evaluated

@@ -371,6 +371,27 @@ def test_run_config_refuses_a_method_objective_or_tolerance_of_the_wrong_type(fi
     assert str(err.value) == text
 
 
+FIXED = HyperPolicy.fixed(DEFAULT_HYPERS)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: HyperPolicy.fixed("x"), "base must be a HyperParams, got 'x'"),
+    (lambda: HyperPolicy.optimal({"eta": 0.1}, {"eta"}), "base must be a HyperParams, got {'eta': 0.1}"),
+    (lambda: RunConfig(Method.GD, F1, "fixed"), "policy must be a HyperPolicy, got 'fixed'"),
+    (lambda: RunConfig(Method.GD, F3, FIXED, sample=(0.3, 0.2)), "sample must be a RegressionSample, got (0.3, 0.2)"),
+    (lambda: RunConfig(Method.GD, F3, FIXED, sample=DEFAULT_SAMPLE, init=(0.3,)), "init must be a ParamPoint, got (0.3,)"),
+    (lambda: RunConfig(Method.GD, F1, FIXED, init=0.3), "init must be a ParamPoint, got 0.3"),
+    (lambda: RunConfig(Method.GD, F1, FIXED, f3_half_gradient="no"), "f3_half_gradient must be a bool, got 'no'"),
+    (lambda: RunConfig(Method.GD, F1, FIXED, f3_half_gradient=1), "f3_half_gradient must be a bool, got 1"),
+], ids=["fixed-base", "optimal-base", "policy", "sample", "init-tuple", "init-float", "half-str", "half-int"])
+def test_policy_and_config_refuse_a_field_of_the_wrong_type_by_name(build, text):
+    # each used to construct and then fail at run time with an AttributeError,
+    # or, for f3_half_gradient, to run as the halved convention
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == text
+
+
 def test_run_config_validation():
     fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
     with pytest.raises(ValueError):
@@ -388,7 +409,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(method=Method.GD, objective=F1, policy=fixed, max_epochs=0)
     with pytest.raises(ValueError):
-        # init arity is resolved at run time, where random inits are drawn
+        # a ParamPoint init of the wrong arity is refused with the config
         run_training(
             RunConfig(method=Method.GD, objective=F2, policy=fixed, init=ParamPoint(w=0.3))
         )

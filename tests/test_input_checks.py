@@ -142,3 +142,17 @@ def test_a_run_refuses_a_sample_or_initial_point_as_step_does(obj):
     by_step = _refusal(lambda: step(Method.GD, replace(state, params=wrong_init), DEFAULT_HYPERS, obj, sample))
     assert _refusal(lambda: resolve_init(config(init=wrong_init))) == by_step
     assert _refusal(lambda: run_training(config(init=wrong_init))) == by_step
+
+
+@pytest.mark.parametrize("obj", list(ObjectiveId), ids=lambda o: o.value)
+def test_a_point_or_sample_of_the_wrong_type_is_refused_as_step_does(obj):
+    # both used to escape as an AttributeError from the arity test or the residual
+    state, sample = _well_formed(obj)
+    point = (0.3, 0.4) if obj.arity == 2 else (0.3,)
+    by_step = _refusal(lambda: step(Method.GD, replace(state, params=point), DEFAULT_HYPERS, obj, sample))
+    assert by_step == f"point must be a ParamPoint, got {point!r}"
+    assert _refusal(lambda: optimal_lr_gd(obj, replace(state, params=point), sample)) == by_step
+    if obj is F3:
+        by_step = _refusal(lambda: step(Method.GD, state, DEFAULT_HYPERS, obj, (0.3, 0.23)))
+        assert by_step == "sample must be a RegressionSample, got (0.3, 0.23)"
+        assert _refusal(lambda: optimal_lr_gd(obj, state, (0.3, 0.23))) == by_step

@@ -247,6 +247,21 @@ def test_hyperparams_check_arrays_elementwise():
             HyperParams(**{"eta": ok, name: np.array([[0.5], [bad], [0.5]])})
 
 
+@pytest.mark.parametrize("name, value, text", [
+    ("eta", "0.1", "eta must be a finite non-negative real, got '0.1'"),
+    ("alpha", "0.5", "alpha must lie in [0, 1], got '0.5'"),
+    ("beta", None, "beta must lie in [0, 1], got None"),
+    ("epsilon", [1e-8], "epsilon must be a finite non-negative real, got [1e-08]"),
+    ("eta", 0.1j, "eta must be a finite non-negative real, got 0.1j"),
+    ("alpha", np.array([["0.5"]]), "alpha must lie in [0, 1], got array([['0.5']], dtype='<U3')"),
+], ids=["eta-str", "alpha-str", "beta-none", "epsilon-list", "eta-complex", "alpha-str-array"])
+def test_hyperparams_refuse_a_value_that_is_not_a_number_by_name(name, value, text):
+    # each used to escape as a bare TypeError from the range comparison
+    with pytest.raises(ValueError) as err:
+        HyperParams(**{"eta": 0.1, name: value})
+    assert str(err.value) == text
+
+
 def test_state_arity_is_checked_against_objective():
     with pytest.raises(ValueError):
         gd_step(make_state(0.3, 0.4), HyperParams(eta=0.1), F1)

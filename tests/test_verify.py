@@ -105,14 +105,15 @@ def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
     # Each scan asks for its 64 points in as few calls as the budget allows and a
     # 40,000-point grid steps in three slabs; one call per point, or one step per
     # curve point over a whole grid, changes this count (the unbatched search took 2040).
+    # A curve step takes one residual per slab, so the residuals count the steps.
     steps = []
-    real = analyzer._post_step_losses
+    real = analyzer._residual
 
     def counted(*args):
         steps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analyzer, "_post_step_losses", counted)
+    monkeypatch.setattr(analyzer, "_residual", counted)
     assert verify.report("argmin", 1000, 0)["passed"]
     assert len(steps) == 1831
 
