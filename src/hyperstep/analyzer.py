@@ -6,12 +6,12 @@ average one-step loss over a sampled region of parameter space and
 minimizes it by direct search, with no knowledge of the closed forms they
 are used to verify. Every search runs through one routine: ``_curve`` makes
 the mean one-step loss along each row of a state (the sampled grid, or one
-state) one curve, and ``_lockstep`` hands the curves of one or more states to
-one ``_search``, which drives them all in lockstep, a uniform scan then
-golden-section refinement, each to the result it gets searched alone. The
-pointwise check of a method (``verify.check_argmin_pointwise``) searches all
-its tables at once; ``_argmin`` and ``_pointwise_argmins`` search one.
-``finite_diff_gradient`` plays the same role for the analytic gradients.
+state) one curve, and ``_search`` takes the curves of one or more states and
+drives them all in lockstep, a uniform scan then golden-section refinement,
+each to the result it gets searched alone. The pointwise check of a method
+(``verify.check_argmin_pointwise``) searches all its tables at once; the public
+searches pass one. ``finite_diff_gradient`` plays the same role for the
+analytic gradients.
 
 Evaluation threads numpy arrays through the real update rules, so the
 dynamics being minimized are exactly the ones a training run would take. The
@@ -74,6 +74,7 @@ from .optimizers import (
     PerCoord,
     _RULES,
     _checked_gradient,
+    _slot,
     _unchecked_hyper,
     step,
 )
@@ -91,7 +92,7 @@ _SLAB_BUDGET = 2**14  # loss elements one step of a curve call computes at a tim
 _GOLDEN_WIDTH = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# what ``_search`` takes: a curve function, its number of curves, its points per scan call
+# a ``_curve`` result, as ``_search`` takes them: a curve function, its curves, its points per scan call
 _Curve = tuple[Callable[[np.ndarray], np.ndarray], int, int]
 
 
@@ -220,15 +221,24 @@ def mean_post_step_error(
     return float(_mean_losses(losses.ravel()))
 
 
-def _search(curve: Callable[[np.ndarray], np.ndarray], n: int, per_call: int = _SCAN_POINTS) -> list[ArgminResult]:
-    """Minimize ``n`` curves on [0, 1] in lockstep: a uniform scan, then golden-section
-    refinement around each curve's best scan point. ``curve`` maps points of shape (n, k),
-    k per curve, to their values, shape (n, k). The scan asks for its points ``per_call``
-    at a time; golden-section asks for its first two probes in one (n, 2) call, then
-    for one point per curve. Each curve sees the points it would see searched alone;
-    a flat or finished one is evaluated at its best scan point until all are done.
-    ``evaluations`` counts points, not calls.
+def _search(curves: list[_Curve]) -> list[list[ArgminResult]]:
+    """Minimize each ``_curve`` result's curves on [0, 1], all in lockstep: a uniform scan,
+    then golden-section refinement around each curve's best scan point. A curve function
+    maps points of shape (n, k), k per curve, to their values, shape (n, k). The scan asks
+    for its points at the fewest per call any of them allows; golden-section asks for its
+    first two probes in one (n, 2) call, then for one point per curve. Each curve sees the
+    points it would see searched alone; a flat or finished one is evaluated at its best
+    scan point until all are done. ``evaluations`` counts points, not calls.
     """
+    if not curves:
+        return []
+    ends = np.cumsum([n for _, n, _ in curves]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+    n, per_call = ends[-1], min(per_call for _, _, per_call in curves)
+
+    def curve(t: np.ndarray) -> np.ndarray:
+        return np.concatenate([f(t[part]) for (f, _, _), part in zip(curves, rows)])
+
     xs = np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
     chunks = (xs[i : i + per_call] for i in range(0, _SCAN_POINTS, per_call))
     vals = np.concatenate([curve(np.tile(x, (n, 1))) for x in chunks], axis=1)
@@ -275,7 +285,8 @@ def _search(curve: Callable[[np.ndarray], np.ndarray], n: int, per_call: int = _
     # the best point can lie just outside the last bracket on a curve flat to rounding
     lo, hi = np.minimum(lo, best_x), np.maximum(hi, best_x)
     found = zip(*(a.tolist() for a in (best_x, best_v, lo, hi, evals, flat, multimodal)))
-    return [ArgminResult(x, v, (a, b), e, f, m) for x, v, a, b, e, f, m in found]
+    found = [ArgminResult(x, v, (a, b), e, f, m) for x, v, a, b, e, f, m in found]
+    return [found[part] for part in rows]
 
 
 def _gradient_at(
@@ -307,8 +318,8 @@ def _curve(
         return a if np.ndim(a) == 0 else np.reshape(a, (n, 1, -1))
 
     values = {name: lay(v) for name, v in values.items()}
-    name, rule = _RULES[method]
-    slot = PerCoord() if name is None else getattr(state, name)  # plain descent reads no slot
+    rule = _RULES[method][1]
+    slot = _slot(method, state)
     coords = [lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b)]
 
     @cache
@@ -337,31 +348,6 @@ def _curve(
     return curve, n, per_call
 
 
-def _lockstep(curves: list[_Curve]) -> list[list[ArgminResult]]:
-    """Each ``_curve`` result's argmins, from one ``_search`` over the curves of them all,
-    each the result it gets searched alone; the scan takes the fewest points per call
-    any of them allows. A curve that has finished is stepped until they all have."""
-    if not curves:
-        return []
-    ends = np.cumsum([n for _, n, _ in curves]).tolist()
-    rows = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
-
-    def joint(t: np.ndarray) -> np.ndarray:
-        return np.concatenate([curve(t[part]) for (curve, _, _), part in zip(curves, rows)])
-
-    found = _search(joint, ends[-1], min(per_call for _, _, per_call in curves))
-    return [found[part] for part in rows]
-
-
-def _argmin(
-    method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
-    sample: RegressionSample | None, state: OptimizerState, g: GradientVector,
-) -> list[ArgminResult]:
-    """Search [0, 1] for the ``target`` value minimizing the mean one-step loss
-    along each row of ``state`` (see ``_curve``)."""
-    return _lockstep([_curve(method, obj, target, fixed, sample, state, g)])[0]
-
-
 def argmin_hyper(
     method: Method,
     obj: ObjectiveId,
@@ -381,7 +367,7 @@ def argmin_hyper(
     """
     state = _sampled_state(obj, spec, state_template)
     g = _gradient_at(state, obj, sample, f3_half_gradient)
-    return _argmin(method, obj, target, fixed, sample, state, g)[0]
+    return _search([_curve(method, obj, target, fixed, sample, state, g)])[0][0]
 
 
 def pointwise_argmin_hyper(
@@ -400,7 +386,7 @@ def pointwise_argmin_hyper(
     the pending step divides by, matching the closed form's convention; the
     search still runs through the real step function.
     """
-    return _pointwise_argmins(method, obj, target, fixed, sample, state, f3_half_gradient)[0]
+    return _search([_pointwise_curve(method, obj, target, fixed, sample, state, f3_half_gradient)])[0][0]
 
 
 def _pointwise_curve(
@@ -415,10 +401,3 @@ def _pointwise_curve(
         state = replace(state, grad_sq_sum=PerCoord(w=phi.w - g.d_w * g.d_w, b=pre_b))
     return _curve(method, obj, target, fixed, sample, state, g)
 
-
-def _pointwise_argmins(
-    method: Method, obj: ObjectiveId, target: str, fixed: HyperParams,
-    sample: RegressionSample | None, state: OptimizerState, f3_half_gradient: bool,
-) -> list[ArgminResult]:
-    """``pointwise_argmin_hyper`` from each row of a state of (rows, 1) arrays, in one search."""
-    return _lockstep([_pointwise_curve(method, obj, target, fixed, sample, state, f3_half_gradient)])[0]

@@ -11,12 +11,12 @@ policy's kind, base and names, the method, objective, policy, budget, tolerance 
 convention, and the sample and a given initial point through the halves of
 ``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors). ``resolve_init``
 draws a seeded initial point. ``run_training`` then checks nothing per epoch but finiteness. It keeps
-the params and the method's one state slot as float locals and takes one gradient per
-epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (adagrad's through
-``optimizers._post_view``) and the method's per-coordinate rule from ``optimizers._RULES``;
-it builds an ``OptimizerState`` only for a core that reads one, and shares one
-``HyperFlags`` per combination of flags. ``_finite`` checks only that the gradient, whose
-finiteness defines divergence, the params and the slot are finite.
+the params and the coordinates of the state slot the method moves as float locals and takes one
+gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (fed that
+slot, adagrad's through ``optimizers._post_view``) and the method's per-coordinate rule from
+``optimizers._RULES``; it shares one ``HyperFlags`` per combination of flags. ``_finite`` checks
+only that the gradient, whose finiteness defines divergence, the params and the slot are finite.
+The loop's exit test gives ``converged_epoch``, what ``detect_convergence`` finds in the records.
 A run on floats computes in plain floats, a zero divisor's inf or NaN included.
 
 ``reproduce_table2`` assembles the 4x3 convergence comparison between the
@@ -37,7 +37,7 @@ from .objectives import (
     _check_point, _check_sample, _gradient, _require_index, _require_objective, _require_seed, _residual,
 )
 from .optimizers import (
-    _RULES, HyperParams, Method, OptimizerState, PerCoord, _post_view, _require_method, _unchecked_hyper,
+    _RULES, HyperParams, Method, PerCoord, _post_view, _require_method, _unchecked_hyper,
 )
 from .hyperopt import _FORMS, OPTIMIZED_HYPERS
 
@@ -283,15 +283,14 @@ def run_training(cfg: RunConfig) -> Trace:
     """
     method, obj, sample, half = cfg.method, cfg.objective, cfg.sample, cfg.f3_half_gradient
     tolerance, max_epochs = cfg.tolerance, cfg.max_epochs
-    slot, rule = _RULES[method]  # the state slot the method moves (the others stay at zero) and its rule
+    rule = _RULES[method][1]
     # The coefficient (alpha or beta) is resolved first against the incumbent eta, then eta
     # against the resolved coefficient, so the step built from the result zeroes the
     # residual whenever the eta form is defined.
     forms = [(t, _FORMS[method, t]) for t in ("alpha", "beta", "eta") if t in cfg.policy.optimize]
     params = resolve_init(cfg)
     w, b = params.w, params.b
-    s_w, s_b = 0.0, None if b is None else 0.0  # the slot's coordinates
-    slots = dict.fromkeys(("velocity", "grad_sq_sum", "weighted_grad_sq"), PerCoord(s_w, s_b))  # zero but the method's
+    s_w, s_b = 0.0, None if b is None else 0.0  # the coordinates of the slot the method moves
     r = _residual(obj, params, sample)
     loss = float(r * r)
     records = [EpochRecord(1, params, loss, cfg.policy.base, _INITIAL_FLAGS)]
@@ -305,15 +304,12 @@ def run_training(cfg: RunConfig) -> Trace:
             diverged = True
             break
         if forms:
-            state = None  # plain descent's rate reads no state
-            if slot is not None:
-                slots[slot] = PerCoord(s_w, s_b)
-                state = OptimizerState(params, epoch=epoch, **slots)
-                if method is Method.ADAGRAD:  # its form reads the sums the pending step divides by
-                    state = _post_view(state, g)
+            slot = PerCoord(s_w, s_b)
+            if method is Method.ADAGRAD:  # its form reads the sums the pending step divides by
+                slot = _post_view(slot, g)
             chosen = {}
             for target, form in forms:  # the fallback contract: an undefined value keeps the incumbent
-                fv = form(obj, state, sample, r, g, hypers)
+                fv = form(obj, slot, sample, r, g, hypers)
                 if not fv.defined:
                     chosen[target] = FLAG_FALLBACK
                     continue
@@ -329,15 +325,10 @@ def run_training(cfg: RunConfig) -> Trace:
         loss = float(r * r)
         records.append(EpochRecord(epoch, params, loss, hypers, flags))
         # an overflowed accumulator would freeze the run with a finite loss
-        diverged = not (math.isfinite(loss) and _finite(w, b) and (slot is None or _finite(s_w, s_b)))
+        diverged = not (math.isfinite(loss) and _finite(w, b) and _finite(s_w, s_b))
 
-    recs = tuple(records)
-    return Trace(
-        records=recs,
-        converged_epoch=detect_convergence(recs, cfg.tolerance),
-        final_loss=recs[-1].loss,
-        diverged=diverged,
-    )
+    # the loop stops at the first epoch whose loss meets the tolerance, if any
+    return Trace(tuple(records), epoch if loss <= tolerance else None, loss, diverged)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ Conventions the formulas rely on:
 
 Each public rule is ``_check_state`` (``step``'s check, so a state, point or
 sample ``step`` refuses is refused here with the same error) followed by an
-unchecked core. ``_solved`` runs the check, takes the residual and gradient
-once, and hands both to the core, which reads them instead of taking its own.
-``_FORMS`` maps each (method, target) pair to its core, called as
-``(obj, state, sample, r, g, hyper)``; ``solve`` indexes it, ``verify`` calls it
-on whole drawn tables, and ``harness.run_training`` calls it on each epoch's
-one gradient.
+unchecked core. ``_FORMS``, the only table that names a core, maps each (method,
+target) pair to it, called as ``(obj, slot, sample, r, g, hyper)``: ``slot`` is the
+state slot the method moves (``optimizers._slot``), and r and g the residual and
+gradient, which ``_solved``, behind each public rule and ``solve``, takes once after
+the check. ``verify`` calls the cores on whole drawn tables, and
+``harness.run_training`` on each epoch's one gradient.
 
 Public names take and return floats. Each core is written once for floats
 and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import ObjectiveId, RegressionSample, _gradient, _residual
-from .optimizers import Method, OptimizerState, _check_state, _unchecked_hyper, _weighted_grad_sq
+from .optimizers import Method, OptimizerState, PerCoord, _check_state, _slot, _unchecked_hyper, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -92,30 +92,30 @@ def _sqrt(x):
         return np.sqrt(x)
 
 
-def _pull(obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None):
+def _pull(obj: ObjectiveId, v: PerCoord, sample: RegressionSample | None):
     """The velocity's pull on the residual: v_w on F1, v_w + v_b on F2, v_w * x + v_b on F3."""
-    v = state.velocity
     if obj is ObjectiveId.F1:
         return v.w
     return v.w + v.b if obj is ObjectiveId.F2 else v.w * sample.x + v.b
 
 
 def _solved(
-    core, obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None, f3_half_gradient: bool = False,
-    **given,
+    method: Method, target: str, obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None,
+    f3_half_gradient: bool = False, **given,
 ) -> FeasibleValue:
-    """``core`` at ``state`` once ``_check_state`` passes, fed the residual and gradient taken
-    there once and the ``given`` values (None where not given) as one HyperParams."""
+    """The pair's core at ``state`` once ``_check_state`` passes, fed the method's slot, the residual
+    and gradient taken there once and the ``given`` values (None where not given) as one HyperParams."""
     _check_state(state, obj, sample)
     r = _residual(obj, state.params, sample)
     hyper = _unchecked_hyper({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
-    return core(obj, state, sample, r, _gradient(obj, r, sample, f3_half_gradient), hyper)
+    g = _gradient(obj, r, sample, f3_half_gradient)
+    return _FORMS[method, target](obj, _slot(method, state), sample, r, g, hyper)
 
 
-# The unchecked cores, each called as (obj, state, sample, r, g, hyper): r and g are the
-# residual and gradient at ``state``, and ``hyper`` holds the given values the core reads.
+# The unchecked cores, each called as (obj, slot, sample, r, g, hyper): ``hyper`` holds
+# the given values the core reads.
 
-def _lr_gd(obj, state, sample, r, g, hyper):
+def _lr_gd(obj, slot, sample, r, g, hyper):
     return _scaled_lr(obj, sample, 1.0, 1.0, 0.0)
 
 
@@ -129,11 +129,11 @@ def optimal_lr_gd(
     State-independent: 0.5 for F1, 0.25 for F2, 1 / (x**2 + 1) for F3.
     Always defined.
     """
-    return _solved(_lr_gd, obj, state, sample)
+    return _solved(Method.GD, "eta", obj, state, sample)
 
 
-def _lr_momentum(obj, state, sample, r, g, hyper):
-    m = _pull(obj, state, sample)
+def _lr_momentum(obj, v, sample, r, g, hyper):
+    m = _pull(obj, v, sample)
     singular = abs(r) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
         return _from_raw((hyper.alpha * m + r) / (2.0 * obj.arity * r + singular), singular)
@@ -153,11 +153,11 @@ def optimal_lr_momentum(
     Undefined when the current residual is below SINGULAR_TOL: the carried
     velocity then has nothing to correct against.
     """
-    return _solved(_lr_momentum, obj, state, sample, alpha=alpha)
+    return _solved(Method.MOMENTUM, "eta", obj, state, sample, alpha=alpha)
 
 
-def _momentum_coef(obj, state, sample, r, g, hyper):
-    m = _pull(obj, state, sample)
+def _momentum_coef(obj, v, sample, r, g, hyper):
+    m = _pull(obj, v, sample)
     singular = abs(m) < SINGULAR_TOL
     eta = hyper.eta
     if obj is not ObjectiveId.F3:
@@ -177,7 +177,7 @@ def optimal_momentum_coef(
     Undefined when the velocity term it scales is below SINGULAR_TOL, in
     particular at the very first update where the velocity is still zero.
     """
-    return _solved(_momentum_coef, obj, state, sample, eta=eta)
+    return _solved(Method.MOMENTUM, "alpha", obj, state, sample, eta=eta)
 
 
 def _scaled_lr(
@@ -199,8 +199,8 @@ def _scaled_lr(
     return _from_raw(s_w * s_b / (denom + singular), singular)
 
 
-def _lr_adagrad(obj, state, sample, r, g, hyper):
-    return _scaled_lr(obj, sample, state.grad_sq_sum.w, state.grad_sq_sum.b, hyper.epsilon)
+def _lr_adagrad(obj, phi, sample, r, g, hyper):
+    return _scaled_lr(obj, sample, phi.w, phi.b, hyper.epsilon)
 
 
 def optimal_lr_adagrad(
@@ -217,11 +217,11 @@ def optimal_lr_adagrad(
     Defined whenever the scaled divisors are positive, which epsilon > 0
     guarantees.
     """
-    return _solved(_lr_adagrad, obj, state, sample, epsilon=epsilon)
+    return _solved(Method.ADAGRAD, "eta", obj, state, sample, epsilon=epsilon)
 
 
-def _lr_rmsprop(obj, state, sample, r, g, hyper):
-    u, beta = state.weighted_grad_sq, hyper.beta
+def _lr_rmsprop(obj, u, sample, r, g, hyper):
+    beta = hyper.beta
     u_b = None if g.d_b is None else _weighted_grad_sq(u.b, g.d_b, beta)
     return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, hyper.epsilon)
 
@@ -241,14 +241,14 @@ def optimal_lr_rmsprop(
     beta * u + (1 - beta) * g**2 from the state's current accumulators and
     gradient. ``f3_half_gradient`` must match the convention the step uses.
     """
-    return _solved(_lr_rmsprop, obj, state, sample, f3_half_gradient, beta=beta, epsilon=epsilon)
+    return _solved(Method.RMSPROP, "eta", obj, state, sample, f3_half_gradient, beta=beta, epsilon=epsilon)
 
 
-def _beta_rmsprop(obj, state, sample, r, g, hyper):
+def _beta_rmsprop(obj, u, sample, r, g, hyper):
     eta, epsilon = hyper.eta, hyper.epsilon
     g = g.d_b if obj is ObjectiveId.F3 else g.d_w
     g_sq = g * g
-    denom = state.weighted_grad_sq.w - g_sq
+    denom = u.w - g_sq
     singular = abs(denom) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
         return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular)
@@ -276,7 +276,7 @@ def optimal_beta_rmsprop(
     (the w slot is read) and one common gradient value; for F3 the common
     gradient holds at x = 1 and the b component is read.
     """
-    return _solved(_beta_rmsprop, obj, state, sample, f3_half_gradient, eta=eta, epsilon=epsilon)
+    return _solved(Method.RMSPROP, "beta", obj, state, sample, f3_half_gradient, eta=eta, epsilon=epsilon)
 
 
 # Each (method, target) pair once, mapped to its unchecked core.
@@ -319,7 +319,7 @@ def solve(
     Raises:
         ValueError: if the pair is not in OPTIMIZED_HYPERS.
     """
-    form = _FORMS.get((method, target))
-    if form is None:
+    if (method, target) not in _FORMS:
         raise ValueError(f"no closed form for {target!r} under {getattr(method, 'value', repr(method))}")
-    return _solved(form, obj, state, sample, f3_half_gradient, eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)
+    given = {"eta": eta, "alpha": alpha, "beta": beta, "epsilon": epsilon}
+    return _solved(method, target, obj, state, sample, f3_half_gradient, **given)

@@ -6,8 +6,8 @@ a single (x, y) sample. Every loss is the square of a signed residual, which
 the update rules and the closed-form step sizes downstream exploit.
 
 ``_check_inputs`` is the package's one test of a well-formed (objective, point, sample):
-the point's type and arity (``_check_point``), then the sample's presence and type
-(``_check_sample``). ``residual``, ``evaluate`` and ``gradient`` run it, then the
+the point's type, arity and real coordinates (``_check_point``), then the sample's presence,
+type and real x and y (``_check_sample``). ``residual``, ``evaluate`` and ``gradient`` run it, then the
 unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
 ``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
@@ -63,6 +63,17 @@ class GradientVector:
     d_b: float | None = None
 
 
+def _require_real(name: str, value) -> None:
+    """Refuse a ``value`` that is neither a real number nor a numeric array (verify's columns,
+    the analyzer's grids); a float takes one test, and numpy is never imported."""
+    if value.__class__ is not float:
+        import numbers
+
+        dtype = getattr(value, "dtype", None)  # a numpy array or scalar
+        if not (isinstance(value, numbers.Real) if dtype is None else dtype.kind in "fiu"):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_point(obj: ObjectiveId, point: ParamPoint, name: str = "point") -> None:
     if not isinstance(point, ParamPoint):
         raise ValueError(f"{name} must be a ParamPoint, got {point!r}")
@@ -71,6 +82,8 @@ def _check_point(obj: ObjectiveId, point: ParamPoint, name: str = "point") -> No
             f"{obj.name} needs both parameters w and b" if point.b is None
             else f"{obj.name} takes a single parameter w, got b={point.b!r}"
         )
+    for field, value in (("w", point.w), ("b", point.b))[: obj.arity]:
+        _require_real(f"{name}.{field}", value)
 
 
 def _check_sample(obj: ObjectiveId, sample: RegressionSample | None) -> None:
@@ -81,6 +94,8 @@ def _check_sample(obj: ObjectiveId, sample: RegressionSample | None) -> None:
         )
     if sample is not None and not isinstance(sample, RegressionSample):
         raise ValueError(f"sample must be a RegressionSample, got {sample!r}")
+    for field, value in () if sample is None else (("x", sample.x), ("y", sample.y)):
+        _require_real(f"sample.{field}", value)
 
 
 def _require_index(name: str, value) -> int:

@@ -5,14 +5,14 @@
 arity, then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
 and every public ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
 non-finite gradient. ``step`` then applies the method's per-coordinate rule
-``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES``
-maps each method to that rule and to the state slot it advances. The callers that
-hold a checked gradient call those rules themselves: ``harness.run_training``, which
-checked its inputs once per run, on float coordinates after its own ``_finite`` test
-of each epoch's gradient, and the analyzer's searches, whose state does not move, on
-array coordinates at every curve point. ``_require_method`` is the one test that a
-method is a ``Method``; ``HyperParams`` refuses a value that is not a number with the
-error, naming the field, that it gives a number out of range.
+``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
+map from a method to that rule and to the state slot it advances, which ``_slot`` reads
+for every caller. Those that hold a checked gradient call the rules themselves:
+``harness.run_training``, which checked its inputs once per run, on float coordinates
+after its own ``_finite`` test of each epoch's gradient, and the analyzer's searches,
+whose state does not move, on array coordinates at every curve point. ``_require_method``
+is the one test that a method is a ``Method``; ``HyperParams`` refuses a bool or a value
+that is not a number with the error, naming the field, that it gives a number out of range.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
@@ -26,13 +26,13 @@ weighted gradient-square mixes the current gradient into the incoming
 average before the division (rmsprop). Each is written once, in
 ``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt also calls.
 ``adagrad_post_view`` is ``_check_state`` and the gradient, then the unchecked
-``_post_view``, which the run loop and verify call on a gradient they hold.
+``_post_view`` of the sums, which the run loop and verify call on a gradient they hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -63,7 +63,9 @@ def _all(ok) -> bool:
 
 def _in_range(value, top: float) -> bool:
     """Whether ``value`` (a float, or every element of an array) lies in [0, top], or in
-    [0, inf) for an infinite ``top``; a value that does not compare with floats does not."""
+    [0, inf) for an infinite ``top``; a bool, or a value that does not compare with floats, does not."""
+    if value.__class__ is bool:
+        return False
     try:
         return _all((0.0 <= value) & ((value <= top) if top < math.inf else (value < top)))
     except TypeError:
@@ -165,8 +167,8 @@ def _weighted_grad_sq(u, g, beta):
 # Per-coordinate rules (c, slot, g, hyper) -> (c', slot'): one coordinate,
 # its value in the state slot the method advances, and its gradient.
 
-def _descend(c, _, g, hyper):
-    return c - hyper.eta * g, None
+def _descend(c, s, g, hyper):
+    return c - hyper.eta * g, s
 
 
 def _heavy_ball(c, v, g, hyper):
@@ -214,6 +216,12 @@ _RULES = {
 _NO_SLOT = PerCoord()
 
 
+def _slot(method: Method, state: OptimizerState) -> PerCoord:
+    """The state slot ``method`` moves, as ``_RULES`` names it; zeros for plain descent."""
+    name = _RULES[method][0]
+    return _NO_SLOT if name is None else getattr(state, name)
+
+
 def _checked_gradient(
     state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None, f3_half_gradient: bool
 ) -> GradientVector:
@@ -242,15 +250,11 @@ def step(
     """
     g = _checked_gradient(state, obj, sample, f3_half_gradient)
     name, rule = _RULES[method]
-    slots = {
-        "velocity": state.velocity, "grad_sq_sum": state.grad_sq_sum, "weighted_grad_sq": state.weighted_grad_sq
-    }
-    slot = _NO_SLOT if name is None else slots[name]
+    slot = _slot(method, state)
     w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
     b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
-    if name is not None:
-        slots[name] = PerCoord(slot_w, slot_b)
-    return OptimizerState(ParamPoint(w, b), epoch=state.epoch + 1, **slots)
+    moved = {} if name is None else {name: PerCoord(slot_w, slot_b)}
+    return replace(state, params=ParamPoint(w, b), epoch=state.epoch + 1, **moved)
 
 
 # The four rules by name: ``step`` with the method fixed.
@@ -281,11 +285,10 @@ def adagrad_post_view(
     """``state`` with grad_sq_sum advanced by the current squared gradient: the
     sums the pending adagrad step divides by, which its closed form reads."""
     _check_state(state, obj, sample)
-    return _post_view(state, _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient))
+    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
+    return replace(state, grad_sq_sum=_post_view(state.grad_sq_sum, g))
 
 
-def _post_view(state: OptimizerState, g: GradientVector) -> OptimizerState:
-    """``adagrad_post_view`` unchecked, on the gradient ``g`` at ``state``."""
-    phi = state.grad_sq_sum
-    post = PerCoord(_grad_sq_sum(phi.w, g.d_w), None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b))
-    return OptimizerState(state.params, state.velocity, post, state.weighted_grad_sq, state.epoch)
+def _post_view(phi: PerCoord, g: GradientVector) -> PerCoord:
+    """The sums ``phi`` advanced by the squared gradient ``g``, unchecked."""
+    return PerCoord(_grad_sq_sum(phi.w, g.d_w), None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b))

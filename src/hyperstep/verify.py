@@ -9,10 +9,11 @@ row at a time. ``optimizers._flat_state`` reads a state from a row (floats) or
 from the columns (arrays). ``_obj_sample`` picks each objective's regression
 sample, the beta rule's included, and ``_row`` writes every report row. Each
 table is solved in one call on its columns, by its core in ``hyperopt._FORMS``
-(public hyperopt names take floats only), fed the table's residual and gradient,
-taken once; the argmin, one-step and gradient
-checks then search, step or evaluate its defined, feasible rows. The argmin
-and one-step checks take one f3 gradient convention, ``_HALF``, on both sides.
+(public hyperopt names take floats only), fed the method's slot and the table's
+residual and gradient, taken once; the argmin (in one ``analyzer._search`` per
+check), one-step and gradient checks then search, step or evaluate its defined,
+feasible rows. The argmin and one-step checks take one f3 gradient convention,
+``_HALF``, on both sides.
 Hyperstep functions are looked up as module attributes at call time
 (``optimizers.step``, ...), so a wrapper bound in their home module also
 sees the calls made from here.
@@ -140,7 +141,7 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             r = objectives._residual(obj, at.params, sample)
             g = objectives._gradient(obj, r, sample, _HALF)
             given = HyperParams(*columns[-3:], epsilon=_EPSILON)
-            fv = hyperopt._FORMS[method, target](obj, at, sample, r, g, given)
+            fv = hyperopt._FORMS[method, target](obj, optimizers._slot(method, at), sample, r, g, given)
             # plain descent's rate is one float for the whole table
             defined, feasible, value = (np.broadcast_to(a, states) for a in (fv.defined, fv.feasible, fv.value))
             min_defined = min(min_defined, np.count_nonzero(defined) / states)
@@ -152,7 +153,7 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             at = _flat_state(obj, kept, common)
             curves.append(analyzer._pointwise_curve(method, obj, target, fixed, sample, at, _HALF))
             values.extend(value[keep].tolist())
-    found = [r for table in analyzer._lockstep(curves) for r in table]
+    found = [r for table in analyzer._search(curves) for r in table]
     worst = max([0.0, *(abs(r.argmin - v) for r, v in zip(found, values))])
     compared = len(found)
     return _row(
@@ -193,8 +194,9 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
             at, given = _one_step_draw(obj, columns, coefficient, target)
             r = objectives._residual(obj, at.params, sample)
             g = objectives._gradient(obj, r, sample, _HALF)
-            view = optimizers._post_view(at, g) if method is Method.ADAGRAD else at
-            fv = hyperopt._FORMS[method, target](obj, view, sample, r, g, HyperParams(**given, epsilon=_EPSILON))
+            slot = optimizers._slot(method, at)  # adagrad's form reads the sums the step divides by
+            slot = optimizers._post_view(slot, g) if method is Method.ADAGRAD else slot
+            fv = hyperopt._FORMS[method, target](obj, slot, sample, r, g, HyperParams(**given, epsilon=_EPSILON))
             keep = np.broadcast_to(fv.defined & fv.feasible, samples)  # plain descent's rate is one float
             if not keep.any():
                 continue

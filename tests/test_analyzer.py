@@ -242,11 +242,16 @@ SYNTHETIC_CURVES = {
 }
 
 
+def _searched(curve, n):
+    """``analyzer._search`` of one curve function over ``n`` curves, 64 scan points per call."""
+    return analyzer._search([(curve, n, analyzer._SCAN_POINTS)])[0]
+
+
 def test_one_lockstep_search_reproduces_every_single_curve_result():
     # flat and multimodal curves and minima at either end, all in one search;
     # a numpy scalar leaking into a result would change its repr
     curves = [f for f, _ in SYNTHETIC_CURVES.values()]
-    results = analyzer._search(lambda t: np.array([[f(x) for x in row] for f, row in zip(curves, t)]), len(curves))
+    results = _searched(lambda t: np.array([[f(x) for x in row] for f, row in zip(curves, t)]), len(curves))
     assert [repr(r) for r in results] == [want for _, want in SYNTHETIC_CURVES.values()]
     # the interior curve is flat to rounding near 0.3, where the best point can
     # lie outside the last golden-section interval; the bracket still holds it
@@ -270,8 +275,9 @@ def test_batched_pointwise_search_equals_per_state_searches(method, target):
     states = verify._draw(rng, 6, verify._state_columns(F2))
     states[2, :2] = (0.3, -0.3)
     hypers = verify._draw(rng, 6, [verify._UNIT] * 3)
-    batched = analyzer._pointwise_argmins(
-        method, F2, target, HyperParams(*hypers.T[..., None]), None, _flat_state(F2, states.T[..., None]), False
+    state = _flat_state(F2, states.T[..., None])
+    [batched] = analyzer._search(
+        [analyzer._pointwise_curve(method, F2, target, HyperParams(*hypers.T[..., None]), None, state, False)]
     )
     single = [
         pointwise_argmin_hyper(method, F2, target, HyperParams(*h), None, _flat_state(F2, s))
@@ -331,7 +337,7 @@ def test_a_joint_check_equals_its_per_table_searches(method):
     tables.append((obj, target, sample, ends))
 
     curves, expected = zip(*(_pointwise_table(method, *t) for t in tables))
-    joint = analyzer._lockstep(list(curves))
+    joint = analyzer._search(list(curves))
     assert [[repr(r) for r in found] for found in joint] == [[repr(r) for r in found] for found in expected]
     assert all(found[0].flat for found in joint[:-1])
     assert {r.evaluations for r in joint[-1]} == {101}
@@ -377,7 +383,7 @@ def _sampled_routes(method, target, obj, sample, half, spec):
 
     return (
         lambda: argmin_hyper(method, obj, target, BASE, sample, spec, template, f3_half_gradient=half),
-        lambda: analyzer._search(_one_point_per_call(mean_error), 1),
+        lambda: _searched(_one_point_per_call(mean_error), 1),
     )
 
 
@@ -398,8 +404,8 @@ def _pointwise_routes(method, target, obj, table):
         return value
 
     return (
-        lambda: analyzer._argmin(method, obj, target, fixed, sample, state, g),
-        lambda: analyzer._search(_one_point_per_call(loss), len(table)),
+        lambda: analyzer._search([analyzer._curve(method, obj, target, fixed, sample, state, g)])[0],
+        lambda: _searched(_one_point_per_call(loss), len(table)),
     )
 
 
@@ -421,7 +427,7 @@ def test_a_lockstep_search_asks_each_curve_for_no_more_points_than_its_budget():
     table = verify._draw(np.random.default_rng(1), 20, verify._pointwise_columns(F2, "eta"))
     pointwise, alone = _pointwise_table(Method.MOMENTUM, F2, "eta", None, table)
     assert (grid[2], pointwise[2]) == (3, 64)
-    joint = analyzer._lockstep([grid, pointwise])
+    joint = analyzer._search([grid, pointwise])
     expected = [argmin_hyper(Method.MOMENTUM, F2, "eta", BASE, None, spec, _template(F2))], alone
     assert [[repr(r) for r in found] for found in joint] == [[repr(r) for r in found] for found in expected]
 
@@ -450,7 +456,7 @@ def test_one_non_finite_loss_at_either_end_of_a_sampled_grid_raises(method, targ
     state.params.w[at] = 1e200
     g = analyzer._gradient_at(state, F1, None, False)
     with pytest.raises(ValueError, match="^non-finite loss at a sample point$"):
-        analyzer._argmin(method, F1, target, BASE, None, state, g)
+        analyzer._search([analyzer._curve(method, F1, target, BASE, None, state, g)])
 
 
 @pytest.mark.parametrize("row", [0, 57, 99])
@@ -515,11 +521,11 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
     monkeypatch.setattr(analyzer, "_residual", lambda *args: evaluated.append(args) or real(*args))
     state = _flat_state(F2, verify._draw(np.random.default_rng(0), rows, verify._state_columns(F2)).T[..., None])
     with pytest.raises(ValueError) as searched:
-        analyzer._pointwise_argmins(Method.MOMENTUM, F2, "eta", fixed, None, state, False)
+        analyzer._search([analyzer._pointwise_curve(Method.MOMENTUM, F2, "eta", fixed, None, state, False)])
     assert str(searched.value) == str(direct.value)
     assert str(direct.value).startswith("alpha must lie in [0, 1]")
     assert evaluated == []
     # the patched residual is the one a curve point takes: with alpha back in range, it is called
     alpha[1, 0] = 0.5
-    analyzer._pointwise_argmins(Method.MOMENTUM, F2, "eta", fixed, None, state, False)
+    analyzer._search([analyzer._pointwise_curve(Method.MOMENTUM, F2, "eta", fixed, None, state, False)])
     assert evaluated

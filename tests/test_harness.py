@@ -601,10 +601,12 @@ _unit = strategies.one_of(strategies.floats(0.0, 1.0), strategies.sampled_from([
 
 # one pinned example per divergence route: a non-finite gradient (x * r overflows
 # while r * r does not), a non-finite loss (a zero rmsprop divisor at epsilon = 0
-# and beta = 1), and a non-finite state (adagrad's g * g overflows, the loss stays finite)
+# and beta = 1), and a non-finite state (adagrad's g * g overflows, the loss stays finite);
+# and a run whose w sum overflows on the step that meets the tolerance: diverged, yet converged
 @example(Method.GD, F3, False, True, 0.0, 1e150, 1e200, 0.0, 0.1, 0.5, 0.5, 1e-8, 10)
 @example(Method.RMSPROP, F1, False, False, 0.3, None, 0.0, 0.0, 0.1, 0.5, 1.0, 0.0, 10)
 @example(Method.ADAGRAD, F3, False, True, 1e-100, 1.0, 1e160, 0.0, 0.1, 0.5, 0.5, 1e-8, 10)
+@example(Method.ADAGRAD, F3, False, True, 0.0, 0.5, 1e160, 0.0, 0.5, 0.5, 0.5, 0.0, 10)
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     method=strategies.sampled_from(list(Method)),
@@ -632,6 +634,7 @@ def test_runs_replay_through_the_public_checked_step(
     init = ParamPoint(w=w, b=None if obj is F1 else b)
     cfg = RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs, f3_half_gradient=half)
     trace = run_training(cfg)
+    assert trace.converged_epoch == detect_convergence(trace.records, cfg.tolerance)
     state = OptimizerState.initial(init)
     for i, rec in enumerate(trace.records):
         if i:

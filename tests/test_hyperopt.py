@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hyperstep import (
     optimal_lr_momentum,
     optimal_lr_rmsprop,
     optimal_momentum_coef,
+    optimizers,
     solve,
 )
 
@@ -476,7 +478,8 @@ def _array_form(pair, obj, state, sample, half, eta, alpha, beta, epsilon):
     """The core ``hyperopt._FORMS`` maps ``pair`` to, fed the residual and gradient at ``state``."""
     r = objectives._residual(obj, state.params, sample)
     g = objectives._gradient(obj, r, sample, half)
-    return hyperopt._FORMS[pair](obj, state, sample, r, g, HyperParams(eta, alpha, beta, epsilon))
+    slot = optimizers._slot(pair[0], state)
+    return hyperopt._FORMS[pair](obj, slot, sample, r, g, HyperParams(eta, alpha, beta, epsilon))
 
 
 def test_a_negative_accumulator_is_undefined_on_floats_and_arrays():
@@ -558,3 +561,32 @@ def test_array_forms_equal_per_row_scalar_solve(pair, obj, rows, x, y):
             )
             assert (one.value.hex(), one.raw.hex()) == (float(value[i]).hex(), float(raw[i]).hex()), table[i]
             assert (one.defined, one.feasible) == (bool(defined[i]), bool(feasible[i])), table[i]
+
+
+# The state slot each method moves; a closed form reads no other.
+MOVED_SLOT = {
+    Method.GD: None,
+    Method.MOMENTUM: "velocity",
+    Method.ADAGRAD: "grad_sq_sum",
+    Method.RMSPROP: "weighted_grad_sq",
+}
+
+
+@pytest.mark.parametrize("obj", [F1, F2, F3], ids=lambda o: o.value)
+@pytest.mark.parametrize("pair", list(NAMED_RULES), ids=lambda p: f"{p[0].value}-{p[1]}")
+def test_a_closed_form_reads_only_its_methods_slot(pair, obj):
+    # the slots the method does not move are NaN and change nothing; a NaN in
+    # its own slot leaves every form but plain descent's undefined
+    method, target = pair
+    two = obj.arity == 2
+    sample = RegressionSample(x=1.0, y=0.3) if obj is F3 else None
+    clean = make_state(0.3, 0.4, 0.1, -0.2, 0.5, 0.6, 0.7, 0.8) if two else make_state(0.3, v_w=0.1, phi_w=0.5, u_w=0.7)
+    nan = PerCoord(math.nan, math.nan if two else None)
+    moved = MOVED_SLOT[method]
+    others = {name: nan for name in ("velocity", "grad_sq_sum", "weighted_grad_sq") if name != moved}
+    given = {"eta": 0.1, "alpha": 0.5, "beta": 0.5, "epsilon": 1e-8}
+    want = solve(method, target, obj, clean, sample, **given)
+    assert want.defined
+    assert repr(solve(method, target, obj, replace(clean, **others), sample, **given)) == repr(want)
+    if moved is not None:
+        assert not solve(method, target, obj, replace(clean, **{moved: nan}), sample, **given).defined

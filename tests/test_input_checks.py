@@ -4,6 +4,7 @@ sample with the error ``step`` gives for it, word for word."""
 import inspect
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hyperstep import (
@@ -156,3 +157,34 @@ def test_a_point_or_sample_of_the_wrong_type_is_refused_as_step_does(obj):
         by_step = _refusal(lambda: step(Method.GD, state, DEFAULT_HYPERS, obj, (0.3, 0.23)))
         assert by_step == "sample must be a RegressionSample, got (0.3, 0.23)"
         assert _refusal(lambda: optimal_lr_gd(obj, state, (0.3, 0.23))) == by_step
+
+
+# A coordinate, x or y that is not a real number, each refused by its name rather
+# than left to raise a bare TypeError from the residual's arithmetic.
+NOT_REAL = [
+    pytest.param(F1, ParamPoint("0.3"), None, "w", "'0.3'", id="f1-w-str"),
+    pytest.param(F1, ParamPoint(None), None, "w", "None", id="f1-w-none"),
+    pytest.param(F2, ParamPoint(0.3, 0.4j), None, "b", "0.4j", id="f2-b-complex"),
+    pytest.param(F3, ParamPoint(0.3, 0.4), RegressionSample("1", 0.2), "x", "'1'", id="f3-x-str"),
+    pytest.param(F3, ParamPoint(0.3, 0.4), RegressionSample(1.0, [0.2]), "y", "[0.2]", id="f3-y-list"),
+]
+
+
+@pytest.mark.parametrize("obj, params, sample, field, got", NOT_REAL)
+def test_a_value_that_is_not_a_real_number_is_refused_by_name(obj, params, sample, field, got):
+    state = OptimizerState.initial(params)
+    holder = "sample" if field in ("x", "y") else "point"
+    text = f"{holder}.{field} must be a real number, got {got}"
+    assert _refusal(lambda: step(Method.GD, state, DEFAULT_HYPERS, obj, sample)) == text
+    assert _refusal(lambda: solve(Method.MOMENTUM, "eta", obj, state, sample, **GIVEN)) == text
+    config_text = text.replace("point.", "init.")
+    fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
+    assert _refusal(lambda: RunConfig(Method.GD, obj, fixed, sample=sample, init=params)) == config_text
+
+
+def test_numeric_arrays_and_numpy_scalars_are_real():
+    # verify's columns and the analyzer's grids are arrays; numpy's own scalars pass too
+    params = ParamPoint(np.array([0.3, 0.1], dtype=np.float32), np.array([1, 2]))
+    sample = RegressionSample(np.float32(0.5), np.int64(1))
+    stepped = step(Method.GD, OptimizerState.initial(params), DEFAULT_HYPERS, F3, sample)
+    assert stepped.params.w.shape == stepped.params.b.shape == (2,)

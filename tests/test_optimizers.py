@@ -254,7 +254,15 @@ def test_hyperparams_check_arrays_elementwise():
     ("epsilon", [1e-8], "epsilon must be a finite non-negative real, got [1e-08]"),
     ("eta", 0.1j, "eta must be a finite non-negative real, got 0.1j"),
     ("alpha", np.array([["0.5"]]), "alpha must lie in [0, 1], got array([['0.5']], dtype='<U3')"),
-], ids=["eta-str", "alpha-str", "beta-none", "epsilon-list", "eta-complex", "alpha-str-array"])
+    # a bool compares as 0 or 1 but is not a step size or coefficient
+    ("eta", True, "eta must be a finite non-negative real, got True"),
+    ("alpha", False, "alpha must lie in [0, 1], got False"),
+    ("beta", True, "beta must lie in [0, 1], got True"),
+    ("epsilon", False, "epsilon must be a finite non-negative real, got False"),
+], ids=[
+    "eta-str", "alpha-str", "beta-none", "epsilon-list", "eta-complex", "alpha-str-array",
+    "eta-bool", "alpha-bool", "beta-bool", "epsilon-bool",
+])
 def test_hyperparams_refuse_a_value_that_is_not_a_number_by_name(name, value, text):
     # each used to escape as a bare TypeError from the range comparison
     with pytest.raises(ValueError) as err:

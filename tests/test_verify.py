@@ -120,8 +120,8 @@ def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
 
 def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
     # every state defined but infeasible: no search runs, so the check cannot pass
-    def infeasible(obj, state, *_):
-        return hyperopt._from_raw(np.full_like(state.params.w, 2.0))
+    def infeasible(obj, slot, sample, r, *_):
+        return hyperopt._from_raw(np.full_like(r, 2.0))
 
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
     row = verify.check_argmin_pointwise(Method.ADAGRAD, 0, 3)
