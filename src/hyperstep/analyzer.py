@@ -75,7 +75,6 @@ from .optimizers import (
     _RULES,
     _checked_gradient,
     _slot,
-    _unchecked_hyper,
     step,
 )
 
@@ -334,7 +333,8 @@ def _curve(
 
     def curve(t: np.ndarray) -> np.ndarray:
         k = t.shape[1]
-        hyper = _unchecked_hyper({**values, target: t[..., None]})
+        hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range
+        hyper.__dict__.update({**values, target: t[..., None]})
         out = losses[:, :k]
         with np.errstate(over="ignore", invalid="ignore"):
             for part, w, s_w, g_w, b, s_b, g_b in slabs(max(1, _SLAB_BUDGET // (n * k))):

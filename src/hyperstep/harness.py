@@ -10,11 +10,15 @@ an undefined value keeps the previous one, an infeasible value is clamped to
 policy's kind, base and names, the method, objective, policy, budget, tolerance and f3
 convention, and the sample and a given initial point through the halves of
 ``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors). ``resolve_init``
-draws a seeded initial point. ``run_training`` then checks nothing per epoch but finiteness. It keeps
+draws a seeded initial point, each seed's draw made once and kept in a bounded cache.
+``run_training`` then checks nothing per epoch but finiteness. It keeps
 the params and the coordinates of the state slot the method moves as float locals and takes one
 gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (fed that
 slot, adagrad's through ``optimizers._post_view``) and the method's per-coordinate rule from
-``optimizers._RULES``; it shares one ``HyperFlags`` per combination of flags. ``_finite`` checks
+``optimizers._RULES``; it shares one ``HyperFlags`` per combination of flags and builds each
+epoch's ``ParamPoint``, ``EpochRecord``, slot ``PerCoord`` and picked ``HyperParams`` by the one
+unchecked idiom that ``optimizers`` describes, ``object.__new__`` and a ``__dict__`` filled item by
+item in field order, so no per-field ``object.__setattr__`` runs. ``_finite`` checks
 only that the gradient, whose finiteness defines divergence, the params and the slot are finite.
 The loop's exit test gives ``converged_epoch``, what ``detect_convergence`` finds in the records.
 A run on floats computes in plain floats, a zero divisor's inf or NaN included.
@@ -30,14 +34,14 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 
 from .objectives import (
     ObjectiveId, ParamPoint, RegressionSample,
     _check_point, _check_sample, _gradient, _require_index, _require_objective, _require_seed, _residual,
 )
 from .optimizers import (
-    _RULES, HyperParams, Method, PerCoord, _post_view, _require_method, _unchecked_hyper,
+    _RULES, HyperParams, Method, PerCoord, _post_view, _require_method,
 )
 from .hyperopt import _FORMS, OPTIMIZED_HYPERS
 
@@ -224,8 +228,10 @@ def _seed_words(seed: int) -> list[int]:
     return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _seeded_uniforms(seed: int, n: int) -> list[float]:
-    """The first ``n`` draws of ``np.random.default_rng(seed).uniform(0.0, 1.0)``."""
+@lru_cache(maxsize=256)
+def _seeded_uniforms(seed: int, n: int) -> tuple[float, ...]:
+    """The first ``n`` draws of ``np.random.default_rng(seed).uniform(0.0, 1.0)``, drawn once
+    per (seed, n) while the pair stays among the last 256 asked for."""
     s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
     inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
@@ -235,7 +241,7 @@ def _seeded_uniforms(seed: int, n: int) -> list[float]:
         x, rot = (state >> 64 ^ state) & _M64, state >> 122
         x = (x >> rot | x << (64 - rot)) & _M64
         draws.append((x >> 11) * 2.0**-53)
-    return draws
+    return tuple(draws)
 
 
 def resolve_init(cfg: RunConfig) -> ParamPoint:
@@ -297,6 +303,7 @@ def run_training(cfg: RunConfig) -> Trace:
     hypers, flags = cfg.policy.base, _FIXED_FLAGS
     epoch = 1
     diverged = not math.isfinite(loss)
+    new = object.__new__  # the unchecked idiom of optimizers' docstring
 
     while not diverged and loss > tolerance and epoch < max_epochs:
         g = _gradient(obj, r, sample, half)
@@ -304,7 +311,9 @@ def run_training(cfg: RunConfig) -> Trace:
             diverged = True
             break
         if forms:
-            slot = PerCoord(s_w, s_b)
+            slot = new(PerCoord)
+            fill = slot.__dict__
+            fill["w"], fill["b"] = s_w, s_b
             if method is Method.ADAGRAD:  # its form reads the sums the pending step divides by
                 slot = _post_view(slot, g)
             chosen = {}
@@ -314,16 +323,27 @@ def run_training(cfg: RunConfig) -> Trace:
                     chosen[target] = FLAG_FALLBACK
                     continue
                 chosen[target] = FLAG_CLOSED_FORM if fv.feasible else FLAG_CLAMPED
-                hypers = _unchecked_hyper({**hypers.__dict__, target: fv.value})
+                picked = new(HyperParams)  # a clamped value lies in every range
+                fill = picked.__dict__
+                fill.update(hypers.__dict__)
+                fill[target] = fv.value
+                hypers = picked
             flags = _flags(**chosen)
         w, s_w = rule(w, s_w, g.d_w, hypers)
         if b is not None:
             b, s_b = rule(b, s_b, g.d_b, hypers)
         epoch += 1
-        params = ParamPoint(w, b)
+        params = new(ParamPoint)
+        fill = params.__dict__
+        fill["w"], fill["b"] = w, b
         r = _residual(obj, params, sample)
         loss = float(r * r)
-        records.append(EpochRecord(epoch, params, loss, hypers, flags))
+        record = new(EpochRecord)
+        fill = record.__dict__
+        fill["epoch"], fill["params"], fill["loss"], fill["hyper_used"], fill["hyper_flags"] = (
+            epoch, params, loss, hypers, flags
+        )
+        records.append(record)
         # an overflowed accumulator would freeze the run with a finite loss
         diverged = not (math.isfinite(loss) and _finite(w, b) and _finite(s_w, s_b))
 

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import ObjectiveId, RegressionSample, _gradient, _residual
-from .optimizers import Method, OptimizerState, PerCoord, _check_state, _slot, _unchecked_hyper, _weighted_grad_sq
+from .optimizers import HyperParams, Method, OptimizerState, PerCoord, _check_state, _slot, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -68,12 +68,21 @@ class FeasibleValue:
     defined: bool
 
 
+_UNDEFINED = FeasibleValue(value=_NAN, raw=_NAN, feasible=False, defined=False)
+
+
 def _from_raw(raw, singular=False) -> FeasibleValue:
-    """``raw`` clamped and flagged, a float or elementwise; undefined where singular or not finite."""
+    """``raw`` clamped and flagged, a float or elementwise; undefined where singular or not finite.
+    A defined float is built by ``optimizers``' unchecked idiom, an undefined one is ``_UNDEFINED``."""
     if isinstance(raw, float):
         if singular or not math.isfinite(raw):
-            return FeasibleValue(value=_NAN, raw=_NAN, feasible=False, defined=False)
-        return FeasibleValue(value=min(max(raw, 0.0), 1.0), raw=raw, feasible=0.0 <= raw <= 1.0, defined=True)
+            return _UNDEFINED
+        fv = object.__new__(FeasibleValue)
+        fill = fv.__dict__
+        fill["value"], fill["raw"], fill["feasible"], fill["defined"] = (
+            min(max(raw, 0.0), 1.0), raw, 0.0 <= raw <= 1.0, True
+        )
+        return fv
     import numpy as np
 
     defined = np.isfinite(raw) & np.logical_not(singular)
@@ -107,7 +116,8 @@ def _solved(
     and gradient taken there once and the ``given`` values (None where not given) as one HyperParams."""
     _check_state(state, obj, sample)
     r = _residual(obj, state.params, sample)
-    hyper = _unchecked_hyper({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
+    hyper = object.__new__(HyperParams)  # unchecked: a value not given is None
+    hyper.__dict__.update({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
     g = _gradient(obj, r, sample, f3_half_gradient)
     return _FORMS[method, target](obj, _slot(method, state), sample, r, g, hyper)
 

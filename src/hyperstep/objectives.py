@@ -7,7 +7,8 @@ the update rules and the closed-form step sizes downstream exploit.
 
 ``_check_inputs`` is the package's one test of a well-formed (objective, point, sample):
 the point's type, arity and real coordinates (``_check_point``), then the sample's presence,
-type and real x and y (``_check_sample``). ``residual``, ``evaluate`` and ``gradient`` run it, then the
+type and real x and y (``_check_sample``); ``_require_real``, which refuses a bool too, is the one
+test that a value is real. ``residual``, ``evaluate`` and ``gradient`` run it, then the
 unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
 ``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
@@ -65,12 +66,13 @@ class GradientVector:
 
 def _require_real(name: str, value) -> None:
     """Refuse a ``value`` that is neither a real number nor a numeric array (verify's columns,
-    the analyzer's grids); a float takes one test, and numpy is never imported."""
+    the analyzer's grids), or is a bool, as ``HyperParams`` and every count refuse one; a
+    float takes one test, and numpy is never imported."""
     if value.__class__ is not float:
         import numbers
 
         dtype = getattr(value, "dtype", None)  # a numpy array or scalar
-        if not (isinstance(value, numbers.Real) if dtype is None else dtype.kind in "fiu"):
+        if value.__class__ is bool or not (isinstance(value, numbers.Real) if dtype is None else dtype.kind in "fiu"):
             raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
@@ -170,11 +172,15 @@ def gradient(
 def _gradient(
     obj: ObjectiveId, r: float, sample: RegressionSample | None, f3_half_gradient: bool
 ) -> GradientVector:
-    """The gradient at a point whose residual is ``r``."""
+    """The gradient at a point whose residual is ``r``, built by the unchecked idiom."""
     if obj is ObjectiveId.F1:
-        return GradientVector(d_w=2.0 * r)
-    if obj is ObjectiveId.F2:
-        g = 2.0 * r
-        return GradientVector(d_w=g, d_b=g)
-    scale = 1.0 if f3_half_gradient else 2.0
-    return GradientVector(d_w=scale * sample.x * r, d_b=scale * r)
+        d_w, d_b = 2.0 * r, None
+    elif obj is ObjectiveId.F2:
+        d_w = d_b = 2.0 * r
+    else:
+        scale = 1.0 if f3_half_gradient else 2.0
+        d_w, d_b = scale * sample.x * r, scale * r
+    g = object.__new__(GradientVector)
+    fill = g.__dict__
+    fill["d_w"], fill["d_b"] = d_w, d_b
+    return g

@@ -2,7 +2,8 @@
 
 ``step`` is the one update path, two parts run in sequence. ``_checked_gradient`` runs
 ``_check_state``, the one test of a well-formed (state, objective, sample): each slot's
-arity, then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
+arity and real coordinates (``objectives._require_real``, naming ``velocity.w`` and so on),
+then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
 and every public ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
 non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
@@ -27,6 +28,21 @@ average before the division (rmsprop). Each is written once, in
 ``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt also calls.
 ``adagrad_post_view`` is ``_check_state`` and the gradient, then the unchecked
 ``_post_view`` of the sums, which the run loop and verify call on a gradient they hold.
+
+A frozen value whose fields are known good is built by the one unchecked idiom:
+``object.__new__(cls)``, then its ``__dict__`` filled with every field in ``fields()``
+order. It skips the dataclass ``__init__`` (one ``object.__setattr__`` per field) and
+equals the checked value in ``==``, ``hash`` and ``repr``. It is written out at each use,
+since a helper call costs more than it saves in the run loop. The values a trace keeps
+are filled item by item: an ``update`` from a fresh dict gives the instance a copy of
+that dict's whole table, not the keys its class shares (a ``ParamPoint`` takes ~250 B
+so, ~160 B filled item by item and ~100 B through ``__init__``, by ``tracemalloc``). It
+builds ``HyperParams`` whose values were checked once for many (the analyzer's search
+points, ``hyperopt._solved``'s given values, the run loop's closed-form picks), and
+values of classes with no ``__post_init__``, for which it skips no check:
+``_post_view``'s ``PerCoord``, ``objectives._gradient``'s ``GradientVector``,
+``hyperopt._from_raw``'s defined float ``FeasibleValue`` and the run loop's
+``ParamPoint``, ``EpochRecord`` and slot ``PerCoord``.
 """
 
 from __future__ import annotations
@@ -36,7 +52,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
-from .objectives import GradientVector, ObjectiveId, ParamPoint, RegressionSample, _check_inputs, _gradient, _residual
+from .objectives import (
+    GradientVector, ObjectiveId, ParamPoint, RegressionSample, _check_inputs, _gradient, _require_real, _residual,
+)
 
 
 class Method(Enum):
@@ -92,14 +110,6 @@ class HyperParams:
             raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
 
 
-def _unchecked_hyper(values: dict) -> HyperParams:
-    """HyperParams holding ``values`` without ``__post_init__``'s range checks,
-    for a caller that checked them once for many instances."""
-    hyper = object.__new__(HyperParams)
-    hyper.__dict__.update(values)
-    return hyper
-
-
 @dataclass(frozen=True)
 class PerCoord:
     """A per-coordinate quantity (velocity or accumulator) mirroring ParamPoint arity."""
@@ -146,11 +156,14 @@ def _flat_state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerSt
 def _check_state(state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None) -> None:
     two = obj.arity == 2
     for name in ("velocity", "grad_sq_sum", "weighted_grad_sq"):
-        if (getattr(state, name).b is None) is two:
+        slot = getattr(state, name)
+        if (slot.b is None) is two:
             raise ValueError(
                 f"{name} is missing its b component for {obj.name}" if two
                 else f"{name} has a b component but {obj.name} takes one parameter"
             )
+        for field, value in (("w", slot.w), ("b", slot.b))[: obj.arity]:
+            _require_real(f"{name}.{field}", value)
     _check_inputs(obj, state.params, sample)
 
 
@@ -290,5 +303,9 @@ def adagrad_post_view(
 
 
 def _post_view(phi: PerCoord, g: GradientVector) -> PerCoord:
-    """The sums ``phi`` advanced by the squared gradient ``g``, unchecked."""
-    return PerCoord(_grad_sq_sum(phi.w, g.d_w), None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b))
+    """The sums ``phi`` advanced by the squared gradient ``g``, built by the unchecked idiom."""
+    view = object.__new__(PerCoord)
+    fill = view.__dict__
+    fill["w"] = _grad_sq_sum(phi.w, g.d_w)
+    fill["b"] = None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b)
+    return view

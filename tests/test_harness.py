@@ -6,7 +6,7 @@ import math
 import re
 import struct
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -21,6 +21,8 @@ from hyperstep import (
     OPTIMIZED_HYPERS,
     ComparisonMatrix,
     EpochRecord,
+    FeasibleValue,
+    GradientVector,
     HyperFlags,
     HyperParams,
     HyperPolicy,
@@ -29,6 +31,7 @@ from hyperstep import (
     ObjectiveId,
     OptimizerState,
     ParamPoint,
+    PerCoord,
     PolicyKind,
     RandomInit,
     RegressionSample,
@@ -36,6 +39,8 @@ from hyperstep import (
     Trace,
     detect_convergence,
     evaluate,
+    harness,
+    hyperopt,
     objectives,
     optimizers,
     reproduce_table2,
@@ -217,6 +222,15 @@ def test_starting_at_the_minimum_converges_at_epoch_one():
     trace = run_training(cfg)
     assert trace.converged_epoch == 1
     assert len(trace.records) == 1
+
+
+def test_a_loss_exactly_at_the_tolerance_has_converged():
+    # r = 0.25, so the first loss is 0.0625 exactly: the run stops before its first update
+    cfg = RunConfig(Method.GD, F1, HyperPolicy.fixed(DEFAULT_HYPERS), init=ParamPoint(0.75), tolerance=0.0625)
+    trace = run_training(cfg)
+    assert [rec.loss for rec in trace.records] == [0.0625]
+    assert trace.converged_epoch == 1 == detect_convergence(trace.records, 0.0625)
+    assert detect_convergence(trace.records, math.nextafter(0.0625, 0.0)) is None
 
 
 @pytest.mark.parametrize(
@@ -747,3 +761,79 @@ def test_an_optimal_run_checks_no_state_and_takes_one_gradient_per_epoch(monkeyp
     )
     trace = run_training(cfg)
     assert calls == {"_check_state": 0, "_gradient": len(trace.records) - 1}
+
+
+# The run loop, _gradient, _post_view and _from_raw's float branch build their frozen values
+# by object.__new__ and a __dict__ fill, skipping the dataclass __init__; each must equal
+# the value the public constructor builds from the same fields.
+
+def _same_value(built, checked):
+    assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+    assert list(vars(built)) == [f.name for f in fields(checked)]
+
+
+UNCHECKED_CONFIGS = [
+    pytest.param(method, obj, optimal, half, id=f"{method.value}-{obj.value}-{'optimal' if optimal else 'fixed'}-{half}")
+    for method in Method
+    for obj in ObjectiveId
+    for optimal in (False, True)
+    for half in ((True, False) if obj is F3 else (False,))
+]
+
+
+@pytest.mark.parametrize("method, obj, optimal, half", UNCHECKED_CONFIGS)
+def test_records_equal_their_copies_through_the_public_constructors(method, obj, optimal, half):
+    policy = HyperPolicy.optimal(DEFAULT_HYPERS, OPTIMIZED_HYPERS[method]) if optimal else HyperPolicy.fixed(DEFAULT_HYPERS)
+    sample = DEFAULT_SAMPLE if obj is F3 else None
+    cfg = RunConfig(method, obj, policy, sample=sample, init=RandomInit(seed=3), max_epochs=60, f3_half_gradient=half)
+    trace = run_training(cfg)
+    assert len(trace.records) > 1
+    for rec in trace.records:
+        p, h, f = rec.params, rec.hyper_used, rec.hyper_flags
+        params = ParamPoint(p.w, p.b)
+        hyper = HyperParams(h.eta, h.alpha, h.beta, h.epsilon)
+        _same_value(p, params)
+        _same_value(h, hyper)
+        _same_value(rec, EpochRecord(rec.epoch, params, rec.loss, hyper, HyperFlags(f.eta, f.alpha, f.beta)))
+
+
+@pytest.mark.parametrize("obj", list(ObjectiveId), ids=lambda o: o.value)
+@pytest.mark.parametrize("half", [True, False], ids=["half", "standard"])
+def test_a_gradient_and_a_post_view_equal_their_copies_through_the_public_constructors(obj, half):
+    point = ParamPoint(0.3, None if obj is F1 else -0.7)
+    sample = DEFAULT_SAMPLE if obj is F3 else None
+    g = objectives._gradient(obj, objectives._residual(obj, point, sample), sample, half)
+    _same_value(g, GradientVector(g.d_w, g.d_b))
+    phi = PerCoord(0.25, None if obj is F1 else 0.5)
+    view = optimizers._post_view(phi, g)
+    _same_value(view, PerCoord(phi.w + g.d_w * g.d_w, None if phi.b is None else phi.b + g.d_b * g.d_b))
+
+
+@pytest.mark.parametrize("raw", [0.0, 0.3, 1.0, -0.5, 1.5, 5e-324, -0.0])
+def test_a_defined_float_closed_form_equals_its_checked_copy(raw):
+    _same_value(hyperopt._from_raw(raw), FeasibleValue(min(max(raw, 0.0), 1.0), raw, 0.0 <= raw <= 1.0, True))
+
+
+@pytest.mark.parametrize("raw, singular", [(0.3, True), (math.inf, False), (-math.inf, False), (math.nan, False)])
+def test_an_undefined_float_closed_form_equals_its_checked_copy(raw, singular):
+    got = hyperopt._from_raw(raw, singular)
+    want = FeasibleValue(math.nan, math.nan, False, False)
+    assert repr(got) == repr(want) and list(vars(got)) == list(vars(want))
+    assert math.isnan(got.value) and math.isnan(got.raw) and got.feasible is got.defined is False
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31, 2**32, 2**64 + 5, 2**200], ids=repr)
+def test_a_seeded_draw_is_drawn_once_and_bit_for_bit(seed):
+    draws = harness._seeded_uniforms(seed, 2)
+    assert draws.__class__ is tuple
+    assert harness._seeded_uniforms(seed, 2) is draws
+    uncached = harness._seeded_uniforms.__wrapped__(seed, 2)
+    assert [x.hex() for x in draws] == [x.hex() for x in uncached] == [x.hex() for x in _numpy_draws(seed)]
+
+
+def test_the_seeded_draws_kept_are_bounded():
+    size = harness._seeded_uniforms.cache_info().maxsize
+    assert size is not None
+    for seed in range(size + 8):
+        harness._seeded_uniforms(seed, 2)
+    assert harness._seeded_uniforms.cache_info().currsize == size

@@ -457,6 +457,17 @@ def test_f1_momentum_coefficient_equals_its_unmerged_form(eta, w, v):
     assert repr(got) == repr(hyperopt._from_raw(2.0 * (eta - 0.5) * (w - 0.5) / v))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_a_velocity_exactly_at_the_singular_tolerance_is_defined(sign):
+    # the test is abs(m) < SINGULAR_TOL: the tolerance itself is defined, the next float below it is not
+    at = sign * SINGULAR_TOL
+    below = sign * math.nextafter(SINGULAR_TOL, 0.0)
+    got = optimal_momentum_coef(F1, make_state(0.3, v_w=at), eta=0.1)
+    assert got.defined and not got.feasible
+    assert got.raw == (2.0 * 0.1 - 1.0) * (0.3 - 0.5) / at
+    assert not optimal_momentum_coef(F1, make_state(0.3, v_w=below), eta=0.1).defined
+
+
 # Drawn rows for the array forms: coordinates, then accumulators (negative ones too: the
 # update rule accepts them, and a rule whose root is then NaN is undefined on both paths),
 # then eta, alpha, beta (at the values where a factor 2 * arity * eta - 1 is 0) and epsilon.

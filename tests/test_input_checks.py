@@ -167,6 +167,10 @@ NOT_REAL = [
     pytest.param(F2, ParamPoint(0.3, 0.4j), None, "b", "0.4j", id="f2-b-complex"),
     pytest.param(F3, ParamPoint(0.3, 0.4), RegressionSample("1", 0.2), "x", "'1'", id="f3-x-str"),
     pytest.param(F3, ParamPoint(0.3, 0.4), RegressionSample(1.0, [0.2]), "y", "[0.2]", id="f3-y-list"),
+    # a bool is refused, as HyperParams, the tolerance and every count refuse one
+    pytest.param(F1, ParamPoint(True), None, "w", "True", id="f1-w-bool"),
+    pytest.param(F2, ParamPoint(0.3, False), None, "b", "False", id="f2-b-bool"),
+    pytest.param(F3, ParamPoint(0.3, 0.4), RegressionSample(True, 0.2), "x", "True", id="f3-x-bool"),
 ]
 
 
@@ -180,6 +184,27 @@ def test_a_value_that_is_not_a_real_number_is_refused_by_name(obj, params, sampl
     config_text = text.replace("point.", "init.")
     fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
     assert _refusal(lambda: RunConfig(Method.GD, obj, fixed, sample=sample, init=params)) == config_text
+
+
+# A slot coordinate that is not a real number, refused by the slot's name and field.
+NOT_REAL_SLOTS = [
+    pytest.param(obj, name, field, value, id=f"{obj.value}-{name}.{field}-{type(value).__name__}")
+    for obj, field in ((F1, "w"), (F2, "b"), (F3, "w"))
+    for name in SLOTS
+    for value in ("0.1", True, [0.1])
+]
+
+
+@pytest.mark.parametrize("obj, name, field, value", NOT_REAL_SLOTS)
+def test_a_slot_value_that_is_not_a_real_number_is_refused_by_name(obj, name, field, value):
+    state, sample = _well_formed(obj)
+    state = replace(state, **{name: replace(getattr(state, name), **{field: value})})
+    text = f"{name}.{field} must be a real number, got {value!r}"
+    for method in Method:
+        assert _refusal(lambda: step(method, state, DEFAULT_HYPERS, obj, sample)) == text
+    for (method, target), (rule, given) in RULES.items():
+        assert _refusal(lambda: rule(obj, state, sample, **given)) == text
+    assert _refusal(lambda: adagrad_post_view(state, obj, sample, f3_half_gradient=False)) == text
 
 
 def test_numeric_arrays_and_numpy_scalars_are_real():
