@@ -6,13 +6,14 @@ forms for the requested hyperparameters and applies the fallback contract:
 an undefined value keeps the previous one, an infeasible value is clamped to
 [0, 1], and every choice is flagged in the trace.
 
-``HyperPolicy`` and ``RunConfig`` are where a run is checked, each field by name: the
-policy's kind, base and names, the method, objective, policy, budget, tolerance and f3
-convention, and the sample and a given initial point through the halves of
-``objectives._check_inputs`` (``step``'s check, so with ``step``'s errors). ``resolve_init``
-draws a seeded initial point, each seed's draw made once and kept in a bounded cache.
-``run_training`` then checks nothing per epoch but finiteness. It keeps
-the params and the coordinates of the state slot the method moves as float locals and takes one
+``HyperPolicy`` and ``RunConfig`` are where a run is checked, each field by name: the policy's
+kind, base and names, the method, objective, policy, budget, tolerance and f3 convention, and
+the sample and a given initial point through the halves of ``objectives._check_inputs``
+(``step``'s check, so with ``step``'s errors); since a run steps on floats, it then refuses an
+array coordinate, which that check passes for the oracles, with that check's error.
+``resolve_init`` draws a seeded initial point, each seed's draw made once and kept in a bounded
+cache. ``run_training`` then checks nothing per epoch but finiteness. It keeps the params and
+the coordinates of the state slot the method moves as float locals and takes one
 gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (fed that
 slot, adagrad's through ``optimizers._post_view``) and the method's per-coordinate rule from
 ``optimizers._RULES``; it shares one ``HyperFlags`` per combination of flags and builds each
@@ -171,8 +172,13 @@ class RunConfig:
         if self.f3_half_gradient.__class__ is not bool:
             raise ValueError(f"f3_half_gradient must be a bool, got {self.f3_half_gradient!r}")
         _check_sample(self.objective, self.sample)
+        coords = [] if self.sample is None else [("sample.x", self.sample.x), ("sample.y", self.sample.y)]
         if not (self.init is None or isinstance(self.init, RandomInit)):
             _check_point(self.objective, self.init, "init")
+            coords += [("init.w", self.init.w), ("init.b", self.init.b)][: self.objective.arity]
+        for name, value in coords:  # an array passes _require_real, for the oracles
+            if getattr(value, "ndim", 0):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         extra = self.policy.optimize - OPTIMIZED_HYPERS[self.method]
         if extra:
             raise ValueError(
@@ -378,10 +384,6 @@ PUBLISHED_RESULTS: dict[tuple[Method, ObjectiveId], PublishedCell] = {
     (Method.RMSPROP, ObjectiveId.F3): PublishedCell(2, 6e-33, 13, 5e-9),
 }
 
-METHOD_ORDER = (Method.GD, Method.MOMENTUM, Method.ADAGRAD, Method.RMSPROP)
-OBJECTIVE_ORDER = (ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3)
-
-
 @dataclass(frozen=True)
 class ComparisonCell:
     method: Method
@@ -426,8 +428,8 @@ def reproduce_table2(
     exact under that convention.
     """
     cells = []
-    for method in METHOD_ORDER:
-        for obj in OBJECTIVE_ORDER:
+    for method in Method:
+        for obj in ObjectiveId:
             common = dict(
                 method=method,
                 objective=obj,

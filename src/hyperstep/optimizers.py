@@ -1,11 +1,11 @@
 """One-step update rules for four gradient descent variants.
 
 ``step`` is the one update path, two parts run in sequence. ``_checked_gradient`` runs
-``_check_state``, the one test of a well-formed (state, objective, sample): each slot's
-arity and real coordinates (``objectives._require_real``, naming ``velocity.w`` and so on),
-then ``objectives._check_inputs`` on the params and the sample (``adagrad_post_view``
-and every public ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
-non-finite gradient. ``step`` then applies the method's per-coordinate rule
+``_check_state``, the one test of a well-formed (state, objective, sample): the state's and each
+slot's type, each slot's arity and real coordinates (``objectives._require_real``, naming
+``velocity.w`` and so on), then ``objectives._check_inputs`` on the params and the sample
+(``adagrad_post_view`` and every public ``hyperopt`` rule run it first too, so all fail alike);
+it then refuses a non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
 map from a method to that rule and to the state slot it advances, which ``_slot`` reads
 for every caller. Those that hold a checked gradient call the rules themselves:
@@ -27,7 +27,7 @@ weighted gradient-square mixes the current gradient into the incoming
 average before the division (rmsprop). Each is written once, in
 ``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt also calls.
 ``adagrad_post_view`` is ``_check_state`` and the gradient, then the unchecked
-``_post_view`` of the sums, which the run loop and verify call on a gradient they hold.
+``_post_view`` of the sums, which the run loop calls on the gradient it holds.
 
 A frozen value whose fields are known good is built by the one unchecked idiom:
 ``object.__new__(cls)``, then its ``__dict__`` filled with every field in ``fields()``
@@ -154,9 +154,13 @@ def _flat_state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerSt
 
 
 def _check_state(state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None) -> None:
+    if not isinstance(state, OptimizerState):
+        raise ValueError(f"state must be an OptimizerState, got {state!r}")
     two = obj.arity == 2
     for name in ("velocity", "grad_sq_sum", "weighted_grad_sq"):
         slot = getattr(state, name)
+        if not isinstance(slot, PerCoord):
+            raise ValueError(f"{name} must be a PerCoord, got {slot!r}")
         if (slot.b is None) is two:
             raise ValueError(
                 f"{name} is missing its b component for {obj.name}" if two

@@ -8,9 +8,10 @@ of its arguments; the acceptance tests draw through the same sampler, one
 row at a time. ``optimizers._flat_state`` reads a state from a row (floats) or
 from the columns (arrays). ``_obj_sample`` picks each objective's regression
 sample, the beta rule's included, and ``_row`` writes every report row. Each
-table is solved in one call on its columns, by its core in ``hyperopt._FORMS``
-(public hyperopt names take floats only), fed the method's slot and the table's
-residual and gradient, taken once; the argmin (in one ``analyzer._search`` per
+table is solved in one call on its columns by ``hyperopt._at``, the one unchecked
+path from a state to its closed form (public hyperopt names take floats only);
+the one-step check hands it adagrad's post-accumulation view from the public
+``optimizers.adagrad_post_view``. The argmin (in one ``analyzer._search`` per
 check), one-step and gradient checks then search, step or evaluate its defined,
 feasible rows. The argmin and one-step checks take one f3 gradient convention,
 ``_HALF``, on both sides.
@@ -137,11 +138,8 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             common = target == "beta"
             columns = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target)).T
             # adagrad's state is read as the post-accumulation view on both sides
-            at = _flat_state(obj, columns, common)
-            r = objectives._residual(obj, at.params, sample)
-            g = objectives._gradient(obj, r, sample, _HALF)
             given = HyperParams(*columns[-3:], epsilon=_EPSILON)
-            fv = hyperopt._FORMS[method, target](obj, optimizers._slot(method, at), sample, r, g, given)
+            fv = hyperopt._at(method, target, obj, _flat_state(obj, columns, common), sample, _HALF, given)
             # plain descent's rate is one float for the whole table
             defined, feasible, value = (np.broadcast_to(a, states) for a in (fv.defined, fv.feasible, fv.value))
             min_defined = min(min_defined, np.count_nonzero(defined) / states)
@@ -192,11 +190,9 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
         for target in targets:
             sample = _obj_sample(obj, target)
             at, given = _one_step_draw(obj, columns, coefficient, target)
-            r = objectives._residual(obj, at.params, sample)
-            g = objectives._gradient(obj, r, sample, _HALF)
-            slot = optimizers._slot(method, at)  # adagrad's form reads the sums the step divides by
-            slot = optimizers._post_view(slot, g) if method is Method.ADAGRAD else slot
-            fv = hyperopt._FORMS[method, target](obj, slot, sample, r, g, HyperParams(**given, epsilon=_EPSILON))
+            if method is Method.ADAGRAD:  # its form reads the sums the step divides by
+                at = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=_HALF)
+            fv = hyperopt._at(method, target, obj, at, sample, _HALF, HyperParams(**given, epsilon=_EPSILON))
             keep = np.broadcast_to(fv.defined & fv.feasible, samples)  # plain descent's rate is one float
             if not keep.any():
                 continue

@@ -143,6 +143,12 @@ def test_finite_diff_gradient_examples():
     assert fd.d_b == pytest.approx(2.0 * delta, abs=1e-8)
 
 
+@pytest.mark.parametrize("step_size", [0.0, -1e-6, float("nan")])
+def test_finite_diff_gradient_refuses_a_step_size_that_is_not_positive(step_size):
+    with pytest.raises(ValueError, match=f"^step_size must be positive, got {step_size!r}$"):
+        finite_diff_gradient(F1, ParamPoint(w=0.3), step_size=step_size)
+
+
 @pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize(
     "resolution, seed, domain, message",

@@ -7,14 +7,21 @@ compared by equality here, so set-valued ones do not depend on iteration order.
 """
 
 import enum
+import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import hyperstep
 from hyperstep import HyperParams, Method, ObjectiveId, PublishedCell, RegressionSample
 
 SNAPSHOT = json.loads(Path(__file__).with_name("api_snapshot.json").read_text())
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _GD, _MOM, _ADA, _RMS = Method.GD, Method.MOMENTUM, Method.ADAGRAD, Method.RMSPROP
 _F1, _F2, _F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
@@ -69,3 +76,39 @@ def test_enum_members_unchanged():
 def test_constant_values_unchanged():
     for name, expected in CONSTANTS.items():
         assert getattr(hyperstep, name) == expected, name
+
+
+# The export table: a bare import loads no submodule; each name resolves from its home module.
+_BARE_IMPORT = """
+import json, sys
+import hyperstep
+
+seen = {"modules": sorted(m for m in sys.modules if m.startswith("hyperstep")), "numpy": "numpy" in sys.modules}
+seen["harness"] = hyperstep.harness is sys.modules["hyperstep.harness"]
+try:
+    hyperstep.no_such_name
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+print(json.dumps(seen))
+"""
+
+
+def test_a_bare_import_loads_no_submodule_and_resolves_a_home_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _BARE_IMPORT], capture_output=True, env=env, timeout=60, check=True)
+    assert json.loads(proc.stdout) == {
+        "modules": ["hyperstep"],
+        "numpy": False,
+        "harness": True,
+        "unknown": "module 'hyperstep' has no attribute 'no_such_name'",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(hyperstep.__all__) - {"__version__"}))
+def test_each_public_name_is_its_home_modules_object(name):
+    (home,) = [home for home, names in hyperstep._EXPORTS.items() if name in names]
+    assert getattr(hyperstep, name) is getattr(importlib.import_module(f"hyperstep.{home}"), name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(hyperstep.__all__) <= set(dir(hyperstep))

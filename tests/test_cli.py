@@ -159,6 +159,35 @@ def test_init_and_init_seed_are_mutually_exclusive(capsys):
     assert "mutually exclusive" in err
 
 
+
+# a malformed argument or config file: exit 1 with one error naming what is wrong, before any output
+_RUN = ("run", "--method", "gd", "--objective", "f1")
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        pytest.param(["--init", "w=abc"], None, "bad number in init component 'w=abc'", id="init-number"),
+        pytest.param(["--init", "b=0.4"], None, "init 'b=0.4' must set w", id="init-without-w"),
+        pytest.param([], "missing", "cannot read config file {cfg!r}", id="config-missing"),
+        pytest.param(
+            [], "# a comment\nbogus line\n", "{cfg}:2: expected 'key = value', got 'bogus line'", id="config-line"
+        ),
+        pytest.param(["--policy", "optimal", "--optimize", ","], None, "--optimize names no hyperparameters",
+                     id="optimize-empty"),
+    ],
+)
+def test_a_malformed_argument_or_config_file_is_a_usage_error(tmp_path, capsys, argv, config, message):
+    cfg = str(tmp_path / "run.cfg")
+    if config is not None:
+        if config != "missing":
+            Path(cfg).write_text(config)
+        argv = [*argv, "--config", cfg]
+    code, out, err = run_cli(capsys, *_RUN, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message.format(cfg=cfg) in err
+
+
 def test_optimal_subcommand_output_format(capsys):
     code, out, _ = run_cli(
         capsys, "optimal", "--method", "momentum", "--objective", "f1",

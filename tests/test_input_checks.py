@@ -23,6 +23,7 @@ from hyperstep import (
     optimal_lr_momentum,
     optimal_lr_rmsprop,
     optimal_momentum_coef,
+    reproduce_table2,
     solve,
     step,
 )
@@ -213,3 +214,48 @@ def test_numeric_arrays_and_numpy_scalars_are_real():
     sample = RegressionSample(np.float32(0.5), np.int64(1))
     stepped = step(Method.GD, OptimizerState.initial(params), DEFAULT_HYPERS, F3, sample)
     assert stepped.params.w.shape == stepped.params.b.shape == (2,)
+
+
+# A state or slot of the wrong type, refused by name; each used to escape as a bare AttributeError.
+_INITIAL = OptimizerState.initial(ParamPoint(0.3))
+WRONG_TYPE = [
+    pytest.param(replace(_INITIAL, velocity=None), "velocity must be a PerCoord, got None", id="slot-none"),
+    pytest.param(replace(_INITIAL, velocity=(0.0,)), "velocity must be a PerCoord, got (0.0,)", id="slot-tuple"),
+    pytest.param(replace(_INITIAL, grad_sq_sum=0.0), "grad_sq_sum must be a PerCoord, got 0.0", id="float-slot"),
+    pytest.param("x", "state must be an OptimizerState, got 'x'", id="state-str"),
+    pytest.param(None, "state must be an OptimizerState, got None", id="state-none"),
+]
+
+
+@pytest.mark.parametrize("state, text", WRONG_TYPE)
+def test_a_state_or_slot_of_the_wrong_type_is_refused_by_name(state, text):
+    assert _refusal(lambda: step(Method.GD, state, HyperParams(0.1), F1)) == text
+    assert _refusal(lambda: solve(Method.GD, "eta", F1, state, **GIVEN)) == text
+    assert _refusal(lambda: optimal_lr_momentum(F1, state, alpha=0.5)) == text
+    assert _refusal(lambda: adagrad_post_view(state, F1, None, f3_half_gradient=False)) == text
+
+
+# A run steps on floats: the array coordinates the oracles' checks pass are refused by field.
+ARRAY_FIELDS = [
+    pytest.param(F1, ParamPoint(np.array([0.3, 0.4])), None, "init.w", id="f1-init-w"),
+    pytest.param(F2, ParamPoint(0.3, np.array([0.3, 0.4])), None, "init.b", id="f2-init-b"),
+    pytest.param(F3, None, RegressionSample(np.array([0.3, 0.5]), 0.2), "sample.x", id="f3-sample-x"),
+    pytest.param(F3, None, RegressionSample(0.3, np.array([0.2])), "sample.y", id="f3-sample-y"),
+]
+
+
+@pytest.mark.parametrize("obj, init, sample, field", ARRAY_FIELDS)
+def test_a_run_refuses_an_array_coordinate_by_name(obj, init, sample, field):
+    holder, name = field.split(".")
+    value = getattr(init if holder == "init" else sample, name)
+    text = f"{field} must be a real number, got {value!r}"
+    fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
+    assert _refusal(lambda: RunConfig(Method.GD, obj, fixed, sample=sample, init=init)) == text
+    if obj is F3:
+        assert _refusal(lambda: reproduce_table2(sample=sample)) == text
+
+
+@pytest.mark.parametrize("w", [0.3, np.float64(0.3), np.array(0.3)], ids=["float", "numpy-scalar", "0-d"])
+def test_a_run_takes_a_numpy_scalar_or_0d_array_coordinate(w):
+    fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
+    assert run_training(RunConfig(Method.GD, F1, fixed, init=ParamPoint(w))).converged_epoch == 56

@@ -25,23 +25,10 @@ from hyperstep import (
     rmsprop_step,
     step,
 )
+from states import make_state
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
 SAMPLE = RegressionSample(x=0.3, y=0.23)
-
-
-def make_state(w, b=None, v_w=0.0, v_b=None, phi_w=0.0, phi_b=None, u_w=0.0, u_b=None):
-    two = b is not None
-    if two:
-        v_b = 0.0 if v_b is None else v_b
-        phi_b = 0.0 if phi_b is None else phi_b
-        u_b = 0.0 if u_b is None else u_b
-    return OptimizerState(
-        params=ParamPoint(w=w, b=b),
-        velocity=PerCoord(w=v_w, b=v_b),
-        grad_sq_sum=PerCoord(w=phi_w, b=phi_b),
-        weighted_grad_sq=PerCoord(w=u_w, b=u_b),
-    )
 
 
 def test_gd_worked_example():

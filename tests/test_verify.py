@@ -128,6 +128,16 @@ def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
     assert (row["compared"], row["min_defined_fraction"], row["passed"]) == (0, 1.0, False)
 
 
+def test_one_step_check_fails_when_no_draw_is_kept(monkeypatch):
+    # every draw defined but infeasible: nothing is stepped, so the check cannot pass
+    def infeasible(obj, slot, sample, r, *_):
+        return hyperopt._from_raw(np.full_like(r, 2.0))
+
+    monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
+    row = verify._check_one_step(Method.ADAGRAD, 3, 0)
+    assert (row["tested"], row["max_deviation"], row["passed"]) == (0, 0.0, False)
+
+
 # every column layout the checks draw: gradients, pointwise per target, one-step per coefficient
 LAYOUTS = {
     **{f"gradients/{o.value}": [verify._UNIT] * o.arity for o in ObjectiveId},
