@@ -13,12 +13,17 @@ each to the result it gets searched alone. The pointwise check of a method
 searches pass one. ``finite_diff_gradient`` plays the same role for the
 analytic gradients.
 
-Evaluation threads numpy arrays through the real update rules, so the
-dynamics being minimized are exactly the ones a training run would take. The
-state does not move during a search, so a curve takes the checked gradient
+Evaluation steps numpy arrays by the buffered forms of the real update rules,
+so the dynamics being minimized are exactly the ones a training run would take.
+The state does not move during a search, so a curve takes the checked gradient
 once (``_gradient_at``, the first part ``optimizers.step`` runs) and at each
-curve point runs the method's per-coordinate rule from ``optimizers._RULES``
-on w and on b, as ``harness.run_training`` does (the second part).
+curve point runs the buffered form of the method's per-coordinate rule from
+``optimizers._RULES`` on w and on b (the second part; ``harness.run_training``
+runs the rule itself). A buffered form, like ``objectives._residual_into``,
+writes into arrays the curve owns by its rule's IEEE operations in its rule's
+order, so the same bits; a test holds each form to its rule and
+``_residual_into`` to ``_residual``, and ``mean_post_step_error``, which
+steps by the allocating ``optimizers.step``, is the searches' reference.
 
 A curve maps points of shape (curves, k) to values of the same shape.
 ``_curve`` lays w, b, the method's state slot and the gradient out as
@@ -27,11 +32,15 @@ A curve maps points of shape (curves, k) to values of the same shape.
 calls as ``_SCAN_BUDGET`` loss elements allow: all 64 for a batch of
 pointwise states, one for a 40,000-point grid. Golden-section asks for one
 point per curve. Each call steps the grid in slabs of at most
-``_SLAB_BUDGET`` elements, whose coordinates are cut once per slab width. A
-slab runs the rule on each coordinate, takes ``objectives._residual`` on the
-stepped ``ParamPoint`` and squares it straight into one loss buffer per
-search: the same values in the same contiguous layout, so the same pairwise
-sum, bit for bit, as one step over the whole grid. The call holds numpy's
+``_SLAB_BUDGET`` elements, whose coordinates, loss views and scratch views are
+cut once per number of points. The curve allocates its scratch once: a slab's
+stepped w, stepped b and the rule's temporary, each as large as its largest
+slab. A slab steps w and b into their buffers, takes the residual into w's
+with ``objectives._residual_into`` and squares it straight into one loss
+buffer per curve: the same values in the same contiguous layout, so the same
+pairwise sum, bit for bit, as one step over the whole grid. So a plain-descent
+or momentum curve point allocates no slab-sized array; adagrad and rmsprop
+still allocate their accumulator and divisor. The call holds numpy's
 overflow warnings off once around its slabs, then takes each curve's mean
 along the grid as ``np.add.reduce(losses, axis=-1) / grid``, the arithmetic
 of ``ndarray.mean`` without its Python wrapper, and tests the means for
@@ -40,11 +49,14 @@ is finite only if all its losses are. Only a non-finite mean looks at the
 losses one by one, to tell a non-finite loss (an error) from finite ones
 whose sum overflows (a numpy warning and an inf mean).
 ``mean_post_step_error`` takes one ``step`` and squares its residual, then
-takes the same mean and test. The slabs are there for the allocator. A
-whole-grid step over 40,000 points makes four 320 KB temporaries, whose
-pages glibc hands back to the OS after every curve point and faults in at
-the next: ~84,000 minor page faults per ``verify`` report, against ~2,200
-with 2**14-element slabs (``getrusage``, Python 3.11, numpy on glibc).
+takes the same mean and test. The slabs and buffers are there for the
+allocator. A whole-grid step over 40,000 points makes four 320 KB
+temporaries, whose pages glibc hands back to the OS after every curve point
+and faults in at the next: ~84,000 minor page faults per ``verify`` report,
+against ~2,200 with 2**14-element slabs (``getrusage``, Python 3.11, numpy on
+glibc). Slabs that still allocated up to seven 128 KB temporaries each took
+~90 ms of a report's ``argmin/gd``; stepping into the curve's buffers takes
+~60 ms (process time, 2-vCPU Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -65,6 +77,7 @@ from .objectives import (
     _require_index,
     _require_seed,
     _residual,
+    _residual_into,
     evaluate,
 )
 from .optimizers import (
@@ -317,32 +330,43 @@ def _curve(
         return a if np.ndim(a) == 0 else np.reshape(a, (n, 1, -1))
 
     values = {name: lay(v) for name, v in values.items()}
-    rule = _RULES[method][1]
+    rule = _RULES[method][2]
     slot = _slot(method, state)
     coords = [lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b)]
-
-    @cache
-    def slabs(width: int) -> list[tuple]:
-        parts = [slice(lo, lo + width) for lo in range(0, m, width)]
-        return [(p, *(a if np.ndim(a) == 0 else a[..., p] for a in coords)) for p in parts]
 
     # the slabs of a call fill one buffer, so each curve's losses lie contiguous
     # along the grid and sum pairwise as one whole-grid step's would
     per_call = max(1, min(_SCAN_POINTS, _SCAN_BUDGET // (n * m)))
-    losses = np.empty((n, max(2, per_call), m))
+    most = max(2, per_call)
+    losses = np.empty((n, most, m))
+    # a slab's stepped w, stepped b (w takes its residual) and the rule's scratch, each as
+    # large as the largest slab: width * n * k is at most max(n * k, _SLAB_BUDGET)
+    scratch = np.empty((3, min(n * most * m, max(n * most, _SLAB_BUDGET))))
+
+    @cache
+    def slabs(k: int) -> tuple[np.ndarray, list[tuple]]:
+        """The loss buffer of a k-point call and its slabs: each slab's part of it, its
+        coordinates and its scratch buffers, cut once per k."""
+        width = max(1, _SLAB_BUDGET // (n * k))
+        cut = []
+        for lo in range(0, m, width):
+            part = slice(lo, lo + width)
+            size = n * k * (min(m, lo + width) - lo)
+            buffers = [a[:size].reshape(n, k, -1) for a in scratch]
+            cut.append((losses[:, :k, part], *(a if np.ndim(a) == 0 else a[..., part] for a in coords), *buffers))
+        return losses[:, :k], cut
 
     def curve(t: np.ndarray) -> np.ndarray:
-        k = t.shape[1]
         hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range
         hyper.__dict__.update({**values, target: t[..., None]})
-        out = losses[:, :k]
+        out, cut = slabs(t.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            for part, w, s_w, g_w, b, s_b, g_b in slabs(max(1, _SLAB_BUDGET // (n * k))):
-                w = rule(w, s_w, g_w, hyper)[0]
+            for loss, w, s_w, g_w, b, s_b, g_b, w_new, b_new, tmp in cut:
+                rule(w, s_w, g_w, hyper, w_new, tmp)
                 if b is not None:
-                    b = rule(b, s_b, g_b, hyper)[0]
-                r = _residual(obj, ParamPoint(w, b), sample)
-                np.multiply(r, r, out=out[..., part])
+                    rule(b, s_b, g_b, hyper, b_new, tmp)
+                _residual_into(obj, w_new, b_new, sample, w_new)
+                np.multiply(w_new, w_new, out=loss)
         return _mean_losses(out)
 
     return curve, n, per_call

@@ -11,6 +11,8 @@ type and real x and y (``_check_sample``); ``_require_real``, which refuses a bo
 test that a value is real. ``residual``, ``evaluate`` and ``gradient`` run it, then the
 unchecked cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
+``_residual_into`` is ``_residual`` on arrays written into a buffer the caller owns, bit for
+bit, for the analyzer's curves; only it imports numpy, and only when called.
 ``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
 ``_require_seed`` adds a seed's sign to it; ``_require_objective`` tests that an objective is an
 ``ObjectiveId``, as ``optimizers._require_method`` does for a method.
@@ -139,6 +141,21 @@ def _residual(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | No
     if obj is ObjectiveId.F2:
         return point.w + point.b
     return point.w * sample.x + point.b - sample.y
+
+
+def _residual_into(obj: ObjectiveId, w, b, sample: RegressionSample | None, out) -> None:
+    """``_residual`` at the arrays (w, b) written into ``out``, which may be ``w``: its IEEE
+    operations in its order, through numpy's ``out=``, so the same bits and no new array."""
+    import numpy as np
+
+    if obj is ObjectiveId.F1:
+        np.subtract(w, 0.5, out=out)
+    elif obj is ObjectiveId.F2:
+        np.add(w, b, out=out)
+    else:
+        np.multiply(w, sample.x, out=out)
+        np.add(out, b, out=out)
+        np.subtract(out, sample.y, out=out)
 
 
 def evaluate(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | None = None) -> float:

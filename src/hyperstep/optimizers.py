@@ -7,13 +7,18 @@ slot's type, each slot's arity and real coordinates (``objectives._require_real`
 (``adagrad_post_view`` and every public ``hyperopt`` rule run it first too, so all fail alike);
 it then refuses a non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
-map from a method to that rule and to the state slot it advances, which ``_slot`` reads
-for every caller. Those that hold a checked gradient call the rules themselves:
-``harness.run_training``, which checked its inputs once per run, on float coordinates
-after its own ``_finite`` test of each epoch's gradient, and the analyzer's searches,
-whose state does not move, on array coordinates at every curve point. ``_require_method``
-is the one test that a method is a ``Method``; ``HyperParams`` refuses a bool or a value
-that is not a number with the error, naming the field, that it gives a number out of range.
+map from a method to that rule, to the rule's buffered array form and to the state slot it
+advances, which ``_slot`` reads for every caller. Those that hold a checked gradient call the
+rules themselves: ``harness.run_training``, which checked its inputs once per run, calls the
+rule on float coordinates after its own ``_finite`` test of each epoch's gradient, and the
+analyzer's searches, whose state does not move, call the buffered form on array coordinates
+at every curve point. A buffered form writes the rule's new coordinate into arrays its caller
+owns, through numpy's ``out=``, by the rule's IEEE operations in the rule's order, so bit for
+bit; a test holds each to its rule, sign bits included. ``step`` keeps the allocating rules, so
+it, ``analyzer.mean_post_step_error`` and verify's one-step check are the searches' independent
+reference. ``_require_method`` is the one test that a method is a ``Method``; ``HyperParams``
+refuses a bool or a value that is not a number with the error, naming the field, that it
+gives a number out of range.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
@@ -25,7 +30,8 @@ The closed-form step sizes rely on the accumulator conventions: the
 gradient-square sum is updated before the division (adagrad), and the
 weighted gradient-square mixes the current gradient into the incoming
 average before the division (rmsprop). Each is written once, in
-``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt also calls.
+``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt and both forms of the
+rules call; so is the zero-divisor rule, ``_divisor``.
 ``adagrad_post_view`` is ``_check_state`` and the gradient, then the unchecked
 ``_post_view`` of the sums, which the run loop calls on the gradient it holds.
 
@@ -193,19 +199,24 @@ def _heavy_ball(c, v, g, hyper):
     return c + v, v
 
 
-def _scaled(c, acc, g, hyper, read):
-    # adagrad's and rmsprop's tail: divide by the freshly updated accumulator;
-    # ``read`` says whether it took in g * g (rmsprop's does only at beta < 1).
-    # Where acc + epsilon is 0 and g * g is 0 (g = 0, or a subnormal g whose
-    # square underflows) or was read (so its share underflowed), the divisor
-    # is 1: the coordinate takes the plain descent step -eta * g, nothing or a
+def _divisor(acc, g, hyper, read):
+    # the square of adagrad's and rmsprop's divisor, acc + epsilon from the freshly
+    # updated accumulator; ``read`` says whether it took in g * g (rmsprop's does
+    # only at beta < 1). Where acc + epsilon is 0 and g * g is 0 (g = 0, or a
+    # subnormal g whose square underflows) or was read (so its share underflowed),
+    # it is 1: the coordinate takes the plain descent step -eta * g, nothing or a
     # tiny one. A registering g * g the accumulator never read (rmsprop at
-    # beta = 1) still divides by a zero divisor. A positive or NaN float divisor
-    # takes math.sqrt, which rounds as numpy's does; where Python raises, at d = 0
-    # and d < 0, the step multiplies by IEEE's 1 / sqrt(d): inf, and the default
-    # NaN (inf * 0). Only arrays and numpy scalars take numpy.
+    # beta = 1) still divides by a zero divisor.
     s = acc + hyper.epsilon
-    d = s + ((s == 0) & (read | (g * g == 0)))
+    return s + ((s == 0) & (read | (g * g == 0)))
+
+
+def _scaled(c, acc, g, hyper, read):
+    # adagrad's and rmsprop's tail: divide by the root of ``_divisor``. A positive
+    # or NaN float divisor takes math.sqrt, which rounds as numpy's does; where
+    # Python raises, at d = 0 and d < 0, the step multiplies by IEEE's 1 / sqrt(d):
+    # inf, and the default NaN (inf * 0). Only arrays and numpy scalars take numpy.
+    d = _divisor(acc, g, hyper, read)
     if d.__class__ is float:
         if d > 0.0 or d != d:
             return c - hyper.eta * g / math.sqrt(d), acc
@@ -223,11 +234,53 @@ def _weighted(c, u, g, hyper):
     return _scaled(c, _weighted_grad_sq(u, g, hyper.beta), g, hyper, hyper.beta < 1.0)
 
 
+# The same rules on arrays, buffered (c, slot, g, hyper, out, tmp): each writes the new
+# coordinate c' into ``out``, an array of the shape the inputs broadcast to, by its rule's
+# IEEE operations in its rule's order (so bit for bit), through numpy's ``out=``, with
+# ``tmp`` as scratch of that shape; the new slot is not kept. Plain descent and momentum
+# allocate nothing; adagrad and rmsprop take their accumulator and ``_divisor`` as their
+# rules do, then divide into ``out``. ``analyzer._curve`` steps its slabs by them; the
+# tests hold them to the rules above.
+
+def _descend_into(c, s, g, hyper, out, tmp):
+    import numpy as np
+
+    np.multiply(hyper.eta, g, out=out)
+    np.subtract(c, out, out=out)
+
+
+def _heavy_ball_into(c, v, g, hyper, out, tmp):
+    import numpy as np
+
+    np.multiply(hyper.alpha, v, out=out)
+    np.multiply(hyper.eta, g, out=tmp)
+    np.subtract(out, tmp, out=out)
+    np.add(c, out, out=out)
+
+
+def _scaled_into(c, acc, g, hyper, read, out):
+    import numpy as np
+
+    root = np.sqrt(_divisor(acc, g, hyper, read))
+    np.multiply(hyper.eta, g, out=out)
+    np.divide(out, root, out=out)
+    np.subtract(c, out, out=out)
+
+
+def _accumulated_into(c, phi, g, hyper, out, tmp):
+    _scaled_into(c, _grad_sq_sum(phi, g), g, hyper, True, out)
+
+
+def _weighted_into(c, u, g, hyper, out, tmp):
+    _scaled_into(c, _weighted_grad_sq(u, g, hyper.beta), g, hyper, hyper.beta < 1.0, out)
+
+
+# a method's slot, its rule on floats or arrays, and the rule's buffered array form
 _RULES = {
-    Method.GD: (None, _descend),
-    Method.MOMENTUM: ("velocity", _heavy_ball),
-    Method.ADAGRAD: ("grad_sq_sum", _accumulated),
-    Method.RMSPROP: ("weighted_grad_sq", _weighted),
+    Method.GD: (None, _descend, _descend_into),
+    Method.MOMENTUM: ("velocity", _heavy_ball, _heavy_ball_into),
+    Method.ADAGRAD: ("grad_sq_sum", _accumulated, _accumulated_into),
+    Method.RMSPROP: ("weighted_grad_sq", _weighted, _weighted_into),
 }
 
 _NO_SLOT = PerCoord()
@@ -266,7 +319,7 @@ def step(
         NonFiniteGradientError: if the gradient at ``state`` is not finite.
     """
     g = _checked_gradient(state, obj, sample, f3_half_gradient)
-    name, rule = _RULES[method]
+    name, rule, _ = _RULES[method]
     slot = _slot(method, state)
     w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
     b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,7 +206,8 @@ def test_sweeping_an_unused_hyper_reports_flat():
 
 # Scalar curves and the ``repr`` of the result the scalar scan/golden-section
 # search returned for each, one curve at a time, before the search was batched;
-# the interior bracket has since been widened to hold its argmin.
+# the interior bracket has since been widened to hold its argmin. The plateau
+# valleys, added later, pin the lockstep search's result.
 SYNTHETIC_CURVES = {
     "flat": (
         lambda t: 0.7,
@@ -244,6 +246,13 @@ SYNTHETIC_CURVES = {
         lambda t: 1.0 - math.cos(2.0 * math.pi * 21.0 * t),
         "ArgminResult(argmin=0.0, min_value=0.0, bracket=(0.0, 7.692934625056106e-10), "
         "evaluations=101, flat=False, multimodal=True)",
+    ),
+    # flat-bottomed valleys at scan points {10, 11} and {30, 31}: no strict minimum, so not multimodal
+    "plateau_valleys": (
+        lambda t: min(1.0, max(0.0, abs(63.0 * t - 10.5) - 0.5), max(0.0, abs(63.0 * t - 30.5) - 0.5)),
+        "ArgminResult(argmin=0.15873015873015872, min_value=0.0, "
+        "bracket=(0.15873015873015872, 0.1746031746031746), evaluations=102, "
+        "flat=False, multimodal=False)",
     ),
 }
 
@@ -523,8 +532,8 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
     with pytest.raises(ValueError) as direct:
         replace(fixed)
     evaluated = []
-    real = analyzer._residual
-    monkeypatch.setattr(analyzer, "_residual", lambda *args: evaluated.append(args) or real(*args))
+    real = analyzer._residual_into
+    monkeypatch.setattr(analyzer, "_residual_into", lambda *args: evaluated.append(args) or real(*args))
     state = _flat_state(F2, verify._draw(np.random.default_rng(0), rows, verify._state_columns(F2)).T[..., None])
     with pytest.raises(ValueError) as searched:
         analyzer._search([analyzer._pointwise_curve(Method.MOMENTUM, F2, "eta", fixed, None, state, False)])
@@ -535,3 +544,23 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
     alpha[1, 0] = 0.5
     analyzer._search([analyzer._pointwise_curve(Method.MOMENTUM, F2, "eta", fixed, None, state, False)])
     assert evaluated
+
+
+@pytest.mark.parametrize("method", [GD, Method.MOMENTUM], ids=lambda m: m.value)
+def test_a_grid_curve_point_allocates_no_slab_after_its_first(method):
+    # the slabs step into buffers the curve allocated once: a point over f2's 200x200
+    # grid, in three slabs of 2**14 elements, then allocates only its small arrays
+    state = analyzer._sampled_state(F2, GRID_2D, TEMPLATE_2D)
+    g = analyzer._gradient_at(state, F2, None, False)
+    curve, n, _ = analyzer._curve(method, F2, "eta", BASE, None, state, g)
+    t = np.array([[0.25]])
+    first = curve(t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = curve(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.tobytes() == first.tobytes()
+    assert peak - before < analyzer._SLAB_BUDGET * 8

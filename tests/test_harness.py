@@ -731,6 +731,38 @@ def test_optimal_runs_resolve_through_the_public_checked_forms(
         state = step(method, state, rec.hyper_used, obj, sample, f3_half_gradient=half)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    method=strategies.sampled_from(list(Method)),
+    obj=strategies.sampled_from([F1, F2, F3]),
+    half=strategies.booleans(),
+    data=strategies.data(),
+    w=strategies.floats(-1e154, 1e154),
+    b=strategies.floats(-1e154, 1e154),
+    x=strategies.one_of(strategies.sampled_from([0.0, 1e-300]), strategies.floats(-1e200, 1e200)),
+    y=strategies.floats(-1e6, 1e6),
+    eta=strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 1e3)),
+    alpha=_unit,
+    beta=_unit,
+    epsilon=strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 1.0)),
+    max_epochs=strategies.integers(1, 50),
+)
+def test_a_finite_config_runs_without_raising(method, obj, half, data, w, b, x, y, eta, alpha, beta, epsilon, max_epochs):
+    # any policy, optimizing any non-empty subset of the method's forms; the run ends with
+    # a finite loss unless it is flagged diverged
+    names = sorted(OPTIMIZED_HYPERS[method])
+    optimize = data.draw(strategies.sets(strategies.sampled_from(names), max_size=len(names)), label="optimize")
+    base = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)
+    policy = HyperPolicy.optimal(base, optimize) if optimize else HyperPolicy.fixed(base)
+    sample = RegressionSample(x=x, y=y) if obj is F3 else None
+    init = ParamPoint(w=w, b=None if obj is F1 else b)
+    cfg = RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs, f3_half_gradient=half)
+    trace = run_training(cfg)
+    assert isinstance(trace, Trace) and 1 <= len(trace.records) <= max_epochs
+    assert trace.final_loss == trace.records[-1].loss or math.isnan(trace.final_loss)
+    assert trace.diverged or math.isfinite(trace.final_loss)
+
+
 def test_the_pinned_rmsprop_example_clamps_beta():
     # the momentum example is test_momentum_first_update_flags' run, whose alpha falls back
     trace, _, _ = _optimal_run(*RESOLUTION_EXAMPLES[1])

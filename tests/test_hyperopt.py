@@ -454,6 +454,37 @@ def test_a_velocity_exactly_at_the_singular_tolerance_is_defined(sign):
     assert not optimal_momentum_coef(F1, make_state(0.3, v_w=below), eta=0.1).defined
 
 
+_GIVEN_ALL = {"eta": 0.1, "alpha": 0.5, "beta": 1.0, "epsilon": 0.0}
+
+# Each other singular quantity set to exactly t, as a solve: momentum eta's |r| (f2's
+# r = w + b); adagrad's and rmsprop's scaled-rate denominator 2 * (sqrt(acc_w) + sqrt(acc_b))
+# at epsilon = 0, with acc_w = (t / 2) ** 2 (an exact root) and acc_b = 0 (rmsprop's acc is
+# u at beta = 1); rmsprop beta's u - g**2 at g = 0; and its f3 |r| at x = 1, y = 0.
+SINGULAR_AT = {
+    "momentum-eta |r|": lambda t: solve(Method.MOMENTUM, "eta", F2, make_state(t, 0.0), **_GIVEN_ALL),
+    "adagrad-eta denominator": lambda t: solve(
+        Method.ADAGRAD, "eta", F2, make_state(0.3, 0.4, phi_w=(t / 2.0) ** 2), **_GIVEN_ALL
+    ),
+    "rmsprop-eta denominator": lambda t: solve(
+        Method.RMSPROP, "eta", F2, make_state(0.3, 0.4, u_w=(t / 2.0) ** 2), **_GIVEN_ALL
+    ),
+    "rmsprop-beta u - g**2": lambda t: solve(Method.RMSPROP, "beta", F1, make_state(0.5, u_w=t), **_GIVEN_ALL),
+    "rmsprop-beta f3 |r|": lambda t: solve(
+        Method.RMSPROP, "beta", F3, make_state(0.0, t, u_w=1.0, u_b=1.0), RegressionSample(1.0, 0.0), **_GIVEN_ALL
+    ),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("quantity", list(SINGULAR_AT))
+def test_each_singular_quantity_exactly_at_the_tolerance_is_defined(quantity, sign):
+    # the tolerance itself is defined, the next float below it is not; a denominator
+    # of square roots is never negative, so its negative side squares back to positive
+    at, below = (SINGULAR_AT[quantity](sign * t) for t in (SINGULAR_TOL, math.nextafter(SINGULAR_TOL, 0.0)))
+    assert at.defined and math.isfinite(at.raw)
+    assert not below.defined
+
+
 # Drawn rows for the array forms: coordinates, then accumulators (negative ones too: the
 # update rule accepts them, and a rule whose root is then NaN is undefined on both paths),
 # then eta, alpha, beta (at the values where a factor 2 * arity * eta - 1 is 0) and epsilon.

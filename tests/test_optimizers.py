@@ -21,7 +21,9 @@ from hyperstep import (
     evaluate,
     gd_step,
     momentum_step,
+    objectives,
     optimal_lr_gd,
+    optimizers,
     rmsprop_step,
     step,
 )
@@ -369,3 +371,63 @@ def test_float_steps_stay_plain_floats(method, b, beta, epsilon):
         if math.isinf(state.params.w):  # the next step would refuse the infinite gradient
             assert (method, beta) == (Method.RMSPROP, 1.0)
             break
+
+
+# Edges the buffered forms must step as the rules do: signed zeros, subnormals and
+# coordinates whose squares come near overflow (1e154 ** 2 = 1e308).
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e154, -1e154, 1.0, -1.0])
+
+
+def _edged(rng, shape):
+    """Values from 1e-320 to 1e154 in size, of either sign, a third of them replaced by edges."""
+    drawn = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-320.0, 154.0, shape)
+    return np.where(rng.random(shape) < 1 / 3, rng.choice(_EDGES, shape), drawn)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_each_buffered_rule_steps_as_its_rule_bit_for_bit(method, seed):
+    # hyper values (n, k, 1) against (n, 1, w) slabs, as a curve call lays them out;
+    # row 0's first point holds epsilon = 0 and beta = 1 over zero accumulators, so
+    # rmsprop divides a nonzero gradient by exactly 0 there, and -0.0 coordinates with
+    # zero slots and gradients, whose step's sign tells c + (+0) from c - (+0)
+    rng = np.random.default_rng(seed)
+    n, k, w = 3, 4, 40
+    c, s, g = (_edged(rng, (n, 1, w)) for _ in range(3))
+    if method in (Method.ADAGRAD, Method.RMSPROP):  # accumulators are sums of squares; a negative one too
+        s = np.where(rng.random(s.shape) < 0.05, -1.0, np.abs(s))
+
+    def unit():  # from [0, 1), or 0, 1 or the least subnormal
+        return np.where(rng.random((n, k, 1)) < 0.3, rng.choice([0.0, 1.0, 5e-324], (n, k, 1)), rng.random((n, k, 1)))
+
+    eta, alpha, beta = unit(), unit(), unit()
+    epsilon = np.where(rng.random((n, k, 1)) < 0.5, 0.0, rng.uniform(0.0, 1e-3, (n, k, 1)))
+    beta[0, 0], epsilon[0, 0], s[0, 0, :6], g[0, 0, :6] = 1.0, 0.0, 0.0, (1.0, 5e-324, 0.0, 1e154, 0.0, -0.0)
+    c[0, 0, 4:6] = -0.0
+    hyper = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)
+    _, rule, buffered = optimizers._RULES[method]
+    out, tmp = np.full((2, n, k, w), np.nan)
+    with np.errstate(all="ignore"):  # the edges overflow and divide by 0 on both sides
+        want = np.broadcast_to(rule(c, s, g, hyper)[0], out.shape)
+        buffered(c, s, g, hyper, out, tmp)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    if method is Method.RMSPROP:
+        d = optimizers._divisor(optimizers._weighted_grad_sq(s, g, beta), g, hyper, beta < 1.0)
+        assert (d == 0.0).any() and np.isinf(out).any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("obj", [F1, F2, F3], ids=lambda o: o.value)
+def test_the_buffered_residual_is_the_residual_bit_for_bit(obj, seed):
+    # written into a fresh buffer, and into w itself, as a curve slab takes it
+    rng = np.random.default_rng(seed)
+    w, b = _edged(rng, (2, 3, 50))
+    for x in (0.0, 1e-300, 2.0, -1e154):
+        sample = RegressionSample(x=x, y=float(_edged(rng, ()))) if obj is F3 else None
+        with np.errstate(all="ignore"):
+            want = objectives._residual(obj, ParamPoint(w, None if obj is F1 else b), sample)
+            into, own = np.full_like(w, np.nan), w.copy()
+            objectives._residual_into(obj, w, b, sample, into)
+            objectives._residual_into(obj, own, b, sample, own)
+        assert np.array_equal(into.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(own.view(np.uint64), want.view(np.uint64))

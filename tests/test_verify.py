@@ -9,6 +9,7 @@ import contextlib
 import importlib.util
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,15 +106,15 @@ def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
     # Each scan asks for its 64 points in as few calls as the budget allows and a
     # 40,000-point grid steps in three slabs; one call per point, or one step per
     # curve point over a whole grid, changes this count (the unbatched search took 2040).
-    # A curve step takes one residual per slab, so the residuals count the steps.
+    # A curve step takes one buffered residual per slab, so the residuals count the steps.
     steps = []
-    real = analyzer._residual
+    real = analyzer._residual_into
 
     def counted(*args):
         steps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analyzer, "_residual", counted)
+    monkeypatch.setattr(analyzer, "_residual_into", counted)
     assert verify.report("argmin", 1000, 0)["passed"]
     assert len(steps) == 1831
 
@@ -126,6 +127,23 @@ def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
     row = verify.check_argmin_pointwise(Method.ADAGRAD, 0, 3)
     assert (row["compared"], row["min_defined_fraction"], row["passed"]) == (0, 1.0, False)
+
+
+@pytest.mark.parametrize("undefined, fraction, passed", [(5, 0.95, True), (6, 0.94, False)])
+def test_a_pointwise_check_passes_with_95_of_its_100_states_defined(monkeypatch, undefined, fraction, passed):
+    # the real form with its first rows undefined in every table: the pass rule's boundary
+    real = hyperopt._FORMS[Method.ADAGRAD, "eta"]
+
+    def fewer(*args):
+        fv = real(*args)
+        defined = fv.defined.copy()
+        defined[:undefined] = False
+        return replace(fv, defined=defined)
+
+    monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), fewer)
+    row = verify.check_argmin_pointwise(Method.ADAGRAD, 0)
+    assert (row["compared"], row["min_defined_fraction"], row["passed"]) == (3 * (100 - undefined), fraction, passed)
+    assert row["max_deviation"] <= row["tolerance"]
 
 
 def test_one_step_check_fails_when_no_draw_is_kept(monkeypatch):
