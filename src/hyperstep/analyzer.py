@@ -30,33 +30,36 @@ A curve maps points of shape (curves, k) to values of the same shape.
 (curves, 1, grid) arrays, so k points along the middle axis make a
 (curves, k, grid) loss volume. The scan asks for its 64 points in as few
 calls as ``_SCAN_BUDGET`` loss elements allow: all 64 for a batch of
-pointwise states, one for a 40,000-point grid. Golden-section asks for one
-point per curve. Each call steps the grid in slabs of at most
-``_SLAB_BUDGET`` elements, whose coordinates, loss views and scratch views are
-cut once per number of points. The curve allocates its scratch once: a slab's
-stepped w, stepped b and the rule's temporary, each as large as its largest
-slab. A slab steps w and b into their buffers, takes the residual into w's
-with ``objectives._residual_into`` and squares it straight into one loss
-buffer per curve: the same values in the same contiguous layout, so the same
-pairwise sum, bit for bit, as one step over the whole grid. So a plain-descent
-or momentum curve point allocates no slab-sized array; adagrad and rmsprop
+pointwise states, one for a 40,000-point grid. Golden-section asks for its
+first two probes in one call, then for one point per curve. Each call steps
+its whole volume in one pass. The curve allocates one block, three times its
+largest call, and cuts it once per number of points into three contiguous
+(curves, k, grid) arrays: the loss buffer, the stepped b and the rule's
+temporary. The buffered form steps w straight into the loss buffer and b
+into its own, ``objectives._residual_into`` takes the residual in place in
+the loss buffer and one multiply squares it there. So a plain-descent or
+momentum curve point allocates nothing call-sized; adagrad and rmsprop
 still allocate their accumulator and divisor. The call holds numpy's
-overflow warnings off once around its slabs, then takes each curve's mean
-along the grid as ``np.add.reduce(losses, axis=-1) / grid``, the arithmetic
-of ``ndarray.mean`` without its Python wrapper, and tests the means for
+overflow warnings off around its step, then takes each curve's mean along
+the grid as ``np.add.reduce(losses, axis=-1) / grid``, the arithmetic of
+``ndarray.mean`` without its Python wrapper, and tests the means for
 finiteness once. That one test is exact: every loss is a square, so a mean
 is finite only if all its losses are. Only a non-finite mean looks at the
 losses one by one, to tell a non-finite loss (an error) from finite ones
 whose sum overflows (a numpy warning and an inf mean).
 ``mean_post_step_error`` takes one ``step`` and squares its residual, then
-takes the same mean and test. The slabs and buffers are there for the
-allocator. A whole-grid step over 40,000 points makes four 320 KB
-temporaries, whose pages glibc hands back to the OS after every curve point
-and faults in at the next: ~84,000 minor page faults per ``verify`` report,
-against ~2,200 with 2**14-element slabs (``getrusage``, Python 3.11, numpy on
-glibc). Slabs that still allocated up to seven 128 KB temporaries each took
-~90 ms of a report's ``argmin/gd``; stepping into the curve's buffers takes
-~60 ms (process time, 2-vCPU Xeon, numpy 2.4).
+takes the same mean and test.
+
+The block design relies on the grids being small. Every grid the command
+line, ``verify`` or the benchmark searches has at most 200x200 points, all
+of them by plain descent. There the block holds about 1.9 MB, and a public
+``argmin_hyper`` search on f2 took 10-15% less time than in the
+2**14-element slabs it replaced for plain descent and momentum, the same for
+rmsprop and about 7% more for adagrad. Past that it trades cache traffic for
+fewer lines: at 300x300 adagrad and rmsprop searched 6-8% slower than in
+slabs, and at 600x600, where the block holds about 17 MB against about
+6.2 MB of slab buffers, every method searched 19-35% slower (process time,
+six alternating processes per side, 2-vCPU Xeon, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ GRID_POINTS_2D = 200
 
 _SCAN_POINTS = 64
 _SCAN_BUDGET = 2**16  # loss elements (curves x points x grid) one scan call covers
-_SLAB_BUDGET = 2**14  # loss elements one step of a curve call computes at a time
 _GOLDEN_WIDTH = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -332,42 +334,28 @@ def _curve(
     values = {name: lay(v) for name, v in values.items()}
     rule = _RULES[method][2]
     slot = _slot(method, state)
-    coords = [lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b)]
-
-    # the slabs of a call fill one buffer, so each curve's losses lie contiguous
-    # along the grid and sum pairwise as one whole-grid step's would
+    w, s_w, g_w, b, s_b, g_b = (lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b))
     per_call = max(1, min(_SCAN_POINTS, _SCAN_BUDGET // (n * m)))
-    most = max(2, per_call)
-    losses = np.empty((n, most, m))
-    # a slab's stepped w, stepped b (w takes its residual) and the rule's scratch, each as
-    # large as the largest slab: width * n * k is at most max(n * k, _SLAB_BUDGET)
-    scratch = np.empty((3, min(n * most * m, max(n * most, _SLAB_BUDGET))))
+    block = np.empty(3 * n * max(2, per_call) * m)
 
     @cache
-    def slabs(k: int) -> tuple[np.ndarray, list[tuple]]:
-        """The loss buffer of a k-point call and its slabs: each slab's part of it, its
-        coordinates and its scratch buffers, cut once per k."""
-        width = max(1, _SLAB_BUDGET // (n * k))
-        cut = []
-        for lo in range(0, m, width):
-            part = slice(lo, lo + width)
-            size = n * k * (min(m, lo + width) - lo)
-            buffers = [a[:size].reshape(n, k, -1) for a in scratch]
-            cut.append((losses[:, :k, part], *(a if np.ndim(a) == 0 else a[..., part] for a in coords), *buffers))
-        return losses[:, :k], cut
+    def buffers(k: int) -> list[np.ndarray]:
+        """A k-point call's loss buffer, stepped b and rule temporary: (curves, k, grid)
+        arrays cut contiguous from the block, once per k."""
+        size = n * k * m
+        return [block[i * size : (i + 1) * size].reshape(n, k, m) for i in range(3)]
 
     def curve(t: np.ndarray) -> np.ndarray:
         hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range
         hyper.__dict__.update({**values, target: t[..., None]})
-        out, cut = slabs(t.shape[1])
+        loss, b_new, tmp = buffers(t.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            for loss, w, s_w, g_w, b, s_b, g_b, w_new, b_new, tmp in cut:
-                rule(w, s_w, g_w, hyper, w_new, tmp)
-                if b is not None:
-                    rule(b, s_b, g_b, hyper, b_new, tmp)
-                _residual_into(obj, w_new, b_new, sample, w_new)
-                np.multiply(w_new, w_new, out=loss)
-        return _mean_losses(out)
+            rule(w, s_w, g_w, hyper, loss, tmp)  # w steps straight into the loss buffer
+            if b is not None:
+                rule(b, s_b, g_b, hyper, b_new, tmp)
+            _residual_into(obj, loss, b_new, sample, loss)
+            np.multiply(loss, loss, out=loss)
+        return _mean_losses(loss)
 
     return curve, n, per_call
 

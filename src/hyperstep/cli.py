@@ -184,7 +184,8 @@ def _flag(dest: str) -> str:
 
 
 # config files: flat "key = value" lines, '#' comments, keys matching the
-# long flag names with dashes or underscores. Explicit flags win.
+# long flag names with dashes or underscores. Explicit flags win: over the file's
+# entry for the same key, and ``--init`` or ``--init-seed`` over its entry for the other.
 
 def _load_config(path: str) -> dict[str, str]:
     try:
@@ -207,7 +208,11 @@ def _resolve(args: argparse.Namespace, flags: list[str], defaults: dict) -> None
     """Fill the unset flags of ``args`` from its config file, if the command takes one, then
     from ``defaults``; ``args.given`` keeps those the command line or config file set."""
     path = getattr(args, "config", None)
-    for key, raw in (_load_config(path) if path is not None else {}).items():
+    entries = _load_config(path) if path is not None else {}
+    for key, rival in (("init", "init_seed"), ("init_seed", "init")):
+        if getattr(args, rival, None) is not None:
+            entries.pop(key, None)
+    for key, raw in entries.items():
         if key not in flags or key == "config":
             raise _UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is None:

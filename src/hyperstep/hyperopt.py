@@ -25,17 +25,18 @@ Conventions the formulas rely on:
 - The rmsprop beta rule for F2/F3 assumes a common accumulator and a common
   gradient across both coordinates; for F3 that holds at x = 1.
 
-Each public rule and ``solve`` run ``_solved``: ``_check_state`` (``step``'s check, so a
-state, point or sample ``step`` refuses is refused here with the same error), then the
-unchecked ``_at``, the one path from a state to its core. ``_FORMS``, the only table that
-names a core, maps each (method, target) pair to it, called as ``(obj, slot, sample, r, g,
+Each public rule and ``solve`` run ``_solved``, the one path from a state to its core:
+``_check_state`` (``step``'s check, so a state, point or sample ``step`` refuses is refused
+here with the same error), then the pair's core. ``_FORMS``, the only table that names a
+core, maps each (method, target) pair to it, called as ``(obj, slot, sample, r, g,
 hyper)``: ``slot`` is the state slot the method moves (``optimizers._slot``), and r and g
-the residual and gradient, which ``_at`` takes once. ``verify`` calls ``_at`` on whole
-drawn tables, and ``harness.run_training`` the cores on each epoch's one gradient.
+the residual and gradient, which ``_solved`` takes once. ``verify`` calls ``_solved`` on
+whole drawn tables, so every state that reaches a core passes ``_check_state`` first,
+except in ``harness.run_training``, which calls the cores on each epoch's one gradient.
 
 Public names take and return floats. Each core is written once for floats
 and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
-no row divides by zero), but arrays enter only through ``_at``, which is
+no row divides by zero), but arrays enter only through ``_solved``, which is
 private: a wrapper bound to a public name, as perfbench's tracer binds,
 may read ``bool(result.defined)``.
 """
@@ -111,16 +112,12 @@ def _solved(
     method: Method, target: str, obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None,
     f3_half_gradient: bool = False, **given,
 ) -> FeasibleValue:
-    """``_at`` once ``_check_state`` passes, the ``given`` values (None where not given) as one HyperParams."""
+    """The pair's core at ``state`` once ``_check_state`` passes, fed the method's slot, the residual
+    and gradient taken there once and the ``given`` values (None where not given) as one HyperParams:
+    floats, or whole drawn tables as arrays."""
     _check_state(state, obj, sample)
     hyper = object.__new__(HyperParams)  # unchecked: a value not given is None
     hyper.__dict__.update({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
-    return _at(method, target, obj, state, sample, f3_half_gradient, hyper)
-
-
-def _at(method, target, obj, state, sample, f3_half_gradient, hyper):
-    """The pair's core at ``state``, unchecked, fed the method's slot and the residual and gradient
-    taken there once: floats, or whole drawn tables as arrays."""
     r = _residual(obj, state.params, sample)
     g = _gradient(obj, r, sample, f3_half_gradient)
     return _FORMS[method, target](obj, _slot(method, state), sample, r, g, hyper)

@@ -239,7 +239,7 @@ def _weighted(c, u, g, hyper):
 # IEEE operations in its rule's order (so bit for bit), through numpy's ``out=``, with
 # ``tmp`` as scratch of that shape; the new slot is not kept. Plain descent and momentum
 # allocate nothing; adagrad and rmsprop take their accumulator and ``_divisor`` as their
-# rules do, then divide into ``out``. ``analyzer._curve`` steps its slabs by them; the
+# rules do, then divide into ``out``. ``analyzer._curve`` steps each call by them; the
 # tests hold them to the rules above.
 
 def _descend_into(c, s, g, hyper, out, tmp):

@@ -8,7 +8,7 @@ of its arguments; the acceptance tests draw through the same sampler, one
 row at a time. ``optimizers._flat_state`` reads a state from a row (floats) or
 from the columns (arrays). ``_obj_sample`` picks each objective's regression
 sample, the beta rule's included, and ``_row`` writes every report row. Each
-table is solved in one call on its columns by ``hyperopt._at``, the one unchecked
+table is solved in one call on its columns by ``hyperopt._solved``, the one checked
 path from a state to its closed form (public hyperopt names take floats only);
 the one-step check hands it adagrad's post-accumulation view from the public
 ``optimizers.adagrad_post_view``. The argmin (in one ``analyzer._search`` per
@@ -138,8 +138,8 @@ def check_argmin_pointwise(method: Method, seed: int, states: int = 100) -> dict
             common = target == "beta"
             columns = _draw(np.random.default_rng(seed), states, _pointwise_columns(obj, target)).T
             # adagrad's state is read as the post-accumulation view on both sides
-            given = HyperParams(*columns[-3:], epsilon=_EPSILON)
-            fv = hyperopt._at(method, target, obj, _flat_state(obj, columns, common), sample, _HALF, given)
+            given = dict(zip(("eta", "alpha", "beta"), columns[-3:]), epsilon=_EPSILON)
+            fv = hyperopt._solved(method, target, obj, _flat_state(obj, columns, common), sample, _HALF, **given)
             # plain descent's rate is one float for the whole table
             defined, feasible, value = (np.broadcast_to(a, states) for a in (fv.defined, fv.feasible, fv.value))
             min_defined = min(min_defined, np.count_nonzero(defined) / states)
@@ -192,7 +192,7 @@ def _check_one_step(method: Method, samples: int, seed: int) -> dict:
             at, given = _one_step_draw(obj, columns, coefficient, target)
             if method is Method.ADAGRAD:  # its form reads the sums the step divides by
                 at = optimizers.adagrad_post_view(at, obj, sample, f3_half_gradient=_HALF)
-            fv = hyperopt._at(method, target, obj, at, sample, _HALF, HyperParams(**given, epsilon=_EPSILON))
+            fv = hyperopt._solved(method, target, obj, at, sample, _HALF, **given, epsilon=_EPSILON)
             keep = np.broadcast_to(fv.defined & fv.feasible, samples)  # plain descent's rate is one float
             if not keep.any():
                 continue

@@ -359,9 +359,10 @@ def test_a_joint_check_equals_its_per_table_searches(method):
     assert max(r.evaluations for found in joint[:-1] for r in found) == 102
 
 
-# A search batches its scan, steps big grids in slabs and writes them into one loss
-# buffer; the reference search asks for one point per call through the public update.
-SLAB = analyzer._SLAB_BUDGET
+# A search batches its scan and steps each call's points into one loss buffer; the
+# reference search asks for one point per call through the public update. Grids of
+# about SLAB points straddle the sizes at which the scan's points per call change.
+SLAB = 2**14
 METHOD_TARGETS = [(GD, "eta"), (Method.MOMENTUM, "alpha"), (Method.ADAGRAD, "eta"), (Method.RMSPROP, "beta")]
 TEMPLATE_SLOTS = {"velocity": 0.3, "grad_sq_sum": 0.2, "weighted_grad_sq": 0.1}
 
@@ -466,7 +467,7 @@ def test_a_non_finite_loss_raises_alike_on_both_routes(method, target):
 @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("method, target", METHOD_TARGETS, ids=lambda x: getattr(x, "value", x))
 def test_one_non_finite_loss_at_either_end_of_a_sampled_grid_raises(method, target, at):
-    # the point's loss overflows at the first scan point, in the first or the last slab
+    # the point's loss overflows at the first scan point, at the first or the last grid point
     state = analyzer._sampled_state(F1, SamplingSpec(SamplingMode.MONTE_CARLO, 2 * SLAB + 7), _template(F1))
     state.params.w[at] = 1e200
     g = analyzer._gradient_at(state, F1, None, False)
@@ -548,8 +549,8 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
 
 @pytest.mark.parametrize("method", [GD, Method.MOMENTUM], ids=lambda m: m.value)
 def test_a_grid_curve_point_allocates_no_slab_after_its_first(method):
-    # the slabs step into buffers the curve allocated once: a point over f2's 200x200
-    # grid, in three slabs of 2**14 elements, then allocates only its small arrays
+    # a call steps into buffers the curve allocated once: a point over f2's 200x200
+    # grid, after the first, allocates only its small arrays, nothing the size of 2**14 floats
     state = analyzer._sampled_state(F2, GRID_2D, TEMPLATE_2D)
     g = analyzer._gradient_at(state, F2, None, False)
     curve, n, _ = analyzer._curve(method, F2, "eta", BASE, None, state, g)
@@ -563,4 +564,4 @@ def test_a_grid_curve_point_allocates_no_slab_after_its_first(method):
     finally:
         tracemalloc.stop()
     assert again.tobytes() == first.tobytes()
-    assert peak - before < analyzer._SLAB_BUDGET * 8
+    assert peak - before < 2**14 * 8

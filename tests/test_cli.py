@@ -159,6 +159,37 @@ def test_init_and_init_seed_are_mutually_exclusive(capsys):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize(
+    "entry, flags",
+    [("init_seed = 3", ["--init", "w=0.2"]), ("init = w=0.2", ["--init-seed", "3"])],
+    ids=["init-over-config-seed", "seed-over-config-init"],
+)
+def test_an_init_flag_drops_the_config_entry_for_the_other(tmp_path, capsys, entry, flags):
+    # an explicit flag wins over the config file, also where the file sets the other way to start
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{entry}\n")
+    argv = ["run", "--method", "gd", "--objective", "f1", "--format", "json", *flags]
+    by_flags = run_cli(capsys, *argv)
+    assert by_flags[0] == EXIT_OK
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == by_flags
+
+
+def test_init_and_init_seed_in_one_config_file_are_mutually_exclusive(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("init = w=0.2\ninit_seed = 3\n")
+    code, out, err = run_cli(capsys, "run", "--method", "gd", "--objective", "f1", "--config", str(cfg))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --init and --init-seed are mutually exclusive\n"
+
+
+def test_empty_init_pieces_are_skipped(capsys):
+    argv = ["run", "--method", "gd", "--objective", "f2", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--init", "w=0.3,,b=0.4,")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["init"] == {"w": 0.3, "b": 0.4}
+    assert run_cli(capsys, *argv, "--init", "w=0.3,b=0.4") == (code, out, "")
+
+
 
 # a malformed argument or config file: exit 1 with one error naming what is wrong, before any output
 _RUN = ("run", "--method", "gd", "--objective", "f1")

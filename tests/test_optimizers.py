@@ -387,7 +387,7 @@ def _edged(rng, shape):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_each_buffered_rule_steps_as_its_rule_bit_for_bit(method, seed):
-    # hyper values (n, k, 1) against (n, 1, w) slabs, as a curve call lays them out;
+    # hyper values (n, k, 1) against (n, 1, w) grids, as a curve call lays them out;
     # row 0's first point holds epsilon = 0 and beta = 1 over zero accumulators, so
     # rmsprop divides a nonzero gradient by exactly 0 there, and -0.0 coordinates with
     # zero slots and gradients, whose step's sign tells c + (+0) from c - (+0)
@@ -419,7 +419,7 @@ def test_each_buffered_rule_steps_as_its_rule_bit_for_bit(method, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("obj", [F1, F2, F3], ids=lambda o: o.value)
 def test_the_buffered_residual_is_the_residual_bit_for_bit(obj, seed):
-    # written into a fresh buffer, and into w itself, as a curve slab takes it
+    # written into a fresh buffer, and into w itself, as a curve call takes it in its loss buffer
     rng = np.random.default_rng(seed)
     w, b = _edged(rng, (2, 3, 50))
     for x in (0.0, 1e-300, 2.0, -1e154):

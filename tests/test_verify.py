@@ -103,10 +103,10 @@ def test_the_pointwise_check_takes_plain_descent_whose_rate_is_one_float(states,
 
 
 def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
-    # Each scan asks for its 64 points in as few calls as the budget allows and a
-    # 40,000-point grid steps in three slabs; one call per point, or one step per
-    # curve point over a whole grid, changes this count (the unbatched search took 2040).
-    # A curve step takes one buffered residual per slab, so the residuals count the steps.
+    # Each scan asks for its 64 points in as few calls as the budget allows; one call
+    # per point changes this count (the unbatched search took 2040, and three slabs per
+    # 40,000-point grid call took 1831). A curve call takes one buffered residual over
+    # its whole (curves, k, grid) block, so the residuals count the calls.
     steps = []
     real = analyzer._residual_into
 
@@ -116,7 +116,7 @@ def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
 
     monkeypatch.setattr(analyzer, "_residual_into", counted)
     assert verify.report("argmin", 1000, 0)["passed"]
-    assert len(steps) == 1831
+    assert len(steps) == 1012
 
 
 def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
