@@ -20,7 +20,7 @@ once (``_gradient_at``, the first part ``optimizers.step`` runs) and at each
 curve point runs the buffered form of the method's per-coordinate rule from
 ``optimizers._RULES`` on w and on b (the second part; ``harness.run_training``
 runs the rule itself). A buffered form, like ``objectives._residual_into``,
-writes into arrays the curve owns by its rule's IEEE operations in its rule's
+writes into arrays the call owns by its rule's IEEE operations in its rule's
 order, so the same bits; a test holds each form to its rule and
 ``_residual_into`` to ``_residual``, and ``mean_post_step_error``, which
 steps by the allocating ``optimizers.step``, is the searches' reference.
@@ -32,16 +32,15 @@ A curve maps points of shape (curves, k) to values of the same shape.
 calls as ``_SCAN_BUDGET`` loss elements allow: all 64 for a batch of
 pointwise states, one for a 40,000-point grid. Golden-section asks for its
 first two probes in one call, then for one point per curve. Each call steps
-its whole volume in one pass. The curve allocates one block, three times its
-largest call, and cuts it once per number of points into three contiguous
-(curves, k, grid) arrays: the loss buffer, the stepped b and the rule's
-temporary. The buffered form steps w straight into the loss buffer and b
-into its own, ``objectives._residual_into`` takes the residual in place in
-the loss buffer and one multiply squares it there. So a plain-descent or
-momentum curve point allocates nothing call-sized; adagrad and rmsprop
-still allocate their accumulator and divisor. The call holds numpy's
-overflow warnings off around its step, then takes each curve's mean along
-the grid as ``np.add.reduce(losses, axis=-1) / grid``, the arithmetic of
+its whole volume in one pass, in one (3, curves, k, grid) array it allocates
+for itself: the loss buffer, the stepped b and the rule's temporary. The
+buffered form steps w straight into the loss buffer and b into its own,
+``objectives._residual_into`` takes the residual in place in the loss buffer
+and one multiply squares it there. So a plain-descent or momentum curve point
+allocates that one array; adagrad and rmsprop also allocate their
+accumulator and divisor. The call holds numpy's overflow warnings off
+around its step, then takes each curve's mean along the grid as
+``np.add.reduce(losses, axis=-1) / grid``, the arithmetic of
 ``ndarray.mean`` without its Python wrapper, and tests the means for
 finiteness once. That one test is exact: every loss is a square, so a mean
 is finite only if all its losses are. Only a non-finite mean looks at the
@@ -50,16 +49,10 @@ whose sum overflows (a numpy warning and an inf mean).
 ``mean_post_step_error`` takes one ``step`` and squares its residual, then
 takes the same mean and test.
 
-The block design relies on the grids being small. Every grid the command
-line, ``verify`` or the benchmark searches has at most 200x200 points, all
-of them by plain descent. There the block holds about 1.9 MB, and a public
-``argmin_hyper`` search on f2 took 10-15% less time than in the
-2**14-element slabs it replaced for plain descent and momentum, the same for
-rmsprop and about 7% more for adagrad. Past that it trades cache traffic for
-fewer lines: at 300x300 adagrad and rmsprop searched 6-8% slower than in
-slabs, and at 600x600, where the block holds about 17 MB against about
-6.2 MB of slab buffers, every method searched 19-35% slower (process time,
-six alternating processes per side, 2-vCPU Xeon, Python 3.11, numpy 2.4).
+A call's volume grows with the grid, so the oracles rely on the grids being
+small: every grid the command line, ``verify`` or the benchmark searches has
+at most 200x200 points, all of them by plain descent, where a one-point call
+allocates about 1 MB.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache
 from typing import Callable, Literal
 
 import numpy as np
@@ -78,6 +70,8 @@ from .objectives import (
     ParamPoint,
     RegressionSample,
     _require_index,
+    _require_positive,
+    _require_real,
     _require_seed,
     _residual,
     _residual_into,
@@ -135,10 +129,12 @@ class SamplingSpec:
         if _require_index("resolution", self.resolution) < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
         _require_seed("seed", self.seed)
-        try:  # a domain that is not two reals fails here too, not in the unpacking
+        try:  # a domain that is not two reals (a bool end included) fails here too, not in the unpacking
             lo, hi = self.domain
-            interval = math.isfinite(lo) and math.isfinite(hi) and lo < hi
-        except (TypeError, ValueError):
+            for end in (lo, hi):
+                _require_real("domain", end)
+            interval = lo < hi and math.isfinite(float(hi) - float(lo))  # its width finite, so both ends
+        except (TypeError, ValueError, OverflowError):
             interval = False
         if not interval:
             raise ValueError(f"domain must be a finite non-empty interval, got {self.domain}")
@@ -174,8 +170,9 @@ def finite_diff_gradient(
     step_size: float = 1e-6,
 ) -> GradientVector:
     """Central-difference gradient oracle, (f(c + h) - f(c - h)) / (2h) per coordinate."""
-    if not step_size > 0.0:
-        raise ValueError(f"step_size must be positive, got {step_size!r}")
+    _require_positive("step_size", step_size)
+    if step_size == math.inf:
+        raise ValueError(f"step_size must be finite, got {step_size!r}")
     h = step_size
 
     def central(coord: str) -> float:
@@ -335,20 +332,11 @@ def _curve(
     rule = _RULES[method][2]
     slot = _slot(method, state)
     w, s_w, g_w, b, s_b, g_b = (lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b))
-    per_call = max(1, min(_SCAN_POINTS, _SCAN_BUDGET // (n * m)))
-    block = np.empty(3 * n * max(2, per_call) * m)
-
-    @cache
-    def buffers(k: int) -> list[np.ndarray]:
-        """A k-point call's loss buffer, stepped b and rule temporary: (curves, k, grid)
-        arrays cut contiguous from the block, once per k."""
-        size = n * k * m
-        return [block[i * size : (i + 1) * size].reshape(n, k, m) for i in range(3)]
 
     def curve(t: np.ndarray) -> np.ndarray:
         hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range
         hyper.__dict__.update({**values, target: t[..., None]})
-        loss, b_new, tmp = buffers(t.shape[1])
+        loss, b_new, tmp = np.empty((3, n, t.shape[1], m))  # loss buffer, stepped b, rule temporary
         with np.errstate(over="ignore", invalid="ignore"):
             rule(w, s_w, g_w, hyper, loss, tmp)  # w steps straight into the loss buffer
             if b is not None:
@@ -357,7 +345,7 @@ def _curve(
             np.multiply(loss, loss, out=loss)
         return _mean_losses(loss)
 
-    return curve, n, per_call
+    return curve, n, max(1, min(_SCAN_POINTS, _SCAN_BUDGET // (n * m)))
 
 
 def argmin_hyper(

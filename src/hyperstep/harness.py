@@ -39,7 +39,8 @@ from functools import cache, lru_cache
 
 from .objectives import (
     ObjectiveId, ParamPoint, RegressionSample,
-    _check_point, _check_sample, _gradient, _require_index, _require_objective, _require_seed, _residual,
+    _check_point, _check_sample, _gradient, _require_index, _require_objective, _require_positive, _require_seed,
+    _residual,
 )
 from .optimizers import (
     _RULES, HyperParams, Method, PerCoord, _post_view, _require_method,
@@ -168,7 +169,7 @@ class RunConfig:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if not isinstance(self.policy, HyperPolicy):
             raise ValueError(f"policy must be a HyperPolicy, got {self.policy!r}")
-        _require_tolerance(self.tolerance)
+        _require_positive("tolerance", self.tolerance)
         if self.f3_half_gradient.__class__ is not bool:
             raise ValueError(f"f3_half_gradient must be a bool, got {self.f3_half_gradient!r}")
         _check_sample(self.objective, self.sample)
@@ -261,21 +262,9 @@ def resolve_init(cfg: RunConfig) -> ParamPoint:
     return cfg.init
 
 
-def _require_tolerance(tolerance) -> None:
-    """A positive real: what cannot be compared with 0.0 (a string, None) or is a bool is refused."""
-    try:
-        positive = tolerance > 0.0
-    except TypeError:
-        positive = None
-    if positive is None or tolerance.__class__ is bool:
-        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
-    if not positive:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-
-
 def detect_convergence(records: tuple[EpochRecord, ...] | list[EpochRecord], tolerance: float) -> int | None:
     """Smallest recorded epoch whose loss is at or below ``tolerance``, if any."""
-    _require_tolerance(tolerance)
+    _require_positive("tolerance", tolerance)
     for rec in records:
         if rec.loss <= tolerance:
             return rec.epoch

@@ -8,8 +8,9 @@ the update rules and the closed-form step sizes downstream exploit.
 ``_check_inputs`` is the package's one test of a well-formed (objective, point, sample):
 the point's type, arity and real coordinates (``_check_point``), then the sample's presence,
 type and real x and y (``_check_sample``); ``_require_real``, which refuses a bool too, is the one
-test that a value is real. ``residual``, ``evaluate`` and ``gradient`` run it, then the
-unchecked cores ``_residual`` and ``_gradient``;
+test that a value is real, and ``_require_positive`` (a tolerance, a finite-difference step) adds
+its sign. ``residual``, ``evaluate`` and ``gradient`` run ``_check_inputs``, then the unchecked
+cores ``_residual`` and ``_gradient``;
 ``optimizers._check_state`` runs it, and ``harness`` runs each half once per run.
 ``_residual_into`` is ``_residual`` on arrays written into a buffer the caller owns, bit for
 bit, for the analyzer's curves; only it imports numpy, and only when called.
@@ -76,6 +77,17 @@ def _require_real(name: str, value) -> None:
         dtype = getattr(value, "dtype", None)  # a numpy array or scalar
         if value.__class__ is bool or not (isinstance(value, numbers.Real) if dtype is None else dtype.kind in "fiu"):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Refuse a ``value`` that ``_require_real`` refuses or that is an array of one or more
+    dimensions, which ``_require_real`` lets through for the oracles, or that is not above
+    zero (NaN included)."""
+    _require_real(name, value)
+    if getattr(value, "ndim", 0):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _check_point(obj: ObjectiveId, point: ParamPoint, name: str = "point") -> None:

@@ -159,6 +159,14 @@ def test_finite_diff_gradient_refuses_a_step_size_that_is_not_positive(step_size
         (100, 0, None, "domain must be a finite non-empty interval, got None"),
         (100, 0, (0, 1, 2), "domain must be a finite non-empty interval, got (0, 1, 2)"),
         (100, 0, ("a", "b"), "domain must be a finite non-empty interval, got ('a', 'b')"),
+        (10, 0, (False, True), "domain must be a finite non-empty interval, got (False, True)"),
+        (10, 0, (0.0, np.True_), f"domain must be a finite non-empty interval, got {(0.0, np.True_)}"),
+        # a width that overflows, which monte carlo's draw used to raise an OverflowError on
+        (10, 0, (-1e308, 1e308), "domain must be a finite non-empty interval, got (-1e+308, 1e+308)"),
+        pytest.param(10, 0, (-2**1024, 0), f"domain must be a finite non-empty interval, got {(-2**1024, 0)}",
+                     id="int-end-past-float"),
+        (10, 0, (float("nan"), 1.0), "domain must be a finite non-empty interval, got (nan, 1.0)"),
+        (10, 0, (0.0, float("inf")), "domain must be a finite non-empty interval, got (0.0, inf)"),
         (2.5, 0, (0.0, 1.0), "resolution must be an integer, got 2.5"),
         (True, 0, (0.0, 1.0), "resolution must be an integer, got True"),
         (10, 1.5, (0.0, 1.0), "seed must be an integer, got 1.5"),
@@ -548,9 +556,20 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
 
 
 @pytest.mark.parametrize("method", [GD, Method.MOMENTUM], ids=lambda m: m.value)
-def test_a_grid_curve_point_allocates_no_slab_after_its_first(method):
-    # a call steps into buffers the curve allocated once: a point over f2's 200x200
-    # grid, after the first, allocates only its small arrays, nothing the size of 2**14 floats
+def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monkeypatch):
+    # a call allocates one (3, curves, k, grid) array, its loss buffer, stepped b and rule
+    # temporary, and steps w and b through the buffered form into it, never through the
+    # allocating rule: both read the same peak on f2's grid, so the calls are counted too
+    slot, rule, into = analyzer._RULES[method]
+    calls = {"rule": 0, "into": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(analyzer, "_RULES", {method: (slot, counted("rule", rule), counted("into", into))})
     state = analyzer._sampled_state(F2, GRID_2D, TEMPLATE_2D)
     g = analyzer._gradient_at(state, F2, None, False)
     curve, n, _ = analyzer._curve(method, F2, "eta", BASE, None, state, g)
@@ -564,4 +583,5 @@ def test_a_grid_curve_point_allocates_no_slab_after_its_first(method):
     finally:
         tracemalloc.stop()
     assert again.tobytes() == first.tobytes()
-    assert peak - before < 2**14 * 8
+    assert calls == {"rule": 0, "into": 4}  # w and b, in each of the two calls
+    assert peak - before <= 3 * n * t.shape[1] * state.params.w.size * 8 + 2**14 * 8  # the one array

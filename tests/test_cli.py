@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output schemas, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperstep import HyperPolicy, RandomInit, RunConfig, cli, verify
 from hyperstep.harness import ComparisonCell, PublishedCell, Trace
@@ -785,3 +788,62 @@ def test_every_golden_command_line_reproduces_its_output(capsys):
         if [code, hashlib.sha256(out.encode()).hexdigest()] != golden[key]:
             wrong.append(key)
     assert wrong == []
+
+
+# Every flag of ``cli._OPTIONS`` takes values from these: half of each number or count
+# in range, half an edge of parsing or garbage. Paths lie in the example's directory,
+# "{tmp}" in the drawn text, a missing one and the directory itself included.
+_NUMBERS = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "-0", "1e400", "-1e400", "5e-324", "-1", "", "abc"]))
+_COUNTS = st.one_of(st.integers(1, 40).map(str), st.sampled_from(
+    ["", "abc", "1.5", "nan", "1e400", "-0", "-1", "0", "340282366920938463463374607431768211457"]))
+_VALUES = {
+    "method": st.sampled_from(["gd", "Momentum", "ADAGRAD", "rmsprop", "sgd"]),
+    "objective": st.sampled_from(["f1", "F2", "f3", "f4"]),
+    "policy": st.sampled_from(["fixed", "optimal", "best"]),
+    "optimize": st.sampled_from(["eta", "alpha", "beta", "eta,alpha", "eta, beta", "", ",", "gamma"]),
+    "init": st.sampled_from(["w=0.3", "w=0.3,b=0.4", "w=nan", "w=-inf,b=1e400", "b=0.4", "w=", "w=0.3,b=x", "", "x"]),
+    "init_seed": _COUNTS,
+    "max_epochs": _COUNTS,
+    "f3_half_gradient": st.sampled_from(["true", "no", "1", "maybe", ""]),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+    "output": st.sampled_from(["{tmp}/out.txt", "{tmp}", "{tmp}/missing/out.txt", ""]),
+    "config": st.sampled_from(["{tmp}/config.txt", "{tmp}", "{tmp}/missing.txt"]),
+    # verify stays cheap: never the argmin scope, and a handful of samples
+    "scope": st.sampled_from(["gradients", "one-step", "everything", ""]),
+    "samples": st.sampled_from(["", "abc", "nan", "1e400", "-1", "0", "1", "2", "5"]),
+    "seed": _COUNTS,
+}
+
+
+@st.composite
+def _cli_cases(draw):
+    """A command, a subset of its flags with drawn values, and 0-4 config-file lines;
+    run and optimal always name a method and an objective, which they need to go further."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][2].split()
+    needed = ["method", "objective"] if command in ("run", "optimal") else []
+    drawn = draw(st.lists(st.sampled_from([f for f in flags if f not in needed]), unique=True, max_size=5))
+    argv = [command]
+    for dest in needed + drawn:
+        if dest == "f3_half_gradient":
+            argv.append(draw(st.sampled_from(["--f3-half-gradient", "--no-f3-half-gradient"])))
+        else:
+            argv += [cli._flag(dest), draw(_VALUES.get(dest, _NUMBERS))]
+    if command == "verify":  # given on the line, so no config line can widen them
+        argv += ["--scope", draw(_VALUES["scope"]), "--samples", draw(st.sampled_from(["1", "2", "3"]))]
+    entry = st.sampled_from(flags).flatmap(
+        lambda k: st.tuples(st.sampled_from([k, k.replace("_", "-")]), _VALUES.get(k, _NUMBERS)))
+    line = st.one_of(entry.map(" = ".join), st.sampled_from(["no equals sign", "# a comment", "", "unknown = 1"]))
+    return argv, draw(st.lists(line, max_size=4))
+
+
+@settings(max_examples=120, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_cli_cases())
+def test_any_command_line_ends_in_an_exit_code(tmp_path, case):
+    # whatever the flags and the config file say, main returns 0-3 and raises nothing
+    argv, lines = ([text.replace("{tmp}", str(tmp_path)) for text in texts] for texts in case)
+    (tmp_path / "config.txt").write_text("\n".join(lines))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NO_CONVERGENCE, EXIT_CHECK_FAILED)

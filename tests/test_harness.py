@@ -465,16 +465,28 @@ def test_table2_published_reference_values_are_quoted_verbatim():
     assert cell.published.fixed_epoch == 205
 
 
-def test_rmsprop_fixed_arm_plateaus_at_the_epsilon_free_equilibrium():
-    matrix = reproduce_table2()
-    # with beta fixed at 0.5 the divisor settles where eta**2 = 4 r**2, so
-    # the loss stalls near 0.0025 for f1 and 0.01 for f2
-    f1_cell = matrix.cell(Method.RMSPROP, F1)
-    f2_cell = matrix.cell(Method.RMSPROP, F2)
-    assert f1_cell.fixed.converged_epoch is None
-    assert f1_cell.fixed.final_loss == pytest.approx(0.0025, rel=0.1)
-    assert f2_cell.fixed.converged_epoch is None
-    assert f2_cell.fixed.final_loss == pytest.approx(0.01, rel=0.1)
+@pytest.mark.parametrize("obj, half", [(F1, False), (F2, False), (F3, False), (F3, True)],
+                         ids=["f1", "f2", "f3", "f3-half"])
+def test_rmsprop_fixed_arm_plateaus_at_the_epsilon_free_equilibrium(obj, half):
+    # table2's fixed rmsprop arm: once the accumulator settles at g*g, each coordinate steps
+    # eta * sign(g), the residual eta * sum|dr/dc| per epoch, so the run ends in the 2-cycle
+    # r <-> -r of |r| = eta * sum|dr/dc| / 2 whatever the convention or the start. epsilon
+    # shortens coordinate c's step by eps / (2 g_c**2) of itself, so the cycle loss lies
+    # below that by share = sum(|dr/dc| * eps / g_c**2) / sum|dr/dc|, to first order
+    eta, eps = DEFAULT_HYPERS.eta, DEFAULT_HYPERS.epsilon
+    slopes = {F1: (1.0,), F2: (1.0, 1.0), F3: (DEFAULT_SAMPLE.x, 1.0)}[obj]
+    r = eta * sum(slopes) / 2
+    scale = 1.0 if obj is F3 and half else 2.0  # g_c = scale * dr/dc * r
+    share = sum(k * eps / (scale * k * r) ** 2 for k in slopes) / sum(slopes)
+    expected = {F1: 0.0025, F2: 0.01, F3: 0.004225}[obj]
+    assert r * r == pytest.approx(expected, rel=1e-15)
+    for init in [None, *map(RandomInit, range(32))]:
+        trace = run_training(RunConfig(
+            Method.RMSPROP, obj, HyperPolicy.fixed(DEFAULT_HYPERS), sample=DEFAULT_SAMPLE if obj is F3 else None,
+            init=init, max_epochs=1000, f3_half_gradient=half,
+        ))
+        assert trace.converged_epoch is None and not trace.diverged
+        assert trace.final_loss == pytest.approx(expected, rel=2 * share)
 
 
 def test_trace_final_loss_matches_last_record():

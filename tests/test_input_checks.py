@@ -16,6 +16,7 @@ from hyperstep import (
     ParamPoint,
     PerCoord,
     RegressionSample,
+    finite_diff_gradient,
     hyperopt,
     optimal_beta_rmsprop,
     optimal_lr_adagrad,
@@ -27,7 +28,7 @@ from hyperstep import (
     solve,
     step,
 )
-from hyperstep.harness import DEFAULT_HYPERS, HyperPolicy, RunConfig, resolve_init, run_training
+from hyperstep.harness import DEFAULT_HYPERS, HyperPolicy, RunConfig, detect_convergence, resolve_init, run_training
 from hyperstep.optimizers import adagrad_post_view
 
 F1, F2, F3 = ObjectiveId.F1, ObjectiveId.F2, ObjectiveId.F3
@@ -259,3 +260,27 @@ def test_a_run_refuses_an_array_coordinate_by_name(obj, init, sample, field):
 def test_a_run_takes_a_numpy_scalar_or_0d_array_coordinate(w):
     fixed = HyperPolicy.fixed(DEFAULT_HYPERS)
     assert run_training(RunConfig(Method.GD, F1, fixed, init=ParamPoint(w))).converged_epoch == 56
+
+
+def _fd_step(h):
+    return finite_diff_gradient(F1, ParamPoint(0.3), step_size=h)
+
+
+# A tolerance or a finite-difference step is a positive real (``objectives._require_positive``):
+# a bool, a numpy bool included, used to be read as 1, a string to raise a TypeError, an
+# infinite step to return a NaN gradient, and an array to run or to fail by numpy's error.
+@pytest.mark.parametrize("take, value, text", [
+    (_fd_step, True, "step_size must be a real number, got True"),
+    (_fd_step, np.True_, f"step_size must be a real number, got {np.True_!r}"),
+    (_fd_step, "a", "step_size must be a real number, got 'a'"),
+    (_fd_step, float("inf"), "step_size must be finite, got inf"),
+    (lambda v: RunConfig(Method.GD, F1, HyperPolicy.fixed(DEFAULT_HYPERS), tolerance=v), np.True_,
+     f"tolerance must be a real number, got {np.True_!r}"),
+    (lambda v: detect_convergence([], v), np.True_, f"tolerance must be a real number, got {np.True_!r}"),
+    (_fd_step, np.array([1e-6]), f"step_size must be a real number, got {np.array([1e-6])!r}"),
+    (lambda v: detect_convergence([], v), np.array([1e-3, 1e-2]),
+     f"tolerance must be a real number, got {np.array([1e-3, 1e-2])!r}"),
+], ids=["step-bool", "step-numpy-bool", "step-str", "step-inf", "config-numpy-bool", "convergence-numpy-bool",
+        "step-array", "convergence-array"])
+def test_a_tolerance_or_step_size_must_be_a_positive_real(take, value, text):
+    assert _refusal(lambda: take(value)) == text
