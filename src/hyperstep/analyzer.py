@@ -336,7 +336,8 @@ def _curve(
     def curve(t: np.ndarray) -> np.ndarray:
         hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range
         hyper.__dict__.update({**values, target: t[..., None]})
-        loss, b_new, tmp = np.empty((3, n, t.shape[1], m))  # loss buffer, stepped b, rule temporary
+        buf = np.empty((3, n, t.shape[1], m))
+        loss, b_new, tmp = buf[0], buf[1], buf[2]  # loss buffer, stepped b, rule temporary
         with np.errstate(over="ignore", invalid="ignore"):
             rule(w, s_w, g_w, hyper, loss, tmp)  # w steps straight into the loss buffer
             if b is not None:
