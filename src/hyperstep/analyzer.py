@@ -37,12 +37,16 @@ for itself: the loss buffer, the stepped b and the rule's temporary. The
 buffered form steps w straight into the loss buffer and b into its own,
 ``objectives._residual_into`` takes the residual in place in the loss buffer
 and one multiply squares it there. So a plain-descent or momentum curve point
-allocates that one array; adagrad and rmsprop also allocate their
-accumulator and divisor. The call holds numpy's overflow warnings off
-around its step, then takes each curve's mean along the grid as
-``np.add.reduce(losses, axis=-1) / grid``, the arithmetic of
-``ndarray.mean`` without its Python wrapper, and tests the means for
-finiteness once. That one test is exact: every loss is a square, so a mean
+allocates that one array. So does an adagrad curve point, and an rmsprop one
+whose target is not beta: no point moves their root, the square root of
+``optimizers._divisor`` from the accumulator, so the curve takes it once per
+slot coordinate by ``optimizers._ROOTS`` and each call steps by it alone
+(``optimizers._divided_into``, the buffered forms' own last three operations).
+An rmsprop beta point also allocates its accumulator, divisor and root. The
+call holds numpy's overflow warnings off around its step, then takes each
+curve's mean along the grid as ``np.add.reduce(losses, axis=-1) / grid``, the
+arithmetic of ``ndarray.mean`` without its Python wrapper, and tests the
+means for finiteness once. That one test is exact: every loss is a square, so a mean
 is finite only if all its losses are. Only a non-finite mean looks at the
 losses one by one, to tell a non-finite loss (an error) from finite ones
 whose sum overflows (a numpy warning and an inf mean).
@@ -82,8 +86,10 @@ from .optimizers import (
     Method,
     OptimizerState,
     PerCoord,
+    _ROOTS,
     _RULES,
     _checked_gradient,
+    _divided_into,
     _slot,
     step,
 )
@@ -332,6 +338,13 @@ def _curve(
     rule = _RULES[method][2]
     slot = _slot(method, state)
     w, s_w, g_w, b, s_b, g_b = (lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b))
+    root, reads = _ROOTS.get(method, (None, ()))
+    if root is not None and target not in reads:  # no point moves the root: take it once, for the slot
+        held = object.__new__(HyperParams)  # unchecked: ``values`` were checked above
+        held.__dict__.update(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_w, s_b = root(s_w, g_w, held), None if b is None else root(s_b, g_b, held)
+        rule = _divided_into
 
     def curve(t: np.ndarray) -> np.ndarray:
         hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range

@@ -256,9 +256,10 @@ def _output(args: argparse.Namespace):
 
 
 def _emit(out, args: argparse.Namespace, columns: tuple[str, ...], rows, payload) -> None:
-    """The CSV header and ``rows``, every cell by ``_csv_cell``, or the JSON ``payload``."""
+    """The CSV header and ``rows``, every cell by ``_csv_cell``, or the JSON ``payload()``: it is
+    built only for JSON output."""
     if args.format == "json":
-        out.write(_json_text(payload))
+        out.write(_json_text(payload()))
     else:
         out.write("".join(",".join(map(_csv_cell, row)) + "\n" for row in (columns, *rows)))
 
@@ -309,9 +310,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with _output(args) as out:
         trace = run_training(cfg)
         rows = [_record_values(rec) for rec in trace.records]
-        records = [dict(zip(_TRACE_COLUMNS, row)) for row in rows]
-        config = {**asdict(cfg), "init": resolve_init(cfg), "init_seed": args.init_seed}
-        payload = {"format": "json", "config": config, "trace": {**_summary(trace), "records": records}}
+
+        def payload():
+            records = [dict(zip(_TRACE_COLUMNS, row)) for row in rows]
+            config = {**asdict(cfg), "init": resolve_init(cfg), "init_seed": args.init_seed}
+            return {"format": "json", "config": config, "trace": {**_summary(trace), "records": records}}
+
         _emit(out, args, _TRACE_COLUMNS, rows, payload)
     if trace.diverged:
         print("run diverged: loss, gradient or optimizer state became non-finite", file=sys.stderr)
@@ -396,9 +400,12 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         matrix = reproduce_table2(defaults=defaults, sample=sample, init=init, **chosen)
         rows = [(c.method.value, c.objective.value, c.optimal.converged_epoch, c.optimal.final_loss,
                  c.fixed.converged_epoch, c.fixed.final_loss, *vars(c.published).values()) for c in matrix.cells]
-        cells = [{**vars(c), "optimal": _summary(c.optimal), "fixed": _summary(c.fixed)} for c in matrix.cells]
-        settings = {**asdict(defaults), **asdict(sample), "init": init, **chosen}
-        _emit(out, args, _TABLE2_COLUMNS, rows, {"settings": settings, "cells": cells})
+
+        def payload():
+            cells = [{**vars(c), "optimal": _summary(c.optimal), "fixed": _summary(c.fixed)} for c in matrix.cells]
+            return {"settings": {**asdict(defaults), **asdict(sample), "init": init, **chosen}, "cells": cells}
+
+        _emit(out, args, _TABLE2_COLUMNS, rows, payload)
     return EXIT_OK
 
 

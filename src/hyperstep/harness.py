@@ -16,11 +16,16 @@ cache. ``run_training`` then checks nothing per epoch but finiteness. It keeps t
 the coordinates of the state slot the method moves as float locals and takes one
 gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (fed that
 slot, adagrad's through ``optimizers._post_view``) and the method's per-coordinate rule from
-``optimizers._RULES``; it shares one ``HyperFlags`` per combination of flags and builds each
-epoch's ``ParamPoint``, ``EpochRecord``, slot ``PerCoord`` and picked ``HyperParams`` by the one
-unchecked idiom that ``optimizers`` describes, ``object.__new__`` and a ``__dict__`` filled item by
-item in field order, so no per-field ``object.__setattr__`` runs. ``_finite`` checks
-only that the gradient, whose finiteness defines divergence, the params and the slot are finite.
+``optimizers._RULES``. An optimal epoch builds only what its record keeps: it judges each core's
+(raw, singular) by ``hyperopt._verdict``, the fallback contract ``hyperopt._from_raw`` applies to
+a float, so it builds no ``FeasibleValue``; it fills one ``HyperParams`` as its targets resolve,
+and takes its shared ``HyperFlags`` from the tuple of per-target outcomes. Each epoch's
+``ParamPoint``, ``EpochRecord``, slot ``PerCoord`` and ``HyperParams`` are built by the one
+unchecked idiom that ``optimizers`` describes, ``object.__new__`` and a ``__dict__`` filled in field
+order, so no per-field ``object.__setattr__`` runs. ``_finite`` tests the gradient, whose
+finiteness defines divergence, and after the step the slot; the loss r * r is the one test of the
+stepped params, since on every objective a non-finite w or b makes r inf or NaN (at x = 0, inf * 0
+is NaN), so a finite loss vouches for both.
 The loop's exit test gives ``converged_epoch``, what ``detect_convergence`` finds in the records.
 A run on floats computes in plain floats, a zero divisor's inf or NaN included.
 
@@ -45,7 +50,7 @@ from .objectives import (
 from .optimizers import (
     _RULES, HyperParams, Method, PerCoord, _post_view, _require_method,
 )
-from .hyperopt import _FORMS, OPTIMIZED_HYPERS
+from .hyperopt import _FORMS, OPTIMIZED_HYPERS, _verdict
 
 DEFAULT_HYPERS = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=1e-8)
 DEFAULT_SAMPLE = RegressionSample(x=0.3, y=0.23)
@@ -123,10 +128,15 @@ _INITIAL_FLAGS = HyperFlags(eta=FLAG_NONE, alpha=FLAG_NONE, beta=FLAG_NONE)
 _FIXED_FLAGS = HyperFlags()
 
 
+# a target's flag by its ``hyperopt._verdict``: undefined (None), feasible (True) or clamped (False)
+_OUTCOME_FLAGS = {None: FLAG_FALLBACK, True: FLAG_CLOSED_FORM, False: FLAG_CLAMPED}
+
+
 @cache
-def _flags(eta: str = FLAG_FIXED, alpha: str = FLAG_FIXED, beta: str = FLAG_FIXED) -> HyperFlags:
-    """One shared HyperFlags per combination of flags."""
-    return HyperFlags(eta, alpha, beta)
+def _flags(targets: tuple[str, ...], outcomes: tuple[bool | None, ...]) -> HyperFlags:
+    """One shared HyperFlags per combination of flags: an optimal epoch's, whose ``targets``
+    resolved to ``outcomes``, None, True or False each; the others are fixed."""
+    return HyperFlags(**{t: _OUTCOME_FLAGS[o] for t, o in zip(targets, outcomes)})
 
 
 @dataclass(frozen=True)
@@ -272,7 +282,7 @@ def detect_convergence(records: tuple[EpochRecord, ...] | list[EpochRecord], tol
 
 
 def _finite(w, b) -> bool:
-    """Whether a gradient's, params' or state slot's ``w`` and ``b`` (None on one parameter) are finite."""
+    """Whether a gradient's or state slot's ``w`` and ``b`` (None on one parameter) are finite."""
     return math.isfinite(w) and (b is None or math.isfinite(b))
 
 
@@ -288,7 +298,8 @@ def run_training(cfg: RunConfig) -> Trace:
     # The coefficient (alpha or beta) is resolved first against the incumbent eta, then eta
     # against the resolved coefficient, so the step built from the result zeroes the
     # residual whenever the eta form is defined.
-    forms = [(t, _FORMS[method, t]) for t in ("alpha", "beta", "eta") if t in cfg.policy.optimize]
+    targets = tuple(t for t in ("alpha", "beta", "eta") if t in cfg.policy.optimize)
+    forms = [(t, _FORMS[method, t]) for t in targets]
     params = resolve_init(cfg)
     w, b = params.w, params.b
     s_w, s_b = 0.0, None if b is None else 0.0  # the coordinates of the slot the method moves
@@ -311,19 +322,18 @@ def run_training(cfg: RunConfig) -> Trace:
             fill["w"], fill["b"] = s_w, s_b
             if method is Method.ADAGRAD:  # its form reads the sums the pending step divides by
                 slot = _post_view(slot, g)
-            chosen = {}
+            picked = new(HyperParams)  # a clamped value lies in every range
+            fill = picked.__dict__
+            fill.update(hypers.__dict__)
+            outcomes = []
             for target, form in forms:  # the fallback contract: an undefined value keeps the incumbent
-                fv = form(obj, slot, sample, r, g, hypers)
-                if not fv.defined:
-                    chosen[target] = FLAG_FALLBACK
-                    continue
-                chosen[target] = FLAG_CLOSED_FORM if fv.feasible else FLAG_CLAMPED
-                picked = new(HyperParams)  # a clamped value lies in every range
-                fill = picked.__dict__
-                fill.update(hypers.__dict__)
-                fill[target] = fv.value
-                hypers = picked
-            flags = _flags(**chosen)
+                verdict = _verdict(*form(obj, slot, sample, r, g, picked))
+                if verdict is None:
+                    outcomes.append(None)
+                else:
+                    fill[target], feasible = verdict
+                    outcomes.append(feasible)
+            hypers, flags = picked, _flags(targets, tuple(outcomes))
         w, s_w = rule(w, s_w, g.d_w, hypers)
         if b is not None:
             b, s_b = rule(b, s_b, g.d_b, hypers)
@@ -339,8 +349,8 @@ def run_training(cfg: RunConfig) -> Trace:
             epoch, params, loss, hypers, flags
         )
         records.append(record)
-        # an overflowed accumulator would freeze the run with a finite loss
-        diverged = not (math.isfinite(loss) and _finite(w, b) and _finite(s_w, s_b))
+        # a finite loss vouches for w and b; an overflowed accumulator would freeze the run with one
+        diverged = not (math.isfinite(loss) and _finite(s_w, s_b))
 
     # the loop stops at the first epoch whose loss meets the tolerance, if any
     return Trace(tuple(records), epoch if loss <= tolerance else None, loss, diverged)

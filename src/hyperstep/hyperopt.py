@@ -2,7 +2,7 @@
 
 On these benchmarks the post-step loss is the square of a function that is
 affine in the hyperparameter being tuned, so the loss-minimizing value has a
-closed form in the current state. Each rule returns a FeasibleValue: the raw
+closed form in the current state. Each public rule returns a FeasibleValue: the raw
 root of the affine factor, a copy clamped to the [0, 1] search interval, and
 two flags. ``defined`` is False when the formula's denominator falls below
 SINGULAR_TOL (the state carries no usable signal, e.g. zero residual or zero
@@ -30,9 +30,12 @@ Each public rule and ``solve`` run ``_solved``, the one path from a state to its
 here with the same error), then the pair's core. ``_FORMS``, the only table that names a
 core, maps each (method, target) pair to it, called as ``(obj, slot, sample, r, g,
 hyper)``: ``slot`` is the state slot the method moves (``optimizers._slot``), and r and g
-the residual and gradient, which ``_solved`` takes once. ``verify`` calls ``_solved`` on
-whole drawn tables, so every state that reaches a core passes ``_check_state`` first,
-except in ``harness.run_training``, which calls the cores on each epoch's one gradient.
+the residual and gradient, which ``_solved`` takes once. A core returns its root and
+where it is singular, ``(raw, singular)``, and ``_solved`` judges them once by ``_from_raw``.
+``verify`` calls ``_solved`` on whole drawn tables, so every state that reaches a core passes
+``_check_state`` first, except in ``harness.run_training``, which calls the cores on each
+epoch's one gradient and judges each float root by ``_verdict``, the judgement ``_from_raw``
+applies to a float, building no FeasibleValue.
 
 Public names take and return floats. Each core is written once for floats
 and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
@@ -71,17 +74,26 @@ class FeasibleValue:
 _UNDEFINED = FeasibleValue(value=_NAN, raw=_NAN, feasible=False, defined=False)
 
 
+def _verdict(raw: float, singular) -> tuple[float, bool] | None:
+    """A float root judged by the fallback contract: None (undefined) where ``singular`` or not
+    finite, else its value, ``raw`` clamped to [0, 1], and whether it is feasible (0 <= raw <= 1)."""
+    if singular or not math.isfinite(raw):
+        return None
+    feasible = 0.0 <= raw <= 1.0
+    return (raw if feasible else 0.0 if raw < 0.0 else 1.0), feasible
+
+
 def _from_raw(raw, singular=False) -> FeasibleValue:
-    """``raw`` clamped and flagged, a float or elementwise; undefined where singular or not finite.
-    A defined float is built by ``optimizers``' unchecked idiom, an undefined one is ``_UNDEFINED``."""
+    """``raw`` clamped and flagged, a float (by ``_verdict``) or elementwise; undefined where singular
+    or not finite. A defined float is built by ``optimizers``' unchecked idiom, an undefined one is
+    ``_UNDEFINED``."""
     if isinstance(raw, float):
-        if singular or not math.isfinite(raw):
+        verdict = _verdict(raw, singular)
+        if verdict is None:
             return _UNDEFINED
         fv = object.__new__(FeasibleValue)
         fill = fv.__dict__
-        fill["value"], fill["raw"], fill["feasible"], fill["defined"] = (
-            min(max(raw, 0.0), 1.0), raw, 0.0 <= raw <= 1.0, True
-        )
+        fill["value"], fill["raw"], fill["feasible"], fill["defined"] = verdict[0], raw, verdict[1], True
         return fv
     import numpy as np
 
@@ -120,11 +132,12 @@ def _solved(
     hyper.__dict__.update({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
     r = _residual(obj, state.params, sample)
     g = _gradient(obj, r, sample, f3_half_gradient)
-    return _FORMS[method, target](obj, _slot(method, state), sample, r, g, hyper)
+    return _from_raw(*_FORMS[method, target](obj, _slot(method, state), sample, r, g, hyper))
 
 
 # The unchecked cores, each called as (obj, slot, sample, r, g, hyper): ``hyper`` holds
-# the given values the core reads.
+# the given values the core reads. Each returns its root and where it is singular, (raw,
+# singular), which ``_solved`` judges by ``_from_raw`` and the run loop by ``_verdict``.
 
 def _lr_gd(obj, slot, sample, r, g, hyper):
     return _scaled_lr(obj, sample, 1.0, 1.0, 0.0)
@@ -147,9 +160,9 @@ def _lr_momentum(obj, v, sample, r, g, hyper):
     m = _pull(obj, v, sample)
     singular = abs(r) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
-        return _from_raw((hyper.alpha * m + r) / (2.0 * obj.arity * r + singular), singular)
+        return (hyper.alpha * m + r) / (2.0 * obj.arity * r + singular), singular
     k = sample.x * sample.x + 1.0
-    return _from_raw(1.0 / k + hyper.alpha * m / (r * k + singular), singular)
+    return 1.0 / k + hyper.alpha * m / (r * k + singular), singular
 
 
 def optimal_lr_momentum(
@@ -172,8 +185,8 @@ def _momentum_coef(obj, v, sample, r, g, hyper):
     singular = abs(m) < SINGULAR_TOL
     eta = hyper.eta
     if obj is not ObjectiveId.F3:
-        return _from_raw((2.0 * obj.arity * eta - 1.0) * r / (m + singular), singular)
-    return _from_raw(r * (eta * sample.x * sample.x + eta - 1.0) / (m + singular), singular)
+        return (2.0 * obj.arity * eta - 1.0) * r / (m + singular), singular
+    return r * (eta * sample.x * sample.x + eta - 1.0) / (m + singular), singular
 
 
 def optimal_momentum_coef(
@@ -193,13 +206,13 @@ def optimal_momentum_coef(
 
 def _scaled_lr(
     obj: ObjectiveId, sample: RegressionSample | None, acc_w: float, acc_b: float | None, epsilon: float
-) -> FeasibleValue:
+) -> tuple:
     """Learning rate that zeroes the residual when each coordinate's step is
     divided by sqrt(acc + epsilon), ``acc_w``/``acc_b`` being the accumulators
     the pending step divides by."""
     s_w = _sqrt(acc_w + epsilon)
     if obj is ObjectiveId.F1:
-        return _from_raw(s_w / 2.0)
+        return s_w / 2.0, False
     s_b = _sqrt(acc_b + epsilon)
     if obj is ObjectiveId.F2:
         denom = 2.0 * (s_w + s_b)
@@ -207,7 +220,7 @@ def _scaled_lr(
         x = sample.x
         denom = x * x * s_b + s_w
     singular = denom < SINGULAR_TOL
-    return _from_raw(s_w * s_b / (denom + singular), singular)
+    return s_w * s_b / (denom + singular), singular
 
 
 def _lr_adagrad(obj, phi, sample, r, g, hyper):
@@ -262,12 +275,12 @@ def _beta_rmsprop(obj, u, sample, r, g, hyper):
     denom = u.w - g_sq
     singular = abs(denom) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
-        return _from_raw(((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular)
+        return ((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular
     flat = abs(r) < SINGULAR_TOL
     d_sq = r * r + flat
     x1 = sample.x + 1.0
     raw = (eta * eta * g_sq * x1 * x1 - g_sq * d_sq - epsilon * d_sq) / ((denom + singular) * d_sq)
-    return _from_raw(raw, singular | flat)
+    return raw, singular | flat
 
 
 def optimal_beta_rmsprop(

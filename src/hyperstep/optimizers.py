@@ -238,9 +238,10 @@ def _weighted(c, u, g, hyper):
 # coordinate c' into ``out``, an array of the shape the inputs broadcast to, by its rule's
 # IEEE operations in its rule's order (so bit for bit), through numpy's ``out=``, with
 # ``tmp`` as scratch of that shape; the new slot is not kept. Plain descent and momentum
-# allocate nothing; adagrad and rmsprop take their accumulator and ``_divisor`` as their
-# rules do, then divide into ``out``. ``analyzer._curve`` steps each call by them; the
-# tests hold them to the rules above.
+# allocate nothing; adagrad and rmsprop take their root, the square root of ``_divisor``
+# from their accumulator as their rules take it (``_ROOTS``), then step by it into ``out``
+# (``_divided_into``). ``analyzer._curve`` steps each call by them, and takes a root once
+# per curve where no point moves it; the tests hold them to the rules above.
 
 def _descend_into(c, s, g, hyper, out, tmp):
     import numpy as np
@@ -258,21 +259,34 @@ def _heavy_ball_into(c, v, g, hyper, out, tmp):
     np.add(c, out, out=out)
 
 
-def _scaled_into(c, acc, g, hyper, read, out):
+def _scaled_root(acc, g, hyper, read):
     import numpy as np
 
-    root = np.sqrt(_divisor(acc, g, hyper, read))
+    return np.sqrt(_divisor(acc, g, hyper, read))
+
+
+def _accumulated_root(phi, g, hyper):
+    return _scaled_root(_grad_sq_sum(phi, g), g, hyper, True)
+
+
+def _weighted_root(u, g, hyper):
+    return _scaled_root(_weighted_grad_sq(u, g, hyper.beta), g, hyper, hyper.beta < 1.0)
+
+
+def _divided_into(c, root, g, hyper, out, tmp):
+    import numpy as np
+
     np.multiply(hyper.eta, g, out=out)
     np.divide(out, root, out=out)
     np.subtract(c, out, out=out)
 
 
 def _accumulated_into(c, phi, g, hyper, out, tmp):
-    _scaled_into(c, _grad_sq_sum(phi, g), g, hyper, True, out)
+    _divided_into(c, _accumulated_root(phi, g, hyper), g, hyper, out, tmp)
 
 
 def _weighted_into(c, u, g, hyper, out, tmp):
-    _scaled_into(c, _weighted_grad_sq(u, g, hyper.beta), g, hyper, hyper.beta < 1.0, out)
+    _divided_into(c, _weighted_root(u, g, hyper), g, hyper, out, tmp)
 
 
 # a method's slot, its rule on floats or arrays, and the rule's buffered array form
@@ -281,6 +295,12 @@ _RULES = {
     Method.MOMENTUM: ("velocity", _heavy_ball, _heavy_ball_into),
     Method.ADAGRAD: ("grad_sq_sum", _accumulated, _accumulated_into),
     Method.RMSPROP: ("weighted_grad_sq", _weighted, _weighted_into),
+}
+
+# adagrad's and rmsprop's root (slot, g, hyper) -> sqrt(_divisor), and the hyperparameters it reads
+_ROOTS = {
+    Method.ADAGRAD: (_accumulated_root, frozenset({"epsilon"})),
+    Method.RMSPROP: (_weighted_root, frozenset({"beta", "epsilon"})),
 }
 
 _NO_SLOT = PerCoord()

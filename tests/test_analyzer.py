@@ -555,13 +555,14 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
     assert evaluated
 
 
-@pytest.mark.parametrize("method", [GD, Method.MOMENTUM], ids=lambda m: m.value)
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monkeypatch):
     # a call allocates one (3, curves, k, grid) array, its loss buffer, stepped b and rule
     # temporary, and steps w and b through the buffered form into it, never through the
-    # allocating rule: both read the same peak on f2's grid, so the calls are counted too
+    # allocating rule: both read the same peak on f2's grid, so the calls are counted too.
+    # An adagrad or rmsprop eta curve takes its root once and each call steps by it alone
     slot, rule, into = analyzer._RULES[method]
-    calls = {"rule": 0, "into": 0}
+    calls = {"rule": 0, "into": 0, "divided": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -570,6 +571,7 @@ def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monk
         return wrapper
 
     monkeypatch.setattr(analyzer, "_RULES", {method: (slot, counted("rule", rule), counted("into", into))})
+    monkeypatch.setattr(analyzer, "_divided_into", counted("divided", analyzer._divided_into))
     state = analyzer._sampled_state(F2, GRID_2D, TEMPLATE_2D)
     g = analyzer._gradient_at(state, F2, None, False)
     curve, n, _ = analyzer._curve(method, F2, "eta", BASE, None, state, g)
@@ -583,5 +585,6 @@ def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monk
     finally:
         tracemalloc.stop()
     assert again.tobytes() == first.tobytes()
-    assert calls == {"rule": 0, "into": 4}  # w and b, in each of the two calls
+    rooted = method in (Method.ADAGRAD, Method.RMSPROP)
+    assert calls == {"rule": 0, "into": 0 if rooted else 4, "divided": 4 if rooted else 0}  # w and b, in each call
     assert peak - before <= 3 * n * t.shape[1] * state.params.w.size * 8 + 2**14 * 8  # the one array

@@ -628,11 +628,14 @@ _unit = strategies.one_of(strategies.floats(0.0, 1.0), strategies.sampled_from([
 # one pinned example per divergence route: a non-finite gradient (x * r overflows
 # while r * r does not), a non-finite loss (a zero rmsprop divisor at epsilon = 0
 # and beta = 1), and a non-finite state (adagrad's g * g overflows, the loss stays finite);
-# and a run whose w sum overflows on the step that meets the tolerance: diverged, yet converged
+# and a run whose w sum overflows on the step that meets the tolerance: diverged, yet converged;
+# and a run whose w overflows to inf at epoch 3, its loss finite at epoch 2 (a divisor of
+# sqrt(5e-324) at beta = 1), ended by the post-step loss test
 @example(Method.GD, F3, False, True, 0.0, 1e150, 1e200, 0.0, 0.1, 0.5, 0.5, 1e-8, 10)
 @example(Method.RMSPROP, F1, False, False, 0.3, None, 0.0, 0.0, 0.1, 0.5, 1.0, 0.0, 10)
 @example(Method.ADAGRAD, F3, False, True, 1e-100, 1.0, 1e160, 0.0, 0.1, 0.5, 0.5, 1e-8, 10)
 @example(Method.ADAGRAD, F3, False, True, 0.0, 0.5, 1e160, 0.0, 0.5, 0.5, 0.5, 0.0, 10)
+@example(Method.RMSPROP, F1, False, False, 0.501, None, 0.0, 0.0, 1e-6, 0.5, 1.0, 5e-324, 10)
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     method=strategies.sampled_from(list(Method)),
@@ -785,9 +788,12 @@ def test_the_pinned_rmsprop_example_clamps_beta():
 def test_an_optimal_run_checks_no_state_and_takes_one_gradient_per_epoch(monkeypatch, method):
     # standard f3, where the gd, momentum and rmsprop arms use the whole budget: the
     # config is checked once, so the loop runs no _check_state, and each stepped epoch's
-    # one gradient feeds the closed forms, adagrad's post-accumulation view and the step
-    calls = {"_check_state": 0, "_gradient": 0}
-    originals = {"_check_state": optimizers._check_state, "_gradient": objectives._gradient}
+    # one gradient feeds the closed forms, adagrad's post-accumulation view and the step;
+    # the loop judges each core's (raw, singular) itself, so builds no FeasibleValue
+    calls = {"_check_state": 0, "_gradient": 0, "_from_raw": 0}
+    originals = {
+        "_check_state": optimizers._check_state, "_gradient": objectives._gradient, "_from_raw": hyperopt._from_raw,
+    }
 
     def counted(name):
         def call(*args, **kwargs):
@@ -804,7 +810,7 @@ def test_an_optimal_run_checks_no_state_and_takes_one_gradient_per_epoch(monkeyp
         sample=DEFAULT_SAMPLE, max_epochs=1000,
     )
     trace = run_training(cfg)
-    assert calls == {"_check_state": 0, "_gradient": len(trace.records) - 1}
+    assert calls == {"_check_state": 0, "_gradient": len(trace.records) - 1, "_from_raw": 0}
 
 
 # The run loop, _gradient, _post_view and _from_raw's float branch build their frozen values

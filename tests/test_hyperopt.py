@@ -503,11 +503,12 @@ _NEAR_TOL = (0.0, 0.5 * SINGULAR_TOL, 2.0 * SINGULAR_TOL, -0.5 * SINGULAR_TOL, -
 
 
 def _array_form(pair, obj, state, sample, half, eta, alpha, beta, epsilon):
-    """The core ``hyperopt._FORMS`` maps ``pair`` to, fed the residual and gradient at ``state``."""
+    """The core ``hyperopt._FORMS`` maps ``pair`` to, fed the residual and gradient at ``state``,
+    its (raw, singular) judged by ``hyperopt._from_raw``."""
     r = objectives._residual(obj, state.params, sample)
     g = objectives._gradient(obj, r, sample, half)
     slot = optimizers._slot(pair[0], state)
-    return hyperopt._FORMS[pair](obj, slot, sample, r, g, HyperParams(eta, alpha, beta, epsilon))
+    return hyperopt._from_raw(*hyperopt._FORMS[pair](obj, slot, sample, r, g, HyperParams(eta, alpha, beta, epsilon)))
 
 
 def test_a_negative_accumulator_is_undefined_on_floats_and_arrays():

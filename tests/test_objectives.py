@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from hyperstep import (
     ObjectiveId,
@@ -11,6 +12,7 @@ from hyperstep import (
     RegressionSample,
     evaluate,
     gradient,
+    objectives,
     residual,
 )
 
@@ -121,3 +123,28 @@ def test_objective_ids_round_trip_from_strings():
 def test_math_isclose_guard_on_example():
     # the quoted loss value 0.49 holds to float precision, not exactly
     assert math.isclose(evaluate(F2, ParamPoint(w=0.3, b=0.4)), 0.49, rel_tol=1e-12)
+
+
+# coordinates and samples from the non-finite values, the edges of overflow, zero and ordinary floats
+_EDGE = strategies.one_of(
+    strategies.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0]),
+    strategies.floats(-2.0, 2.0),
+    strategies.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    obj=strategies.sampled_from([F1, F2, F3]),
+    w=_EDGE,
+    b=_EDGE,
+    x=strategies.one_of(strategies.just(0.0), _EDGE),
+    y=_EDGE,
+)
+def test_a_finite_squared_residual_has_finite_coordinates(obj, w, b, x, y):
+    # the run loop's post-step test reads the loss r * r alone: a non-finite w or b makes
+    # the residual inf or NaN (inf * 0 at x = 0 is NaN), so a finite loss vouches for both
+    point = ParamPoint(w, None if obj is F1 else b)
+    r = objectives._residual(obj, point, RegressionSample(x, y) if obj is F3 else None)
+    if math.isfinite(r * r):
+        assert math.isfinite(w) and (point.b is None or math.isfinite(point.b))

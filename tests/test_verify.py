@@ -9,7 +9,6 @@ import contextlib
 import importlib.util
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +121,7 @@ def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
 def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
     # every state defined but infeasible: no search runs, so the check cannot pass
     def infeasible(obj, slot, sample, r, *_):
-        return hyperopt._from_raw(np.full_like(r, 2.0))
+        return np.full_like(r, 2.0), False
 
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
     row = verify.check_argmin_pointwise(Method.ADAGRAD, 0, 3)
@@ -135,10 +134,8 @@ def test_a_pointwise_check_passes_with_95_of_its_100_states_defined(monkeypatch,
     real = hyperopt._FORMS[Method.ADAGRAD, "eta"]
 
     def fewer(*args):
-        fv = real(*args)
-        defined = fv.defined.copy()
-        defined[:undefined] = False
-        return replace(fv, defined=defined)
+        raw, singular = real(*args)
+        return raw, (np.arange(len(raw)) < undefined) | singular
 
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), fewer)
     row = verify.check_argmin_pointwise(Method.ADAGRAD, 0)
@@ -149,7 +146,7 @@ def test_a_pointwise_check_passes_with_95_of_its_100_states_defined(monkeypatch,
 def test_one_step_check_fails_when_no_draw_is_kept(monkeypatch):
     # every draw defined but infeasible: nothing is stepped, so the check cannot pass
     def infeasible(obj, slot, sample, r, *_):
-        return hyperopt._from_raw(np.full_like(r, 2.0))
+        return np.full_like(r, 2.0), False
 
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
     row = verify._check_one_step(Method.ADAGRAD, 3, 0)
