@@ -38,11 +38,12 @@ buffered form steps w straight into the loss buffer and b into its own,
 ``objectives._residual_into`` takes the residual in place in the loss buffer
 and one multiply squares it there. So a plain-descent or momentum curve point
 allocates that one array. So does an adagrad curve point, and an rmsprop one
-whose target is not beta: no point moves their root, the square root of
-``optimizers._divisor`` from the accumulator, so the curve takes it once per
-slot coordinate by ``optimizers._ROOTS`` and each call steps by it alone
-(``optimizers._divided_into``, the buffered forms' own last three operations).
-An rmsprop beta point also allocates its accumulator, divisor and root. The
+whose target is not beta. Both methods step by their root alone, the square root
+of ``optimizers._divisor`` from the accumulator, and no such point moves it: the
+curve takes it once per slot coordinate by ``optimizers._ROOTS``, from the checked
+``replace(fixed, ...)`` before the arrays are laid out. An rmsprop beta point moves
+the root, so each call takes it from its own points, allocating the accumulator,
+divisor and root of each coordinate before it steps by it. The
 call holds numpy's overflow warnings off around its step, then takes each
 curve's mean along the grid as ``np.add.reduce(losses, axis=-1) / grid``, the
 arithmetic of ``ndarray.mean`` without its Python wrapper, and tests the
@@ -89,7 +90,6 @@ from .optimizers import (
     _ROOTS,
     _RULES,
     _checked_gradient,
-    _divided_into,
     _slot,
     step,
 )
@@ -328,33 +328,32 @@ def _curve(
     # HyperParams' range checks, once per search, on the other values as ``fixed``
     # holds them now (an array may have changed since it was checked); every
     # search point in [0, 1] lies in each target's range, so the points skip them
-    values = vars(replace(fixed, **{target: 0.0}))
+    checked = replace(fixed, **{target: 0.0})
     n, m = np.atleast_2d(state.params.w).shape
+    rule = _RULES[method][2]
+    slot = _slot(method, state)
+    s_w, s_b = slot.w, slot.b
+    root, reads = _ROOTS.get(method, (None, ()))
+    if root is not None and target not in reads:  # no point moves the root: take it once, for the slot
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_w, s_b = root(s_w, g.d_w, checked), None if g.d_b is None else root(s_b, g.d_b, checked)
+        root = None
 
     def lay(a):  # arrays as (curves, 1, grid): points go on the middle axis
         return a if np.ndim(a) == 0 else np.reshape(a, (n, 1, -1))
 
-    values = {name: lay(v) for name, v in values.items()}
-    rule = _RULES[method][2]
-    slot = _slot(method, state)
-    w, s_w, g_w, b, s_b, g_b = (lay(a) for a in (state.params.w, slot.w, g.d_w, state.params.b, slot.b, g.d_b))
-    root, reads = _ROOTS.get(method, (None, ()))
-    if root is not None and target not in reads:  # no point moves the root: take it once, for the slot
-        held = object.__new__(HyperParams)  # unchecked: ``values`` were checked above
-        held.__dict__.update(values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_w, s_b = root(s_w, g_w, held), None if b is None else root(s_b, g_b, held)
-        rule = _divided_into
+    values = {name: lay(v) for name, v in vars(checked).items()}
+    w, s_w, g_w, b, s_b, g_b = (lay(a) for a in (state.params.w, s_w, g.d_w, state.params.b, s_b, g.d_b))
 
     def curve(t: np.ndarray) -> np.ndarray:
         hyper = object.__new__(HyperParams)  # unchecked: every point lies in the target's range
         hyper.__dict__.update({**values, target: t[..., None]})
         buf = np.empty((3, n, t.shape[1], m))
         loss, b_new, tmp = buf[0], buf[1], buf[2]  # loss buffer, stepped b, rule temporary
-        with np.errstate(over="ignore", invalid="ignore"):
-            rule(w, s_w, g_w, hyper, loss, tmp)  # w steps straight into the loss buffer
+        with np.errstate(over="ignore", invalid="ignore"):  # an rmsprop beta point takes its root here
+            rule(w, s_w if root is None else root(s_w, g_w, hyper), g_w, hyper, loss, tmp)  # w into the loss buffer
             if b is not None:
-                rule(b, s_b, g_b, hyper, b_new, tmp)
+                rule(b, s_b if root is None else root(s_b, g_b, hyper), g_b, hyper, b_new, tmp)
             _residual_into(obj, loss, b_new, sample, loss)
             np.multiply(loss, loss, out=loss)
         return _mean_losses(loss)

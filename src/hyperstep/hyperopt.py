@@ -85,16 +85,10 @@ def _verdict(raw: float, singular) -> tuple[float, bool] | None:
 
 def _from_raw(raw, singular=False) -> FeasibleValue:
     """``raw`` clamped and flagged, a float (by ``_verdict``) or elementwise; undefined where singular
-    or not finite. A defined float is built by ``optimizers``' unchecked idiom, an undefined one is
-    ``_UNDEFINED``."""
+    or not finite; an undefined float is ``_UNDEFINED``."""
     if isinstance(raw, float):
         verdict = _verdict(raw, singular)
-        if verdict is None:
-            return _UNDEFINED
-        fv = object.__new__(FeasibleValue)
-        fill = fv.__dict__
-        fill["value"], fill["raw"], fill["feasible"], fill["defined"] = verdict[0], raw, verdict[1], True
-        return fv
+        return _UNDEFINED if verdict is None else FeasibleValue(verdict[0], raw, verdict[1], True)
     import numpy as np
 
     defined = np.isfinite(raw) & np.logical_not(singular)

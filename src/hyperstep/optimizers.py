@@ -7,18 +7,19 @@ slot's type, each slot's arity and real coordinates (``objectives._require_real`
 (``adagrad_post_view`` and every public ``hyperopt`` rule run it first too, so all fail alike);
 it then refuses a non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
-map from a method to that rule, to the rule's buffered array form and to the state slot it
-advances, which ``_slot`` reads for every caller. Those that hold a checked gradient call the
-rules themselves: ``harness.run_training``, which checked its inputs once per run, calls the
-rule on float coordinates after its own ``_finite`` test of each epoch's gradient, and the
-analyzer's searches, whose state does not move, call the buffered form on array coordinates
-at every curve point. A buffered form writes the rule's new coordinate into arrays its caller
-owns, through numpy's ``out=``, by the rule's IEEE operations in the rule's order, so bit for
-bit; a test holds each to its rule, sign bits included. ``step`` keeps the allocating rules, so
-it, ``analyzer.mean_post_step_error`` and verify's one-step check are the searches' independent
-reference. ``_require_method`` is the one test that a method is a ``Method``; ``HyperParams``
-refuses a bool or a value that is not a number with the error, naming the field, that it
-gives a number out of range.
+map from a method to that rule, to the buffered array form a curve steps it by and to the
+state slot it advances, which ``_slot`` reads for every caller. Those that hold a checked
+gradient call the rules themselves: ``harness.run_training``, which checked its inputs once per
+run, calls the rule on float coordinates after its own ``_finite`` test of each epoch's gradient,
+and the analyzer's searches, whose state does not move, call the buffered form on array
+coordinates at every curve point. A buffered form writes the rule's new coordinate into arrays
+its caller owns, through numpy's ``out=``, by the rule's IEEE operations in the rule's order, so
+bit for bit: from the slot itself, or for adagrad and rmsprop from the root ``_ROOTS`` takes of
+their accumulator; a test holds each to its rule, sign bits included. ``step`` keeps the
+allocating rules, so it, ``analyzer.mean_post_step_error`` and verify's one-step check are the
+searches' independent reference. ``_require_method`` is the one test that a method is a ``Method``; ``HyperParams``
+refuses a bool (a numpy one included) or a value that is not a number with the error,
+naming the field, that it gives a number out of range.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
 stays in plain floats and imports no numpy, adagrad's or rmsprop's zero,
 negative or NaN divisor included: each gets its IEEE result (inf or NaN).
@@ -46,9 +47,8 @@ so, ~160 B filled item by item and ~100 B through ``__init__``, by ``tracemalloc
 builds ``HyperParams`` whose values were checked once for many (the analyzer's search
 points, ``hyperopt._solved``'s given values, the run loop's closed-form picks), and
 values of classes with no ``__post_init__``, for which it skips no check:
-``_post_view``'s ``PerCoord``, ``objectives._gradient``'s ``GradientVector``,
-``hyperopt._from_raw``'s defined float ``FeasibleValue`` and the run loop's
-``ParamPoint``, ``EpochRecord`` and slot ``PerCoord``.
+``_post_view``'s ``PerCoord``, ``objectives._gradient``'s ``GradientVector`` and the run
+loop's ``ParamPoint``, ``EpochRecord`` and slot ``PerCoord``.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ def _all(ok) -> bool:
 
 def _in_range(value, top: float) -> bool:
     """Whether ``value`` (a float, or every element of an array) lies in [0, top], or in
-    [0, inf) for an infinite ``top``; a bool, or a value that does not compare with floats, does not."""
-    if value.__class__ is bool:
+    [0, inf) for an infinite ``top``; a bool (a numpy bool or bool array included), or a value
+    that does not compare with floats, does not."""
+    if value.__class__ is bool or getattr(getattr(value, "dtype", None), "kind", None) == "b":
         return False
     try:
         return _all((0.0 <= value) & ((value <= top) if top < math.inf else (value < top)))
@@ -237,11 +238,11 @@ def _weighted(c, u, g, hyper):
 # The same rules on arrays, buffered (c, slot, g, hyper, out, tmp): each writes the new
 # coordinate c' into ``out``, an array of the shape the inputs broadcast to, by its rule's
 # IEEE operations in its rule's order (so bit for bit), through numpy's ``out=``, with
-# ``tmp`` as scratch of that shape; the new slot is not kept. Plain descent and momentum
-# allocate nothing; adagrad and rmsprop take their root, the square root of ``_divisor``
-# from their accumulator as their rules take it (``_ROOTS``), then step by it into ``out``
-# (``_divided_into``). ``analyzer._curve`` steps each call by them, and takes a root once
-# per curve where no point moves it; the tests hold them to the rules above.
+# ``tmp`` as scratch of that shape; the new slot is not kept. None allocates. Plain descent
+# and momentum step from the slot itself; adagrad and rmsprop step by ``_divided_into`` from
+# their root, the square root of ``_divisor`` that ``_ROOTS`` takes of their accumulator as
+# their rules take it. ``analyzer._curve`` steps each call by them, and takes a root once per
+# curve where no point moves it; the tests hold them to the rules above.
 
 def _descend_into(c, s, g, hyper, out, tmp):
     import numpy as np
@@ -281,20 +282,14 @@ def _divided_into(c, root, g, hyper, out, tmp):
     np.subtract(c, out, out=out)
 
 
-def _accumulated_into(c, phi, g, hyper, out, tmp):
-    _divided_into(c, _accumulated_root(phi, g, hyper), g, hyper, out, tmp)
 
-
-def _weighted_into(c, u, g, hyper, out, tmp):
-    _divided_into(c, _weighted_root(u, g, hyper), g, hyper, out, tmp)
-
-
-# a method's slot, its rule on floats or arrays, and the rule's buffered array form
+# a method's slot, its rule on floats or arrays, and the buffered array form a curve steps
+# by, from the slot as ``_ROOTS`` prepares it
 _RULES = {
     Method.GD: (None, _descend, _descend_into),
     Method.MOMENTUM: ("velocity", _heavy_ball, _heavy_ball_into),
-    Method.ADAGRAD: ("grad_sq_sum", _accumulated, _accumulated_into),
-    Method.RMSPROP: ("weighted_grad_sq", _weighted, _weighted_into),
+    Method.ADAGRAD: ("grad_sq_sum", _accumulated, _divided_into),
+    Method.RMSPROP: ("weighted_grad_sq", _weighted, _divided_into),
 }
 
 # adagrad's and rmsprop's root (slot, g, hyper) -> sqrt(_divisor), and the hyperparameters it reads

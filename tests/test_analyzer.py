@@ -555,14 +555,18 @@ def test_a_search_checks_its_hyperparameters_once_before_any_curve_point(monkeyp
     assert evaluated
 
 
-@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monkeypatch):
+@pytest.mark.parametrize("method, target", [
+    *(pytest.param(m, "eta", id=m.value) for m in Method), pytest.param(Method.RMSPROP, "beta", id="rmsprop-beta"),
+])
+def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, target, monkeypatch):
     # a call allocates one (3, curves, k, grid) array, its loss buffer, stepped b and rule
     # temporary, and steps w and b through the buffered form into it, never through the
     # allocating rule: both read the same peak on f2's grid, so the calls are counted too.
-    # An adagrad or rmsprop eta curve takes its root once and each call steps by it alone
+    # An adagrad or rmsprop eta curve takes its two roots, w's and b's, when it is built and
+    # none per call; a beta point moves rmsprop's root, so each call takes both and allocates
+    # their accumulator, divisor, root and masks besides
     slot, rule, into = analyzer._RULES[method]
-    calls = {"rule": 0, "into": 0, "divided": 0}
+    calls = {"rule": 0, "into": 0, "root": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -571,10 +575,12 @@ def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monk
         return wrapper
 
     monkeypatch.setattr(analyzer, "_RULES", {method: (slot, counted("rule", rule), counted("into", into))})
-    monkeypatch.setattr(analyzer, "_divided_into", counted("divided", analyzer._divided_into))
+    roots = {m: (counted("root", root), reads) for m, (root, reads) in analyzer._ROOTS.items()}
+    monkeypatch.setattr(analyzer, "_ROOTS", roots)
     state = analyzer._sampled_state(F2, GRID_2D, TEMPLATE_2D)
     g = analyzer._gradient_at(state, F2, None, False)
-    curve, n, _ = analyzer._curve(method, F2, "eta", BASE, None, state, g)
+    curve, n, _ = analyzer._curve(method, F2, target, BASE, None, state, g)
+    built = calls["root"]
     t = np.array([[0.25]])
     first = curve(t)
     tracemalloc.start()
@@ -585,6 +591,8 @@ def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, monk
     finally:
         tracemalloc.stop()
     assert again.tobytes() == first.tobytes()
-    rooted = method in (Method.ADAGRAD, Method.RMSPROP)
-    assert calls == {"rule": 0, "into": 0 if rooted else 4, "divided": 4 if rooted else 0}  # w and b, in each call
-    assert peak - before <= 3 * n * t.shape[1] * state.params.w.size * 8 + 2**14 * 8  # the one array
+    moved = target == "beta"
+    assert built == (2 if method in (Method.ADAGRAD, Method.RMSPROP) and not moved else 0)
+    assert calls == {"rule": 0, "into": 4, "root": built + (4 if moved else 0)}  # w and b, in each call
+    arrays = 6.5 if moved else 3  # the one array, and a beta point's root arrays
+    assert peak - before <= arrays * n * t.shape[1] * state.params.w.size * 8 + 2**14 * 8

@@ -284,3 +284,19 @@ def _fd_step(h):
         "step-array", "convergence-array"])
 def test_a_tolerance_or_step_size_must_be_a_positive_real(take, value, text):
     assert _refusal(lambda: take(value)) == text
+
+
+# A numpy bool compares as 0 or 1 as a Python bool does: HyperParams refuses either, a bool
+# array included. A numpy bool beta used to run rmsprop as beta = 1, whose average never
+# takes in a gradient.
+_HYPER_ERRORS = {
+    "eta": "eta must be a finite non-negative real", "alpha": "alpha must lie in [0, 1]",
+    "beta": "beta must lie in [0, 1]", "epsilon": "epsilon must be a finite non-negative real",
+}
+
+
+@pytest.mark.parametrize("value", [np.True_, np.array(True), np.array([True, False])],
+                         ids=["numpy-bool", "0d-bool-array", "bool-array"])
+@pytest.mark.parametrize("field", list(_HYPER_ERRORS))
+def test_hyperparams_refuse_a_numpy_bool_by_name(field, value):
+    assert _refusal(lambda: HyperParams(**{"eta": 0.1, field: value})) == f"{_HYPER_ERRORS[field]}, got {value!r}"
