@@ -75,6 +75,7 @@ from .objectives import (
     ParamPoint,
     RegressionSample,
     _require_index,
+    _require_objective,
     _require_positive,
     _require_real,
     _require_seed,
@@ -90,6 +91,8 @@ from .optimizers import (
     _ROOTS,
     _RULES,
     _checked_gradient,
+    _require_hyper,
+    _require_method,
     _slot,
     step,
 )
@@ -190,7 +193,11 @@ def finite_diff_gradient(
 
 
 def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerState) -> OptimizerState:
-    """``template`` with its parameters swept over the points ``spec`` samples."""
+    """``template`` with its parameters swept over the points ``spec`` samples, an objective
+    or ``spec`` of the wrong type refused by name first."""
+    _require_objective(obj)
+    if not isinstance(spec, SamplingSpec):
+        raise ValueError(f"spec must be a SamplingSpec, got {spec!r}")
     lo, hi = spec.domain
     if spec.mode is SamplingMode.GRID:
         n = spec.resolution
@@ -322,15 +329,17 @@ def _curve(
     """The mean one-step loss along each row of ``state`` as a function of ``target``
     in [0, 1]: one curve per row of a 2-D state, a single curve for a 1-D (sampled
     grid) or scalar one.
-    ``fixed`` holds floats or (rows, 1) arrays; ``g`` is ``_gradient_at(state, ...)``."""
+    ``fixed`` holds floats or (rows, 1) arrays; ``g`` is ``_gradient_at(state, ...)``. A target,
+    method or ``fixed`` of the wrong type is refused by name before any is read."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
+    rule = _RULES[_require_method(method)][2]
+    _require_hyper("fixed", fixed)
     # HyperParams' range checks, once per search, on the other values as ``fixed``
     # holds them now (an array may have changed since it was checked); every
     # search point in [0, 1] lies in each target's range, so the points skip them
     checked = replace(fixed, **{target: 0.0})
     n, m = np.atleast_2d(state.params.w).shape
-    rule = _RULES[method][2]
     slot = _slot(method, state)
     s_w, s_b = slot.w, slot.b
     root, reads = _ROOTS.get(method, (None, ()))

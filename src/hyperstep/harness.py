@@ -7,22 +7,25 @@ an undefined value keeps the previous one, an infeasible value is clamped to
 [0, 1], and every choice is flagged in the trace.
 
 ``HyperPolicy`` and ``RunConfig`` are where a run is checked, each field by name: the policy's
-kind, base and names, the method, objective, policy, budget, tolerance and f3 convention, and
+kind, base (``optimizers._require_hyper``) and names, the method, objective, policy, budget,
+tolerance and f3 convention (``objectives._require_half_gradient``), and
 the sample and a given initial point through the halves of ``objectives._check_inputs``
 (``step``'s check, so with ``step``'s errors); since a run steps on floats, it then refuses an
 array coordinate, which that check passes for the oracles, with that check's error.
 ``resolve_init`` draws a seeded initial point, each seed's draw made once and kept in a bounded
 cache. ``run_training`` then checks nothing per epoch but finiteness. It keeps the params and
 the coordinates of the state slot the method moves as float locals and takes one
-gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` (fed that
-slot, adagrad's through ``optimizers._post_view``) and the method's per-coordinate rule from
-``optimizers._RULES``. An optimal epoch builds only what its record keeps: it judges each core's
-(raw, singular) by ``hyperopt._verdict``, the fallback contract ``hyperopt._from_raw`` applies to
-a float, so it builds no ``FeasibleValue``; it fills one ``HyperParams`` as its targets resolve,
-and takes its shared ``HyperFlags`` from the tuple of per-target outcomes. Each epoch's
-``ParamPoint``, ``EpochRecord``, slot ``PerCoord`` and ``HyperParams`` are built by the one
-unchecked idiom that ``optimizers`` describes, ``object.__new__`` and a ``__dict__`` filled in field
-order, so no per-field ``object.__setattr__`` runs. ``_finite`` tests the gradient, whose
+gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` and the
+method's per-coordinate rule from ``optimizers._RULES``. An optimal epoch builds only what its
+record keeps: it hands the cores the slot's two coordinates as it holds them (adagrad's first
+advanced by the squared gradient, ``optimizers._grad_sq_sum``, to the sums the pending step
+divides by), and judges each core's (raw, singular) by ``hyperopt._verdict``, the fallback
+contract ``hyperopt._from_raw`` applies to a float, so it builds no ``FeasibleValue``; each
+target's (value, outcome) pair sets the value where the outcome is not None (defined), and one
+``HyperParams`` is filled as the targets resolve, its shared ``HyperFlags`` taken from the tuple
+of per-target outcomes. Each epoch's ``ParamPoint``, ``EpochRecord`` and ``HyperParams`` are
+built by the one unchecked idiom that ``optimizers`` describes, ``object.__new__`` and a
+``__dict__`` filled in field order, so no per-field ``object.__setattr__`` runs. ``_finite`` tests the gradient, whose
 finiteness defines divergence, and after the step the slot; the loss r * r is the one test of the
 stepped params, since on every objective a non-finite w or b makes r inf or NaN (at x = 0, inf * 0
 is NaN), so a finite loss vouches for both.
@@ -44,12 +47,10 @@ from functools import cache, lru_cache
 
 from .objectives import (
     ObjectiveId, ParamPoint, RegressionSample,
-    _check_point, _check_sample, _gradient, _require_index, _require_objective, _require_positive, _require_seed,
-    _residual,
+    _check_point, _check_sample, _gradient, _require_half_gradient, _require_index, _require_objective,
+    _require_positive, _require_seed, _residual,
 )
-from .optimizers import (
-    _RULES, HyperParams, Method, PerCoord, _post_view, _require_method,
-)
+from .optimizers import _RULES, HyperParams, Method, _grad_sq_sum, _require_hyper, _require_method
 from .hyperopt import _FORMS, OPTIMIZED_HYPERS, _verdict
 
 DEFAULT_HYPERS = HyperParams(eta=0.1, alpha=0.5, beta=0.5, epsilon=1e-8)
@@ -81,8 +82,7 @@ class HyperPolicy:
     optimize: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, HyperParams):
-            raise ValueError(f"base must be a HyperParams, got {self.base!r}")
+        _require_hyper("base", self.base)
         if not isinstance(self.kind, PolicyKind):
             raise ValueError(f"kind must be a PolicyKind, got {self.kind!r}")
         if not isinstance(self.optimize, frozenset):
@@ -180,8 +180,7 @@ class RunConfig:
         if not isinstance(self.policy, HyperPolicy):
             raise ValueError(f"policy must be a HyperPolicy, got {self.policy!r}")
         _require_positive("tolerance", self.tolerance)
-        if self.f3_half_gradient.__class__ is not bool:
-            raise ValueError(f"f3_half_gradient must be a bool, got {self.f3_half_gradient!r}")
+        _require_half_gradient(self.f3_half_gradient)
         _check_sample(self.objective, self.sample)
         coords = [] if self.sample is None else [("sample.x", self.sample.x), ("sample.y", self.sample.y)]
         if not (self.init is None or isinstance(self.init, RandomInit)):
@@ -317,22 +316,19 @@ def run_training(cfg: RunConfig) -> Trace:
             diverged = True
             break
         if forms:
-            slot = new(PerCoord)
-            fill = slot.__dict__
-            fill["w"], fill["b"] = s_w, s_b
+            c_w, c_b = s_w, s_b  # the slot the cores read
             if method is Method.ADAGRAD:  # its form reads the sums the pending step divides by
-                slot = _post_view(slot, g)
+                c_w = _grad_sq_sum(s_w, g.d_w)
+                c_b = None if b is None else _grad_sq_sum(s_b, g.d_b)
             picked = new(HyperParams)  # a clamped value lies in every range
             fill = picked.__dict__
             fill.update(hypers.__dict__)
             outcomes = []
             for target, form in forms:  # the fallback contract: an undefined value keeps the incumbent
-                verdict = _verdict(*form(obj, slot, sample, r, g, picked))
-                if verdict is None:
-                    outcomes.append(None)
-                else:
-                    fill[target], feasible = verdict
-                    outcomes.append(feasible)
+                value, outcome = _verdict(*form(obj, c_w, c_b, sample, r, g, picked))
+                if outcome is not None:
+                    fill[target] = value
+                outcomes.append(outcome)
             hypers, flags = picked, _flags(targets, tuple(outcomes))
         w, s_w = rule(w, s_w, g.d_w, hypers)
         if b is not None:

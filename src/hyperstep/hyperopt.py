@@ -27,15 +27,18 @@ Conventions the formulas rely on:
 
 Each public rule and ``solve`` run ``_solved``, the one path from a state to its core:
 ``_check_state`` (``step``'s check, so a state, point or sample ``step`` refuses is refused
-here with the same error), then the pair's core. ``_FORMS``, the only table that names a
-core, maps each (method, target) pair to it, called as ``(obj, slot, sample, r, g,
-hyper)``: ``slot`` is the state slot the method moves (``optimizers._slot``), and r and g
-the residual and gradient, which ``_solved`` takes once. A core returns its root and
-where it is singular, ``(raw, singular)``, and ``_solved`` judges them once by ``_from_raw``.
-``verify`` calls ``_solved`` on whole drawn tables, so every state that reaches a core passes
-``_check_state`` first, except in ``harness.run_training``, which calls the cores on each
-epoch's one gradient and judges each float root by ``_verdict``, the judgement ``_from_raw``
-applies to a float, building no FeasibleValue.
+here with the same error), then ``objectives._require_real`` on each given value the core
+reads (``_STEP_READS``), then the pair's core. ``_FORMS``, the only table that names a core,
+maps each (method, target) pair to it, called as ``(obj, s_w, s_b, sample, r, g, hyper)``:
+s_w and s_b are the coordinates of the state slot the method moves (``optimizers._slot``),
+and r and g the residual and gradient, which ``_solved`` takes once. A core returns its root
+and where it is singular, ``(raw, singular)``, and ``_solved`` judges them once by
+``_from_raw``. ``verify`` calls ``_solved`` on whole drawn tables, so every state that
+reaches a core passes ``_check_state`` first, except in ``harness.run_training``, which
+hands the cores the slot coordinates and the one gradient it holds as floats each epoch
+and judges each float root by ``_verdict``: the judgement ``_from_raw`` applies to a float,
+one pair (value, outcome), (None, None) where the root is undefined, so an optimal epoch
+builds no FeasibleValue.
 
 Public names take and return floats. Each core is written once for floats
 and equally shaped numpy arrays (a singular row's divisor gets 1 added, so
@@ -49,8 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .objectives import ObjectiveId, RegressionSample, _gradient, _residual
-from .optimizers import HyperParams, Method, OptimizerState, PerCoord, _check_state, _slot, _weighted_grad_sq
+from .objectives import ObjectiveId, RegressionSample, _gradient, _require_half_gradient, _require_real, _residual
+from .optimizers import HyperParams, Method, OptimizerState, _check_state, _slot, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -74,11 +77,12 @@ class FeasibleValue:
 _UNDEFINED = FeasibleValue(value=_NAN, raw=_NAN, feasible=False, defined=False)
 
 
-def _verdict(raw: float, singular) -> tuple[float, bool] | None:
-    """A float root judged by the fallback contract: None (undefined) where ``singular`` or not
-    finite, else its value, ``raw`` clamped to [0, 1], and whether it is feasible (0 <= raw <= 1)."""
+def _verdict(raw: float, singular) -> tuple[float, bool] | tuple[None, None]:
+    """A float root judged by the fallback contract, as one pair (value, outcome): (None, None)
+    where ``singular`` or not finite (undefined), else ``raw`` clamped to [0, 1] and whether it
+    is feasible (0 <= raw <= 1)."""
     if singular or not math.isfinite(raw):
-        return None
+        return None, None
     feasible = 0.0 <= raw <= 1.0
     return (raw if feasible else 0.0 if raw < 0.0 else 1.0), feasible
 
@@ -87,8 +91,8 @@ def _from_raw(raw, singular=False) -> FeasibleValue:
     """``raw`` clamped and flagged, a float (by ``_verdict``) or elementwise; undefined where singular
     or not finite; an undefined float is ``_UNDEFINED``."""
     if isinstance(raw, float):
-        verdict = _verdict(raw, singular)
-        return _UNDEFINED if verdict is None else FeasibleValue(verdict[0], raw, verdict[1], True)
+        value, feasible = _verdict(raw, singular)
+        return _UNDEFINED if feasible is None else FeasibleValue(value, raw, feasible, True)
     import numpy as np
 
     defined = np.isfinite(raw) & np.logical_not(singular)
@@ -107,11 +111,11 @@ def _sqrt(x):
         return np.sqrt(x)
 
 
-def _pull(obj: ObjectiveId, v: PerCoord, sample: RegressionSample | None):
+def _pull(obj: ObjectiveId, v_w, v_b, sample: RegressionSample | None):
     """The velocity's pull on the residual: v_w on F1, v_w + v_b on F2, v_w * x + v_b on F3."""
     if obj is ObjectiveId.F1:
-        return v.w
-    return v.w + v.b if obj is ObjectiveId.F2 else v.w * sample.x + v.b
+        return v_w
+    return v_w + v_b if obj is ObjectiveId.F2 else v_w * sample.x + v_b
 
 
 def _solved(
@@ -122,18 +126,23 @@ def _solved(
     and gradient taken there once and the ``given`` values (None where not given) as one HyperParams:
     floats, or whole drawn tables as arrays."""
     _check_state(state, obj, sample)
+    for name in _STEP_READS[method]:
+        if name != target:
+            _require_real(name, given[name])
     hyper = object.__new__(HyperParams)  # unchecked: a value not given is None
     hyper.__dict__.update({"eta": None, "alpha": None, "beta": None, "epsilon": None, **given})
     r = _residual(obj, state.params, sample)
-    g = _gradient(obj, r, sample, f3_half_gradient)
-    return _from_raw(*_FORMS[method, target](obj, _slot(method, state), sample, r, g, hyper))
+    g = _gradient(obj, r, sample, _require_half_gradient(f3_half_gradient))
+    slot = _slot(method, state)
+    return _from_raw(*_FORMS[method, target](obj, slot.w, slot.b, sample, r, g, hyper))
 
 
-# The unchecked cores, each called as (obj, slot, sample, r, g, hyper): ``hyper`` holds
-# the given values the core reads. Each returns its root and where it is singular, (raw,
-# singular), which ``_solved`` judges by ``_from_raw`` and the run loop by ``_verdict``.
+# The unchecked cores, each called as (obj, s_w, s_b, sample, r, g, hyper): s_w and s_b are
+# the coordinates of the slot the method moves (s_b None on one parameter), and ``hyper``
+# holds the given values the core reads. Each returns its root and where it is singular,
+# (raw, singular), which ``_solved`` judges by ``_from_raw`` and the run loop by ``_verdict``.
 
-def _lr_gd(obj, slot, sample, r, g, hyper):
+def _lr_gd(obj, s_w, s_b, sample, r, g, hyper):
     return _scaled_lr(obj, sample, 1.0, 1.0, 0.0)
 
 
@@ -150,8 +159,8 @@ def optimal_lr_gd(
     return _solved(Method.GD, "eta", obj, state, sample)
 
 
-def _lr_momentum(obj, v, sample, r, g, hyper):
-    m = _pull(obj, v, sample)
+def _lr_momentum(obj, v_w, v_b, sample, r, g, hyper):
+    m = _pull(obj, v_w, v_b, sample)
     singular = abs(r) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
         return (hyper.alpha * m + r) / (2.0 * obj.arity * r + singular), singular
@@ -174,8 +183,8 @@ def optimal_lr_momentum(
     return _solved(Method.MOMENTUM, "eta", obj, state, sample, alpha=alpha)
 
 
-def _momentum_coef(obj, v, sample, r, g, hyper):
-    m = _pull(obj, v, sample)
+def _momentum_coef(obj, v_w, v_b, sample, r, g, hyper):
+    m = _pull(obj, v_w, v_b, sample)
     singular = abs(m) < SINGULAR_TOL
     eta = hyper.eta
     if obj is not ObjectiveId.F3:
@@ -217,8 +226,8 @@ def _scaled_lr(
     return s_w * s_b / (denom + singular), singular
 
 
-def _lr_adagrad(obj, phi, sample, r, g, hyper):
-    return _scaled_lr(obj, sample, phi.w, phi.b, hyper.epsilon)
+def _lr_adagrad(obj, phi_w, phi_b, sample, r, g, hyper):
+    return _scaled_lr(obj, sample, phi_w, phi_b, hyper.epsilon)
 
 
 def optimal_lr_adagrad(
@@ -238,10 +247,10 @@ def optimal_lr_adagrad(
     return _solved(Method.ADAGRAD, "eta", obj, state, sample, epsilon=epsilon)
 
 
-def _lr_rmsprop(obj, u, sample, r, g, hyper):
+def _lr_rmsprop(obj, u_w, u_b, sample, r, g, hyper):
     beta = hyper.beta
-    u_b = None if g.d_b is None else _weighted_grad_sq(u.b, g.d_b, beta)
-    return _scaled_lr(obj, sample, _weighted_grad_sq(u.w, g.d_w, beta), u_b, hyper.epsilon)
+    u_b = None if g.d_b is None else _weighted_grad_sq(u_b, g.d_b, beta)
+    return _scaled_lr(obj, sample, _weighted_grad_sq(u_w, g.d_w, beta), u_b, hyper.epsilon)
 
 
 def optimal_lr_rmsprop(
@@ -262,11 +271,11 @@ def optimal_lr_rmsprop(
     return _solved(Method.RMSPROP, "eta", obj, state, sample, f3_half_gradient, beta=beta, epsilon=epsilon)
 
 
-def _beta_rmsprop(obj, u, sample, r, g, hyper):
+def _beta_rmsprop(obj, u_w, u_b, sample, r, g, hyper):
     eta, epsilon = hyper.eta, hyper.epsilon
     g = g.d_b if obj is ObjectiveId.F3 else g.d_w
     g_sq = g * g
-    denom = u.w - g_sq
+    denom = u_w - g_sq
     singular = abs(denom) < SINGULAR_TOL
     if obj is not ObjectiveId.F3:
         return ((2.0 * obj.arity) ** 2 * eta * eta - g_sq - epsilon) / (denom + singular), singular
@@ -305,6 +314,15 @@ _FORMS = {
     (Method.ADAGRAD, "eta"): _lr_adagrad,
     (Method.RMSPROP, "eta"): _lr_rmsprop,
     (Method.RMSPROP, "beta"): _beta_rmsprop,
+}
+
+# The given values each method's step reads: a pair's core reads them less its target, and
+# ``_solved`` refuses any of those that is not a real number (None, a string or a bool).
+_STEP_READS = {
+    Method.GD: ("eta",),
+    Method.MOMENTUM: ("eta", "alpha"),
+    Method.ADAGRAD: ("eta", "epsilon"),
+    Method.RMSPROP: ("eta", "beta", "epsilon"),
 }
 
 OPTIMIZED_HYPERS = {method: frozenset(t for m, t in _FORMS if m is method) for method in Method}

@@ -16,7 +16,9 @@ cores ``_residual`` and ``_gradient``;
 bit, for the analyzer's curves; only it imports numpy, and only when called.
 ``_require_index`` is the one test of an integer count or seed (harness, analyzer, verify), and
 ``_require_seed`` adds a seed's sign to it; ``_require_objective`` tests that an objective is an
-``ObjectiveId``, as ``optimizers._require_method`` does for a method.
+``ObjectiveId``, as ``optimizers._require_method`` does for a method, and ``_check_inputs`` runs
+it before it reads the arity. ``_require_half_gradient`` is the one test that an f3 gradient
+convention is a bool, run by ``RunConfig`` and by every checked path that takes the gradient.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ class GradientVector:
 
     d_w: float
     d_b: float | None = None
+
+
+def _require_half_gradient(f3_half_gradient) -> bool:
+    """Refuse an f3 gradient convention that is not a bool (a numpy bool, ``None``, 1 or ``"no"``
+    would otherwise be read by its truth value)."""
+    if f3_half_gradient.__class__ is not bool:
+        raise ValueError(f"f3_half_gradient must be a bool, got {f3_half_gradient!r}")
+    return f3_half_gradient
 
 
 def _require_real(name: str, value) -> None:
@@ -134,6 +144,7 @@ def _require_seed(name: str, value) -> int:
 
 
 def _check_inputs(obj: ObjectiveId, point: ParamPoint, sample: RegressionSample | None) -> None:
+    _require_objective(obj)
     _check_point(obj, point)
     _check_sample(obj, sample)
 
@@ -195,7 +206,7 @@ def gradient(
     closed-form optimal step sizes for F3 are exact under the halved
     convention. F1 and F2 are unaffected by the flag.
     """
-    return _gradient(obj, residual(obj, point, sample), sample, f3_half_gradient)
+    return _gradient(obj, residual(obj, point, sample), sample, _require_half_gradient(f3_half_gradient))
 
 
 def _gradient(

@@ -1,11 +1,13 @@
 """One-step update rules for four gradient descent variants.
 
 ``step`` is the one update path, two parts run in sequence. ``_checked_gradient`` runs
-``_check_state``, the one test of a well-formed (state, objective, sample): the state's and each
-slot's type, each slot's arity and real coordinates (``objectives._require_real``, naming
-``velocity.w`` and so on), then ``objectives._check_inputs`` on the params and the sample
-(``adagrad_post_view`` and every public ``hyperopt`` rule run it first too, so all fail alike);
-it then refuses a non-finite gradient. ``step`` then applies the method's per-coordinate rule
+``_check_state``, the one test of a well-formed (state, objective, sample): the state's type,
+the objective's (``objectives._require_objective``), each slot's type, arity and real
+coordinates (``objectives._require_real``, naming ``velocity.w`` and so on), then
+``objectives._check_inputs`` on the params and the sample (``adagrad_post_view`` and every
+public ``hyperopt`` rule run it first too, so all fail alike); it then refuses an f3
+convention that is not a bool (``objectives._require_half_gradient``, as ``gradient``,
+``adagrad_post_view`` and ``hyperopt._solved`` do) and a non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
 map from a method to that rule, to the buffered array form a curve steps it by and to the
 state slot it advances, which ``_slot`` reads for every caller. Those that hold a checked
@@ -17,7 +19,9 @@ its caller owns, through numpy's ``out=``, by the rule's IEEE operations in the 
 bit for bit: from the slot itself, or for adagrad and rmsprop from the root ``_ROOTS`` takes of
 their accumulator; a test holds each to its rule, sign bits included. ``step`` keeps the
 allocating rules, so it, ``analyzer.mean_post_step_error`` and verify's one-step check are the
-searches' independent reference. ``_require_method`` is the one test that a method is a ``Method``; ``HyperParams``
+searches' independent reference. ``_require_method`` is the one test that a method is a
+``Method``, and ``_require_hyper`` that a value is a ``HyperParams`` (``step``'s ``hyper``, a
+policy's base, a search's ``fixed``); ``step`` runs both before the gradient. ``HyperParams``
 refuses a bool (a numpy one included) or a value that is not a number with the error,
 naming the field, that it gives a number out of range.
 Coordinates may be floats or equally shaped numpy arrays. A step on floats
@@ -33,8 +37,8 @@ weighted gradient-square mixes the current gradient into the incoming
 average before the division (rmsprop). Each is written once, in
 ``_grad_sq_sum`` and ``_weighted_grad_sq``, which hyperopt and both forms of the
 rules call; so is the zero-divisor rule, ``_divisor``.
-``adagrad_post_view`` is ``_check_state`` and the gradient, then the unchecked
-``_post_view`` of the sums, which the run loop calls on the gradient it holds.
+``adagrad_post_view`` is ``_check_state`` and the gradient, then the sums advanced by
+``_grad_sq_sum``, as the run loop advances the float coordinates it holds.
 
 A frozen value whose fields are known good is built by the one unchecked idiom:
 ``object.__new__(cls)``, then its ``__dict__`` filled with every field in ``fields()``
@@ -47,8 +51,8 @@ so, ~160 B filled item by item and ~100 B through ``__init__``, by ``tracemalloc
 builds ``HyperParams`` whose values were checked once for many (the analyzer's search
 points, ``hyperopt._solved``'s given values, the run loop's closed-form picks), and
 values of classes with no ``__post_init__``, for which it skips no check:
-``_post_view``'s ``PerCoord``, ``objectives._gradient``'s ``GradientVector`` and the run
-loop's ``ParamPoint``, ``EpochRecord`` and slot ``PerCoord``.
+``objectives._gradient``'s ``GradientVector`` and the run loop's ``ParamPoint`` and
+``EpochRecord``.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ from enum import Enum
 from functools import partial
 
 from .objectives import (
-    GradientVector, ObjectiveId, ParamPoint, RegressionSample, _check_inputs, _gradient, _require_real, _residual,
+    GradientVector, ObjectiveId, ParamPoint, RegressionSample,
+    _check_inputs, _gradient, _require_half_gradient, _require_objective, _require_real, _residual,
 )
 
 
@@ -117,6 +122,11 @@ class HyperParams:
             raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
 
 
+def _require_hyper(name: str, hyper) -> None:
+    if not isinstance(hyper, HyperParams):
+        raise ValueError(f"{name} must be a HyperParams, got {hyper!r}")
+
+
 @dataclass(frozen=True)
 class PerCoord:
     """A per-coordinate quantity (velocity or accumulator) mirroring ParamPoint arity."""
@@ -163,7 +173,7 @@ def _flat_state(obj: ObjectiveId, values, common_u: bool = False) -> OptimizerSt
 def _check_state(state: OptimizerState, obj: ObjectiveId, sample: RegressionSample | None) -> None:
     if not isinstance(state, OptimizerState):
         raise ValueError(f"state must be an OptimizerState, got {state!r}")
-    two = obj.arity == 2
+    two = _require_objective(obj).arity == 2
     for name in ("velocity", "grad_sq_sum", "weighted_grad_sq"):
         slot = getattr(state, name)
         if not isinstance(slot, PerCoord):
@@ -312,7 +322,7 @@ def _checked_gradient(
 ) -> GradientVector:
     """The gradient ``step`` consumes at ``state``: the state checked, finite."""
     _check_state(state, obj, sample)
-    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
+    g = _gradient(obj, _residual(obj, state.params, sample), sample, _require_half_gradient(f3_half_gradient))
     if not (_all(abs(g.d_w) < math.inf) and (g.d_b is None or _all(abs(g.d_b) < math.inf))):
         raise NonFiniteGradientError(f"gradient is not finite: {g!r}")
     return g
@@ -333,8 +343,9 @@ def step(
         ValueError: if a state slot, the params or the sample does not fit ``obj``.
         NonFiniteGradientError: if the gradient at ``state`` is not finite.
     """
+    name, rule, _ = _RULES[_require_method(method)]
+    _require_hyper("hyper", hyper)
     g = _checked_gradient(state, obj, sample, f3_half_gradient)
-    name, rule, _ = _RULES[method]
     slot = _slot(method, state)
     w, slot_w = rule(state.params.w, slot.w, g.d_w, hyper)
     b, slot_b = (None, None) if g.d_b is None else rule(state.params.b, slot.b, g.d_b, hyper)
@@ -370,14 +381,7 @@ def adagrad_post_view(
     """``state`` with grad_sq_sum advanced by the current squared gradient: the
     sums the pending adagrad step divides by, which its closed form reads."""
     _check_state(state, obj, sample)
-    g = _gradient(obj, _residual(obj, state.params, sample), sample, f3_half_gradient)
-    return replace(state, grad_sq_sum=_post_view(state.grad_sq_sum, g))
-
-
-def _post_view(phi: PerCoord, g: GradientVector) -> PerCoord:
-    """The sums ``phi`` advanced by the squared gradient ``g``, built by the unchecked idiom."""
-    view = object.__new__(PerCoord)
-    fill = view.__dict__
-    fill["w"] = _grad_sq_sum(phi.w, g.d_w)
-    fill["b"] = None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b)
-    return view
+    g = _gradient(obj, _residual(obj, state.params, sample), sample, _require_half_gradient(f3_half_gradient))
+    phi = state.grad_sq_sum
+    phi_b = None if g.d_b is None else _grad_sq_sum(phi.b, g.d_b)
+    return replace(state, grad_sq_sum=PerCoord(_grad_sq_sum(phi.w, g.d_w), phi_b))

@@ -200,6 +200,67 @@ def test_drawn_fixed_runs_converge_where_the_exact_recurrence_does(
         assert abs(exact[boundary - 1] / tol - 1) <= _ROUNDING_BAND, (first, trace.converged_epoch)
 
 
+def _drawn_fixed_runs(seed, n):
+    """``n`` seeded draws of (objective, f3 convention, sample, initial point, residual, k): w,
+    b, x and y uniform in (-1, 1), and k the gain of ``_exact_losses``, so one plain descent
+    step at rate eta scales the residual by 1 - k * eta."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        obj, half = (F1, F2, F3)[rng.integers(3)], bool(rng.integers(2))
+        w, b, x, y = rng.uniform(-1.0, 1.0, 4).tolist()
+        sample = RegressionSample(x, y) if obj is F3 else None
+        init = ParamPoint(w, None if obj is F1 else b)
+        k = {F1: 2.0, F2: 4.0, F3: (x * x + 1.0) * (1.0 if half else 2.0)}[obj]
+        yield obj, half, sample, init, objectives.residual(obj, init, sample), k
+
+
+def _fixed_run(method, obj, half, sample, init, eta, alpha, max_epochs):
+    policy = HyperPolicy.fixed(HyperParams(eta=eta, alpha=alpha))
+    return run_training(RunConfig(method, obj, policy, sample=sample, init=init, max_epochs=max_epochs,
+                                  f3_half_gradient=half))
+
+
+def test_a_fixed_gd_run_converges_at_its_closed_form_epoch():
+    # the residual at epoch n is r0 * (1 - eta * k)**(n - 1), so the loss first meets the
+    # tolerance at 1 + ceil(log(sqrt(tol) / |r0|) / log|1 - eta * k|); a draw whose ratio lies
+    # within 1e-9 of an integer sits on a ceiling the run's rounding may cross, and is skipped
+    rng = np.random.default_rng(1)
+    checked = 0
+    for obj, half, sample, init, r0, k in _drawn_fixed_runs(0, 400):
+        eta = rng.uniform(0.02, 1.98) / k
+        ratio = math.log(math.sqrt(DEFAULT_TOLERANCE) / abs(r0)) / math.log(abs(1.0 - eta * k))
+        if abs(ratio - round(ratio)) < 1e-9:
+            continue
+        trace = _fixed_run(Method.GD, obj, half, sample, init, eta, 0.0, 1000)
+        assert trace.converged_epoch == 1 + max(0, math.ceil(ratio)), (obj, half, init, sample, eta)
+        checked += 1
+    assert checked >= 390
+
+
+@pytest.mark.parametrize("method", [Method.GD, Method.MOMENTUM], ids=["gd", "momentum"])
+def test_a_fixed_run_past_its_stability_boundary_never_converges(method):
+    # gd contracts the residual iff 0 < eta * k < 2, heavy ball iff 0 < eta * k < 2 * (1 + alpha)
+    # (alpha in [0, 1)); just past that boundary a run grows from its first loss and never meets
+    # the tolerance
+    rng = np.random.default_rng(2)
+    for obj, half, sample, init, r0, k in _drawn_fixed_runs(3, 100):
+        alpha = rng.uniform(0.0, 0.9) if method is Method.MOMENTUM else 0.0
+        eta = 2.0 * (1.0 + alpha) * rng.uniform(1.02, 1.3) / k
+        trace = _fixed_run(method, obj, half, sample, init, eta, alpha, 300)
+        assert trace.converged_epoch is None and trace.final_loss > trace.records[0].loss, (obj, init, eta, alpha)
+
+
+def test_a_heavy_ball_run_inside_its_stability_boundary_converges():
+    # its slowest mode contracts by sqrt(alpha) <= sqrt(0.9) per epoch; of 20,000 runs drawn
+    # so, the latest converged at epoch 257
+    rng = np.random.default_rng(4)
+    for obj, half, sample, init, r0, k in _drawn_fixed_runs(5, 200):
+        alpha = rng.uniform(0.0, 0.9)
+        eta = 2.0 * (1.0 + alpha) * rng.uniform(0.05, 0.9) / k
+        trace = _fixed_run(Method.MOMENTUM, obj, half, sample, init, eta, alpha, 300)
+        assert trace.converged_epoch is not None, (obj, init, eta, alpha)
+
+
 def test_comparison_matrix_finds_each_of_its_cells_and_refuses_a_pair_it_lacks():
     matrix = reproduce_table2()
     pairs = [(method, obj) for method in Method for obj in (F1, F2, F3)]
@@ -813,8 +874,8 @@ def test_an_optimal_run_checks_no_state_and_takes_one_gradient_per_epoch(monkeyp
     assert calls == {"_check_state": 0, "_gradient": len(trace.records) - 1, "_from_raw": 0}
 
 
-# The run loop, _gradient, _post_view and _from_raw's float branch build their frozen values
-# by object.__new__ and a __dict__ fill, skipping the dataclass __init__; each must equal
+# The run loop, _gradient and _from_raw's float branch build their frozen values by
+# object.__new__ and a __dict__ fill, skipping the dataclass __init__; each must equal
 # the value the public constructor builds from the same fields.
 
 def _same_value(built, checked):
@@ -854,8 +915,10 @@ def test_a_gradient_and_a_post_view_equal_their_copies_through_the_public_constr
     sample = DEFAULT_SAMPLE if obj is F3 else None
     g = objectives._gradient(obj, objectives._residual(obj, point, sample), sample, half)
     _same_value(g, GradientVector(g.d_w, g.d_b))
+    # the sums the run loop's adagrad forms read, as the public view builds them
     phi = PerCoord(0.25, None if obj is F1 else 0.5)
-    view = optimizers._post_view(phi, g)
+    state = replace(OptimizerState.initial(point), grad_sq_sum=phi)
+    view = adagrad_post_view(state, obj, sample, f3_half_gradient=half).grad_sq_sum
     _same_value(view, PerCoord(phi.w + g.d_w * g.d_w, None if phi.b is None else phi.b + g.d_b * g.d_b))
 
 

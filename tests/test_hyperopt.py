@@ -508,7 +508,8 @@ def _array_form(pair, obj, state, sample, half, eta, alpha, beta, epsilon):
     r = objectives._residual(obj, state.params, sample)
     g = objectives._gradient(obj, r, sample, half)
     slot = optimizers._slot(pair[0], state)
-    return hyperopt._from_raw(*hyperopt._FORMS[pair](obj, slot, sample, r, g, HyperParams(eta, alpha, beta, epsilon)))
+    hyper = HyperParams(eta, alpha, beta, epsilon)
+    return hyperopt._from_raw(*hyperopt._FORMS[pair](obj, slot.w, slot.b, sample, r, g, hyper))
 
 
 def test_a_negative_accumulator_is_undefined_on_floats_and_arrays():

@@ -2,6 +2,7 @@
 sample with the error ``step`` gives for it, word for word."""
 
 import inspect
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,18 @@ from hyperstep import (
     ParamPoint,
     PerCoord,
     RegressionSample,
+    SamplingMode,
+    SamplingSpec,
+    adagrad_step,
+    argmin_hyper,
     finite_diff_gradient,
+    gd_step,
+    gradient,
     hyperopt,
+    mean_post_step_error,
+    momentum_step,
+    pointwise_argmin_hyper,
+    rmsprop_step,
     optimal_beta_rmsprop,
     optimal_lr_adagrad,
     optimal_lr_gd,
@@ -300,3 +311,126 @@ _HYPER_ERRORS = {
 @pytest.mark.parametrize("field", list(_HYPER_ERRORS))
 def test_hyperparams_refuse_a_numpy_bool_by_name(field, value):
     assert _refusal(lambda: HyperParams(**{"eta": 0.1, field: value})) == f"{_HYPER_ERRORS[field]}, got {value!r}"
+
+
+# An f3 gradient convention is a bool on every checked path that takes the gradient, as
+# ``RunConfig`` refuses one (``objectives._require_half_gradient``): "no" used to be read as
+# the halved gradient and None as the standard one, by their truth values.
+_TINY = SamplingSpec(SamplingMode.GRID, resolution=4)
+_F3_STATE = OptimizerState.initial(ParamPoint(0.3, 0.2))
+_F3_RUN = (_F3_STATE, DEFAULT_HYPERS, F3, SAMPLE)
+
+HALF_ENTRIES = {
+    "gradient": lambda h: gradient(F3, ParamPoint(0.3, 0.2), SAMPLE, f3_half_gradient=h),
+    "step": lambda h: step(Method.GD, *_F3_RUN, f3_half_gradient=h),
+    "gd_step": lambda h: gd_step(*_F3_RUN, f3_half_gradient=h),
+    "momentum_step": lambda h: momentum_step(*_F3_RUN, f3_half_gradient=h),
+    "adagrad_step": lambda h: adagrad_step(*_F3_RUN, f3_half_gradient=h),
+    "rmsprop_step": lambda h: rmsprop_step(*_F3_RUN, f3_half_gradient=h),
+    "adagrad_post_view": lambda h: adagrad_post_view(_F3_STATE, F3, SAMPLE, f3_half_gradient=h),
+    "solve": lambda h: solve(Method.GD, "eta", F3, _F3_STATE, SAMPLE, **GIVEN, f3_half_gradient=h),
+    "optimal_lr_rmsprop": lambda h: optimal_lr_rmsprop(
+        F3, _F3_STATE, SAMPLE, beta=0.5, epsilon=1e-8, f3_half_gradient=h
+    ),
+    "optimal_beta_rmsprop": lambda h: optimal_beta_rmsprop(
+        F3, _F3_STATE, SAMPLE, eta=0.1, epsilon=1e-8, f3_half_gradient=h
+    ),
+    "argmin_hyper": lambda h: argmin_hyper(
+        Method.GD, F3, "eta", DEFAULT_HYPERS, SAMPLE, _TINY, _F3_STATE, f3_half_gradient=h
+    ),
+    "pointwise_argmin_hyper": lambda h: pointwise_argmin_hyper(
+        Method.GD, F3, "eta", DEFAULT_HYPERS, SAMPLE, _F3_STATE, f3_half_gradient=h
+    ),
+    "mean_post_step_error": lambda h: mean_post_step_error(
+        Method.GD, F3, DEFAULT_HYPERS, SAMPLE, _TINY, _F3_STATE, f3_half_gradient=h
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["no", None, 1, np.True_], ids=["str", "none", "int", "numpy-bool"])
+@pytest.mark.parametrize("entry", list(HALF_ENTRIES))
+def test_an_f3_convention_that_is_not_a_bool_is_refused_by_every_entry(entry, value):
+    assert _refusal(lambda: HALF_ENTRIES[entry](value)) == f"f3_half_gradient must be a bool, got {value!r}"
+
+
+_F1_STATE = OptimizerState.initial(ParamPoint(0.3))
+_METHOD_TEXT = "method must be a Method (GD, MOMENTUM, ADAGRAD, RMSPROP), got 'gd'"
+_OBJECTIVE_TEXT = "objective must be an ObjectiveId (F1, F2, F3), got 'f1'"
+
+# A method, objective, hyperparameters, sampling spec or given value of the wrong type,
+# refused by name; each used to escape as a KeyError, an AttributeError or a TypeError,
+# or (a bool given value) to run as 1.0.
+WRONG_TYPED = [
+    pytest.param(lambda: step("gd", _F1_STATE, DEFAULT_HYPERS, F1), _METHOD_TEXT, id="step-method"),
+    pytest.param(
+        lambda: argmin_hyper("gd", F1, "eta", DEFAULT_HYPERS, None, _TINY, _F1_STATE), _METHOD_TEXT,
+        id="argmin-method",
+    ),
+    pytest.param(
+        lambda: pointwise_argmin_hyper("gd", F1, "eta", DEFAULT_HYPERS, None, _F1_STATE), _METHOD_TEXT,
+        id="pointwise-method",
+    ),
+    pytest.param(
+        lambda: mean_post_step_error("gd", F1, DEFAULT_HYPERS, None, _TINY, _F1_STATE), _METHOD_TEXT,
+        id="mean-error-method",
+    ),
+    pytest.param(lambda: gradient("f1", ParamPoint(0.3)), _OBJECTIVE_TEXT, id="gradient-objective"),
+    pytest.param(lambda: step(Method.GD, _F1_STATE, DEFAULT_HYPERS, "f1"), _OBJECTIVE_TEXT, id="step-objective"),
+    pytest.param(lambda: solve(Method.GD, "eta", "f1", _F1_STATE, **GIVEN), _OBJECTIVE_TEXT, id="solve-objective"),
+    pytest.param(
+        lambda: argmin_hyper(Method.GD, "f1", "eta", DEFAULT_HYPERS, None, _TINY, _F1_STATE), _OBJECTIVE_TEXT,
+        id="argmin-objective",
+    ),
+    pytest.param(lambda: step(Method.GD, _F1_STATE, None, F1), "hyper must be a HyperParams, got None", id="step-hyper"),
+    pytest.param(
+        lambda: mean_post_step_error(Method.GD, F1, {"eta": 0.1}, None, _TINY, _F1_STATE),
+        "hyper must be a HyperParams, got {'eta': 0.1}", id="mean-error-hyper",
+    ),
+    pytest.param(
+        lambda: argmin_hyper(Method.GD, F1, "eta", "x", None, _TINY, _F1_STATE),
+        "fixed must be a HyperParams, got 'x'", id="argmin-fixed",
+    ),
+    pytest.param(
+        lambda: pointwise_argmin_hyper(Method.GD, F1, "eta", "x", None, _F1_STATE),
+        "fixed must be a HyperParams, got 'x'", id="pointwise-fixed",
+    ),
+    pytest.param(
+        lambda: argmin_hyper(Method.GD, F1, "eta", DEFAULT_HYPERS, None, None, _F1_STATE),
+        "spec must be a SamplingSpec, got None", id="argmin-spec",
+    ),
+    pytest.param(
+        lambda: mean_post_step_error(Method.GD, F1, DEFAULT_HYPERS, None, "grid", _F1_STATE),
+        "spec must be a SamplingSpec, got 'grid'", id="mean-error-spec",
+    ),
+    pytest.param(lambda: optimal_lr_momentum(F1, _F1_STATE, alpha="x"), "alpha must be a real number, got 'x'",
+                 id="momentum-lr-alpha-str"),
+    pytest.param(lambda: optimal_lr_momentum(F1, _F1_STATE, alpha=None), "alpha must be a real number, got None",
+                 id="momentum-lr-alpha-none"),
+    pytest.param(lambda: optimal_lr_momentum(F1, _F1_STATE, alpha=True), "alpha must be a real number, got True",
+                 id="momentum-lr-alpha-bool"),
+    pytest.param(lambda: optimal_lr_adagrad(F1, _F1_STATE, epsilon=True), "epsilon must be a real number, got True",
+                 id="adagrad-lr-epsilon-bool"),
+    pytest.param(lambda: optimal_momentum_coef(F1, _F1_STATE, eta=np.True_),
+                 f"eta must be a real number, got {np.True_!r}", id="momentum-coef-eta-numpy-bool"),
+    pytest.param(lambda: solve(Method.RMSPROP, "beta", F1, _F1_STATE, eta=0.1, alpha=None, beta=None, epsilon="0"),
+                 "epsilon must be a real number, got '0'", id="solve-rmsprop-beta-epsilon"),
+]
+
+
+@pytest.mark.parametrize("call, text", WRONG_TYPED)
+def test_an_argument_of_the_wrong_type_is_refused_by_name(call, text):
+    assert _refusal(call) == text
+
+
+@pytest.mark.parametrize("value", [-1.0, 2.0, math.inf, -math.inf, math.nan, np.float64(0.5), 3])
+def test_any_real_given_value_still_solves(value):
+    # a closed form reads a given value as a number, as it reads that number's float; only
+    # one that is not a real is refused
+    def read(fv):
+        return float(fv.value).hex(), float(fv.raw).hex(), bool(fv.feasible), bool(fv.defined)
+
+    for rule, given in RULES.values():
+        got = rule(F1, _F1_STATE, **{name: value for name in given})
+        assert read(got) == read(rule(F1, _F1_STATE, **{name: float(value) for name in given}))
+    # and a value a pair's core does not read is not checked: gd's rate reads none
+    assert solve(Method.GD, "eta", F1, _F1_STATE, eta="x", alpha="x", beta="x", epsilon="x").value == 0.5

@@ -120,7 +120,7 @@ def test_the_argmin_report_takes_its_pinned_number_of_curve_steps(monkeypatch):
 
 def test_pointwise_check_fails_when_no_state_is_compared(monkeypatch):
     # every state defined but infeasible: no search runs, so the check cannot pass
-    def infeasible(obj, slot, sample, r, *_):
+    def infeasible(obj, s_w, s_b, sample, r, *_):
         return np.full_like(r, 2.0), False
 
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
@@ -145,7 +145,7 @@ def test_a_pointwise_check_passes_with_95_of_its_100_states_defined(monkeypatch,
 
 def test_one_step_check_fails_when_no_draw_is_kept(monkeypatch):
     # every draw defined but infeasible: nothing is stepped, so the check cannot pass
-    def infeasible(obj, slot, sample, r, *_):
+    def infeasible(obj, s_w, s_b, sample, r, *_):
         return np.full_like(r, 2.0), False
 
     monkeypatch.setitem(hyperopt._FORMS, (Method.ADAGRAD, "eta"), infeasible)
