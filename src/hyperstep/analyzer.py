@@ -39,18 +39,20 @@ buffered form steps w straight into the loss buffer and b into its own,
 and one multiply squares it there. So a plain-descent or momentum curve point
 allocates that one array. So does an adagrad curve point, and an rmsprop one
 whose target is not beta. Both methods step by their root alone, the square root
-of ``optimizers._divisor`` from the accumulator, and no such point moves it: the
-curve takes it once per slot coordinate by ``optimizers._ROOTS``, from the checked
-``replace(fixed, ...)`` before the arrays are laid out. An rmsprop beta point moves
-the root, so each call takes it from its own points, allocating the accumulator,
-divisor and root of each coordinate before it steps by it. The
-call holds numpy's overflow warnings off around its step, then takes each
-curve's mean along the grid as ``np.add.reduce(losses, axis=-1) / grid``, the
-arithmetic of ``ndarray.mean`` without its Python wrapper, and tests the
-means for finiteness once. That one test is exact: every loss is a square, so a mean
-is finite only if all its losses are. Only a non-finite mean looks at the
-losses one by one, to tell a non-finite loss (an error) from finite ones
-whose sum overflows (a numpy warning and an inf mean).
+of ``optimizers._divisor`` from the accumulator, which the method's
+``optimizers._RULES`` row names with the hyperparameters its step reads; the root
+reads all of them but eta. No such point moves it, so the curve takes it once per
+slot coordinate, from the checked ``replace(fixed, ...)`` before the arrays are
+laid out. An rmsprop beta point moves the root, so each call takes it from its
+own points, allocating the accumulator, divisor and root of each coordinate
+before it steps by it. The call holds numpy's overflow warnings off around its
+step, then takes each curve's mean along the grid as
+``np.add.reduce(losses, axis=-1) / grid``, the arithmetic of ``ndarray.mean``
+without its Python wrapper, and tests the means for finiteness once. That one
+test is exact: every loss is a square, so a mean is finite only if all its
+losses are. Only a non-finite mean looks at the losses one by one, to tell a
+non-finite loss (an error) from finite ones whose sum overflows (a numpy
+warning and an inf mean).
 ``mean_post_step_error`` takes one ``step`` and squares its residual, then
 takes the same mean and test.
 
@@ -74,6 +76,7 @@ from .objectives import (
     ObjectiveId,
     ParamPoint,
     RegressionSample,
+    _check_inputs,
     _require_index,
     _require_objective,
     _require_positive,
@@ -88,7 +91,6 @@ from .optimizers import (
     Method,
     OptimizerState,
     PerCoord,
-    _ROOTS,
     _RULES,
     _checked_gradient,
     _require_hyper,
@@ -151,7 +153,7 @@ class SamplingSpec:
 
 def default_sampling(obj: ObjectiveId, seed: int = 0) -> SamplingSpec:
     """Grid sampling at the default resolution for the objective's arity."""
-    n = GRID_POINTS_1D if obj.arity == 1 else GRID_POINTS_2D
+    n = GRID_POINTS_1D if _require_objective(obj).arity == 1 else GRID_POINTS_2D
     return SamplingSpec(mode=SamplingMode.GRID, resolution=n, seed=seed)
 
 
@@ -179,6 +181,7 @@ def finite_diff_gradient(
     step_size: float = 1e-6,
 ) -> GradientVector:
     """Central-difference gradient oracle, (f(c + h) - f(c - h)) / (2h) per coordinate."""
+    _check_inputs(obj, point, sample)
     _require_positive("step_size", step_size)
     if step_size == math.inf:
         raise ValueError(f"step_size must be finite, got {step_size!r}")
@@ -193,11 +196,13 @@ def finite_diff_gradient(
 
 
 def _sampled_state(obj: ObjectiveId, spec: SamplingSpec, template: OptimizerState) -> OptimizerState:
-    """``template`` with its parameters swept over the points ``spec`` samples, an objective
-    or ``spec`` of the wrong type refused by name first."""
+    """``template`` with its parameters swept over the points ``spec`` samples, an objective,
+    ``spec`` or template of the wrong type refused by name first."""
     _require_objective(obj)
     if not isinstance(spec, SamplingSpec):
         raise ValueError(f"spec must be a SamplingSpec, got {spec!r}")
+    if not isinstance(template, OptimizerState):
+        raise ValueError(f"state_template must be an OptimizerState, got {template!r}")
     lo, hi = spec.domain
     if spec.mode is SamplingMode.GRID:
         n = spec.resolution
@@ -333,7 +338,7 @@ def _curve(
     method or ``fixed`` of the wrong type is refused by name before any is read."""
     if target not in _HYPER_NAMES:
         raise ValueError(f"target must be one of {_HYPER_NAMES}, got {target!r}")
-    rule = _RULES[_require_method(method)][2]
+    _, _, rule, root, reads = _RULES[_require_method(method)]
     _require_hyper("fixed", fixed)
     # HyperParams' range checks, once per search, on the other values as ``fixed``
     # holds them now (an array may have changed since it was checked); every
@@ -342,8 +347,7 @@ def _curve(
     n, m = np.atleast_2d(state.params.w).shape
     slot = _slot(method, state)
     s_w, s_b = slot.w, slot.b
-    root, reads = _ROOTS.get(method, (None, ()))
-    if root is not None and target not in reads:  # no point moves the root: take it once, for the slot
+    if root is not None and (target == "eta" or target not in reads):  # no point moves the root: take it once
         with np.errstate(over="ignore", invalid="ignore"):
             s_w, s_b = root(s_w, g.d_w, checked), None if g.d_b is None else root(s_b, g.d_b, checked)
         root = None

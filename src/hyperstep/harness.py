@@ -13,13 +13,14 @@ the sample and a given initial point through the halves of ``objectives._check_i
 (``step``'s check, so with ``step``'s errors); since a run steps on floats, it then refuses an
 array coordinate, which that check passes for the oracles, with that check's error.
 ``resolve_init`` draws a seeded initial point, each seed's draw made once and kept in a bounded
-cache. ``run_training`` then checks nothing per epoch but finiteness. It keeps the params and
-the coordinates of the state slot the method moves as float locals and takes one
-gradient per epoch, which feeds the unchecked closed-form cores of ``hyperopt._FORMS`` and the
-method's per-coordinate rule from ``optimizers._RULES``. An optimal epoch builds only what its
-record keeps: it hands the cores the slot's two coordinates as it holds them (adagrad's first
-advanced by the squared gradient, ``optimizers._grad_sq_sum``, to the sums the pending step
-divides by), and judges each core's (raw, singular) by ``hyperopt._verdict``, the fallback
+cache. ``run_training`` refuses a config that is not a ``RunConfig``, then checks nothing per
+epoch but finiteness. It keeps the params and the coordinates of the state slot the method
+moves as float locals and takes one gradient per epoch, which feeds the unchecked closed-form
+cores of ``hyperopt._FORMS`` and the method's per-coordinate rule from ``optimizers._RULES``.
+An optimal epoch builds only what its record keeps: it hands the cores the slot's two
+coordinates as it holds them (adagrad's first advanced by the squared gradient,
+``optimizers._grad_sq_sum``, to the sums the pending step divides by), and judges
+each core's (raw, singular) by ``hyperopt._verdict``, the fallback
 contract ``hyperopt._from_raw`` applies to a float, so it builds no ``FeasibleValue``; each
 target's (value, outcome) pair sets the value where the outcome is not None (defined), and one
 ``HyperParams`` is filled as the targets resolve, its shared ``HyperFlags`` taken from the tuple
@@ -273,6 +274,11 @@ def resolve_init(cfg: RunConfig) -> ParamPoint:
 
 def detect_convergence(records: tuple[EpochRecord, ...] | list[EpochRecord], tolerance: float) -> int | None:
     """Smallest recorded epoch whose loss is at or below ``tolerance``, if any."""
+    if not isinstance(records, (tuple, list)):
+        raise ValueError(f"records must be a tuple or list of EpochRecord, got {records!r}")
+    for rec in records:
+        if not isinstance(rec, EpochRecord):
+            raise ValueError(f"records must hold EpochRecord values only, got {rec!r}")
     _require_positive("tolerance", tolerance)
     for rec in records:
         if rec.loss <= tolerance:
@@ -291,6 +297,8 @@ def run_training(cfg: RunConfig) -> Trace:
     Deterministic: the same config (and seed, for random inits) reproduces
     the trace bit for bit.
     """
+    if not isinstance(cfg, RunConfig):
+        raise ValueError(f"cfg must be a RunConfig, got {cfg!r}")
     method, obj, sample, half = cfg.method, cfg.objective, cfg.sample, cfg.f3_half_gradient
     tolerance, max_epochs = cfg.tolerance, cfg.max_epochs
     rule = _RULES[method][1]
@@ -400,7 +408,9 @@ class ComparisonMatrix:
 
 
 def _cell_init(init: ParamPoint | RandomInit | None, obj: ObjectiveId) -> ParamPoint | RandomInit | None:
-    if init is None or isinstance(init, RandomInit):
+    """A point given for two parameters fitted to ``obj``; any other init as given, for
+    ``RunConfig`` to take or refuse."""
+    if not isinstance(init, ParamPoint):
         return init
     if obj.arity == 1:
         return ParamPoint(w=init.w)

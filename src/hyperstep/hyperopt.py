@@ -28,12 +28,13 @@ Conventions the formulas rely on:
 Each public rule and ``solve`` run ``_solved``, the one path from a state to its core:
 ``_check_state`` (``step``'s check, so a state, point or sample ``step`` refuses is refused
 here with the same error), then ``objectives._require_real`` on each given value the core
-reads (``_STEP_READS``), then the pair's core. ``_FORMS``, the only table that names a core,
-maps each (method, target) pair to it, called as ``(obj, s_w, s_b, sample, r, g, hyper)``:
-s_w and s_b are the coordinates of the state slot the method moves (``optimizers._slot``),
-and r and g the residual and gradient, which ``_solved`` takes once. A core returns its root
-and where it is singular, ``(raw, singular)``, and ``_solved`` judges them once by
-``_from_raw``. ``verify`` calls ``_solved`` on whole drawn tables, so every state that
+reads (the step's reads in the method's ``optimizers._RULES`` row, less the target), then the
+pair's core. ``_FORMS``, the only table that names a core, maps each (method, target) pair to
+it, called as ``(obj, s_w, s_b, sample, r, g, hyper)``: s_w and s_b are the coordinates of
+the state slot the method moves (``optimizers._slot``), and r and g the residual and gradient,
+which ``_solved`` takes once. A core returns its root and where it is singular,
+``(raw, singular)``, and ``_solved`` judges them once by ``_from_raw``. ``verify`` calls
+``_solved`` on whole drawn tables, so every state that
 reaches a core passes ``_check_state`` first, except in ``harness.run_training``, which
 hands the cores the slot coordinates and the one gradient it holds as floats each epoch
 and judges each float root by ``_verdict``: the judgement ``_from_raw`` applies to a float,
@@ -53,7 +54,7 @@ import math
 from dataclasses import dataclass
 
 from .objectives import ObjectiveId, RegressionSample, _gradient, _require_half_gradient, _require_real, _residual
-from .optimizers import HyperParams, Method, OptimizerState, _check_state, _slot, _weighted_grad_sq
+from .optimizers import HyperParams, Method, OptimizerState, _RULES, _check_state, _slot, _weighted_grad_sq
 
 SINGULAR_TOL = 1e-12
 
@@ -122,11 +123,12 @@ def _solved(
     method: Method, target: str, obj: ObjectiveId, state: OptimizerState, sample: RegressionSample | None,
     f3_half_gradient: bool = False, **given,
 ) -> FeasibleValue:
-    """The pair's core at ``state`` once ``_check_state`` passes, fed the method's slot, the residual
-    and gradient taken there once and the ``given`` values (None where not given) as one HyperParams:
-    floats, or whole drawn tables as arrays."""
+    """The pair's core at ``state`` once ``_check_state`` passes and each given value the method's
+    step reads (its ``_RULES`` row's reads, in their order) but ``target`` is a real number, fed the
+    method's slot, the residual and gradient taken there once and the ``given`` values (None where
+    not given) as one HyperParams: floats, or whole drawn tables as arrays."""
     _check_state(state, obj, sample)
-    for name in _STEP_READS[method]:
+    for name in _RULES[method][4]:
         if name != target:
             _require_real(name, given[name])
     hyper = object.__new__(HyperParams)  # unchecked: a value not given is None
@@ -314,15 +316,6 @@ _FORMS = {
     (Method.ADAGRAD, "eta"): _lr_adagrad,
     (Method.RMSPROP, "eta"): _lr_rmsprop,
     (Method.RMSPROP, "beta"): _beta_rmsprop,
-}
-
-# The given values each method's step reads: a pair's core reads them less its target, and
-# ``_solved`` refuses any of those that is not a real number (None, a string or a bool).
-_STEP_READS = {
-    Method.GD: ("eta",),
-    Method.MOMENTUM: ("eta", "alpha"),
-    Method.ADAGRAD: ("eta", "epsilon"),
-    Method.RMSPROP: ("eta", "beta", "epsilon"),
 }
 
 OPTIMIZED_HYPERS = {method: frozenset(t for m, t in _FORMS if m is method) for method in Method}

@@ -9,15 +9,17 @@ public ``hyperopt`` rule run it first too, so all fail alike); it then refuses a
 convention that is not a bool (``objectives._require_half_gradient``, as ``gradient``,
 ``adagrad_post_view`` and ``hyperopt._solved`` do) and a non-finite gradient. ``step`` then applies the method's per-coordinate rule
 ``(c, slot, g, hyper) -> (c', slot')`` to w and, if present, to b. ``_RULES`` is the one
-map from a method to that rule, to the buffered array form a curve steps it by and to the
-state slot it advances, which ``_slot`` reads for every caller. Those that hold a checked
-gradient call the rules themselves: ``harness.run_training``, which checked its inputs once per
-run, calls the rule on float coordinates after its own ``_finite`` test of each epoch's gradient,
-and the analyzer's searches, whose state does not move, call the buffered form on array
-coordinates at every curve point. A buffered form writes the rule's new coordinate into arrays
+map from a method to that rule, to the buffered array form a curve steps it by, to the
+root that form steps from, to the hyperparameters its step reads (which ``hyperopt._solved``
+checks and ``analyzer._curve`` consults) and to the state slot it advances, which ``_slot``
+reads for every caller. Those that hold a checked gradient call the rules themselves:
+``harness.run_training``, which checked its inputs once per run, calls the rule on float
+coordinates after its own ``_finite`` test of each epoch's gradient, and the analyzer's
+searches, whose state does not move, call the buffered form on array coordinates at every
+curve point. A buffered form writes the rule's new coordinate into arrays
 its caller owns, through numpy's ``out=``, by the rule's IEEE operations in the rule's order, so
-bit for bit: from the slot itself, or for adagrad and rmsprop from the root ``_ROOTS`` takes of
-their accumulator; a test holds each to its rule, sign bits included. ``step`` keeps the
+bit for bit: from the slot itself, or for adagrad and rmsprop from the root their ``_RULES`` row
+takes of their accumulator; a test holds each to its rule, sign bits included. ``step`` keeps the
 allocating rules, so it, ``analyzer.mean_post_step_error`` and verify's one-step check are the
 searches' independent reference. ``_require_method`` is the one test that a method is a
 ``Method``, and ``_require_hyper`` that a value is a ``HyperParams`` (``step``'s ``hyper``, a
@@ -250,9 +252,9 @@ def _weighted(c, u, g, hyper):
 # IEEE operations in its rule's order (so bit for bit), through numpy's ``out=``, with
 # ``tmp`` as scratch of that shape; the new slot is not kept. None allocates. Plain descent
 # and momentum step from the slot itself; adagrad and rmsprop step by ``_divided_into`` from
-# their root, the square root of ``_divisor`` that ``_ROOTS`` takes of their accumulator as
-# their rules take it. ``analyzer._curve`` steps each call by them, and takes a root once per
-# curve where no point moves it; the tests hold them to the rules above.
+# their root, the square root of ``_divisor`` that their ``_RULES`` row takes of their
+# accumulator as their rules take it. ``analyzer._curve`` steps each call by them, and takes
+# a root once per curve where no point moves it; the tests hold them to the rules above.
 
 def _descend_into(c, s, g, hyper, out, tmp):
     import numpy as np
@@ -292,20 +294,14 @@ def _divided_into(c, root, g, hyper, out, tmp):
     np.subtract(c, out, out=out)
 
 
-
-# a method's slot, its rule on floats or arrays, and the buffered array form a curve steps
-# by, from the slot as ``_ROOTS`` prepares it
+# a method's slot, its rule on floats or arrays, the buffered array form a curve steps by,
+# the root (slot, g, hyper) -> sqrt(_divisor) it steps from (None: from the slot itself),
+# and the hyperparameters its step reads; the root reads them all but eta
 _RULES = {
-    Method.GD: (None, _descend, _descend_into),
-    Method.MOMENTUM: ("velocity", _heavy_ball, _heavy_ball_into),
-    Method.ADAGRAD: ("grad_sq_sum", _accumulated, _divided_into),
-    Method.RMSPROP: ("weighted_grad_sq", _weighted, _divided_into),
-}
-
-# adagrad's and rmsprop's root (slot, g, hyper) -> sqrt(_divisor), and the hyperparameters it reads
-_ROOTS = {
-    Method.ADAGRAD: (_accumulated_root, frozenset({"epsilon"})),
-    Method.RMSPROP: (_weighted_root, frozenset({"beta", "epsilon"})),
+    Method.GD: (None, _descend, _descend_into, None, ("eta",)),
+    Method.MOMENTUM: ("velocity", _heavy_ball, _heavy_ball_into, None, ("eta", "alpha")),
+    Method.ADAGRAD: ("grad_sq_sum", _accumulated, _divided_into, _accumulated_root, ("eta", "epsilon")),
+    Method.RMSPROP: ("weighted_grad_sq", _weighted, _divided_into, _weighted_root, ("eta", "beta", "epsilon")),
 }
 
 _NO_SLOT = PerCoord()
@@ -343,7 +339,7 @@ def step(
         ValueError: if a state slot, the params or the sample does not fit ``obj``.
         NonFiniteGradientError: if the gradient at ``state`` is not finite.
     """
-    name, rule, _ = _RULES[_require_method(method)]
+    name, rule, *_ = _RULES[_require_method(method)]
     _require_hyper("hyper", hyper)
     g = _checked_gradient(state, obj, sample, f3_half_gradient)
     slot = _slot(method, state)

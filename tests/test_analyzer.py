@@ -565,7 +565,7 @@ def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, targ
     # An adagrad or rmsprop eta curve takes its two roots, w's and b's, when it is built and
     # none per call; a beta point moves rmsprop's root, so each call takes both and allocates
     # their accumulator, divisor, root and masks besides
-    slot, rule, into = analyzer._RULES[method]
+    slot, rule, into, root, reads = analyzer._RULES[method]
     calls = {"rule": 0, "into": 0, "root": 0}
 
     def counted(name, f):
@@ -574,9 +574,9 @@ def test_a_grid_curve_point_steps_by_the_buffered_form_in_one_array(method, targ
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(analyzer, "_RULES", {method: (slot, counted("rule", rule), counted("into", into))})
-    roots = {m: (counted("root", root), reads) for m, (root, reads) in analyzer._ROOTS.items()}
-    monkeypatch.setattr(analyzer, "_ROOTS", roots)
+    root = None if root is None else counted("root", root)
+    row = (slot, counted("rule", rule), counted("into", into), root, reads)
+    monkeypatch.setattr(analyzer, "_RULES", {method: row})
     state = analyzer._sampled_state(F2, GRID_2D, TEMPLATE_2D)
     g = analyzer._gradient_at(state, F2, None, False)
     curve, n, _ = analyzer._curve(method, F2, target, BASE, None, state, g)

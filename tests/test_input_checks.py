@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hyperstep
 from hyperstep import (
     OPTIMIZED_HYPERS,
     HyperParams,
@@ -21,6 +22,7 @@ from hyperstep import (
     SamplingSpec,
     adagrad_step,
     argmin_hyper,
+    default_sampling,
     finite_diff_gradient,
     gd_step,
     gradient,
@@ -414,6 +416,24 @@ WRONG_TYPED = [
                  f"eta must be a real number, got {np.True_!r}", id="momentum-coef-eta-numpy-bool"),
     pytest.param(lambda: solve(Method.RMSPROP, "beta", F1, _F1_STATE, eta=0.1, alpha=None, beta=None, epsilon="0"),
                  "epsilon must be a real number, got '0'", id="solve-rmsprop-beta-epsilon"),
+    pytest.param(lambda: finite_diff_gradient(F1, (0.3,)), "point must be a ParamPoint, got (0.3,)",
+                 id="finite-diff-point"),
+    pytest.param(
+        lambda: argmin_hyper(Method.GD, F1, "eta", DEFAULT_HYPERS, None, _TINY, None),
+        "state_template must be an OptimizerState, got None", id="argmin-template",
+    ),
+    pytest.param(
+        lambda: mean_post_step_error(Method.GD, F1, DEFAULT_HYPERS, None, _TINY, "x"),
+        "state_template must be an OptimizerState, got 'x'", id="mean-error-template",
+    ),
+    pytest.param(lambda: detect_convergence(None, 1e-3), "records must be a tuple or list of EpochRecord, got None",
+                 id="convergence-records-none"),
+    pytest.param(lambda: detect_convergence((0.3,), 1e-3), "records must hold EpochRecord values only, got 0.3",
+                 id="convergence-records-floats"),
+    pytest.param(lambda: default_sampling("f1"), _OBJECTIVE_TEXT, id="default-sampling-objective"),
+    pytest.param(lambda: run_training("x"), "cfg must be a RunConfig, got 'x'", id="run-cfg"),
+    pytest.param(lambda: reproduce_table2(init="x", max_epochs=3), "init must be a ParamPoint, got 'x'",
+                 id="table2-init"),
 ]
 
 
@@ -434,3 +454,75 @@ def test_any_real_given_value_still_solves(value):
         assert read(got) == read(rule(F1, _F1_STATE, **{name: float(value) for name in given}))
     # and a value a pair's core does not read is not checked: gd's rate reads none
     assert solve(Method.GD, "eta", F1, _F1_STATE, eta="x", alpha="x", beta="x", epsilon="x").value == 0.5
+
+
+# README's promise, swept: one valid call of each public function and each checked value type,
+# then each positional argument in turn, and each keyword argument the call reads, replaced by a
+# string and by a tuple, must raise ValueError. A keyword passed as None is one the call does not
+# read (solve's eta and alpha under rmsprop's eta, which only its core's reads are checked for),
+# so it is not swept. The value types that check at use, not when built, are left out:
+UNSWEPT = (
+    "ParamPoint", "PerCoord", "OptimizerState", "RegressionSample", "GradientVector", "FeasibleValue",
+    "ArgminResult", "EpochRecord", "HyperFlags", "Trace", "PublishedCell", "ComparisonCell", "ComparisonMatrix",
+)
+_P2, _S3 = ParamPoint(0.3, 0.2), _F3_STATE
+_H = HyperParams(0.1, 0.5, 0.5, 1e-8)
+_HALF = {"f3_half_gradient": False}
+_RECORDS = run_training(RunConfig(Method.GD, F1, HyperPolicy.fixed(DEFAULT_HYPERS), max_epochs=3)).records
+SWEPT = {
+    "evaluate": ((F3, _P2, SAMPLE), {}),
+    "gradient": ((F3, _P2, SAMPLE), _HALF),
+    "residual": ((F3, _P2, SAMPLE), {}),
+    "step": ((Method.GD, _S3, _H, F3, SAMPLE), _HALF),
+    **{name: ((_S3, _H, F3, SAMPLE), _HALF) for name in ("gd_step", "momentum_step", "adagrad_step", "rmsprop_step")},
+    "optimal_lr_gd": ((F3, _S3, SAMPLE), {}),
+    "optimal_lr_momentum": ((F3, _S3, SAMPLE), {"alpha": 0.5}),
+    "optimal_momentum_coef": ((F3, _S3, SAMPLE), {"eta": 0.1}),
+    "optimal_lr_adagrad": ((F3, _S3, SAMPLE), {"epsilon": 1e-8}),
+    "optimal_lr_rmsprop": ((F3, _S3, SAMPLE), {"beta": 0.5, "epsilon": 1e-8, **_HALF}),
+    "optimal_beta_rmsprop": ((F3, _S3, SAMPLE), {"eta": 0.1, "epsilon": 1e-8, **_HALF}),
+    "solve": (
+        (Method.RMSPROP, "eta", F3, _S3, SAMPLE), {"eta": None, "alpha": None, "beta": 0.5, "epsilon": 1e-8, **_HALF}
+    ),
+    "argmin_hyper": ((Method.GD, F3, "eta", _H, SAMPLE, _TINY, _S3), _HALF),
+    "pointwise_argmin_hyper": ((Method.GD, F3, "eta", _H, SAMPLE, _S3), _HALF),
+    "mean_post_step_error": ((Method.GD, F3, _H, SAMPLE, _TINY, _S3), _HALF),
+    "default_sampling": ((F3, 0), {}),
+    "finite_diff_gradient": ((F3, _P2, SAMPLE, 1e-6), {}),
+    "detect_convergence": ((_RECORDS, 1e-3), {}),
+    "run_training": ((RunConfig(Method.GD, F1, HyperPolicy.fixed(DEFAULT_HYPERS), max_epochs=3),), {}),
+    "reproduce_table2": ((_H, SAMPLE, _P2, 1e-3, 3, True), {}),
+    "HyperParams": ((0.1, 0.5, 0.5, 1e-8), {}),
+    "RunConfig": ((Method.GD, F3, HyperPolicy.fixed(_H), SAMPLE, _P2, 3, 1e-3, False), {}),
+    "HyperPolicy": ((hyperstep.PolicyKind.OPTIMAL_PER_EPOCH, _H, frozenset({"eta"})), {}),
+    "RandomInit": ((0,), {}),
+    "SamplingSpec": ((SamplingMode.GRID, 4, 0, (0.0, 1.0)), {}),
+}
+SWEEP = [
+    pytest.param(name, where, bad, id=f"{name}-{where}-{type(bad).__name__}")
+    for name, (args, kwargs) in SWEPT.items()
+    for where in [*range(len(args)), *(k for k, v in kwargs.items() if v is not None)]
+    for bad in ("x", (0.3,))
+]
+
+
+def test_the_sweep_covers_every_public_function_and_checked_type():
+    classes = {name for name in hyperstep.__all__ if inspect.isclass(getattr(hyperstep, name))}
+    functions = {name for name in hyperstep.__all__ if callable(getattr(hyperstep, name))} - classes
+    assert len(functions) == 23
+    checked = {"HyperParams", "RunConfig", "HyperPolicy", "RandomInit", "SamplingSpec"}
+    assert set(SWEPT) == functions | checked
+    assert checked | set(UNSWEPT) <= classes
+    for name, (args, kwargs) in SWEPT.items():  # each valid call runs
+        getattr(hyperstep, name)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name, where, bad", SWEEP)
+def test_every_public_entry_refuses_a_wrong_typed_argument_with_a_value_error(name, where, bad):
+    args, kwargs = SWEPT[name]
+    if isinstance(where, int):
+        args = (*args[:where], bad, *args[where + 1:])
+    else:
+        kwargs = {**kwargs, where: bad}
+    with pytest.raises(ValueError):
+        getattr(hyperstep, name)(*args, **kwargs)

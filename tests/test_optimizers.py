@@ -405,12 +405,12 @@ def test_each_buffered_rule_steps_as_its_rule_bit_for_bit(method, seed):
     beta[0, 0], epsilon[0, 0], s[0, 0, :6], g[0, 0, :6] = 1.0, 0.0, 0.0, (1.0, 5e-324, 0.0, 1e154, 0.0, -0.0)
     c[0, 0, 4:6] = -0.0
     hyper = HyperParams(eta=eta, alpha=alpha, beta=beta, epsilon=epsilon)
-    _, rule, buffered = optimizers._RULES[method]
+    _, rule, buffered, root, _ = optimizers._RULES[method]
     out, tmp = np.full((2, n, k, w), np.nan)
     with np.errstate(all="ignore"):  # the edges overflow and divide by 0 on both sides
         want = np.broadcast_to(rule(c, s, g, hyper)[0], out.shape)
         # adagrad and rmsprop step by the root of the same accumulator, as a curve takes it
-        by = optimizers._ROOTS[method][0](s, g, hyper) if method in optimizers._ROOTS else s
+        by = s if root is None else root(s, g, hyper)
         buffered(c, by, g, hyper, out, tmp)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     if method is Method.RMSPROP:
